@@ -31,6 +31,7 @@ from .distributions import (
     sample,
 )
 from .statistics import (
+    ASCLT_KINDS,
     STATISTIC_KINDS,
     geometric_mean_loo,
     geometric_mean_prefix,
@@ -48,27 +49,18 @@ from .streaming import (
     loo_log_series,
     loo_series_error_bound,
     state_from_path,
-    update_state,
 )
 from .limits import (
     LAW_TAGS,
     LimitLaw,
-    exp_normal,
-    exp_sqrt2_normal,
-    law_from_tag,
     limit_cdf,
     normal_cdf,
     normal_quantile,
-    normal_var2,
-    point_mass,
-    std_normal,
 )
 from .asclt import (
-    ASCLT_KINDS,
     AscltReport,
     LogAvgAccumulator,
     default_grid,
-    new_accumulator,
     run_asclt_path,
 )
 from .montecarlo import (
@@ -76,7 +68,6 @@ from .montecarlo import (
     EmpiricalCdf,
     ExperimentConfig,
     SllnReport,
-    default_compare_law,
     empirical_cdf,
     ks_distance,
     run_clt_experiment,
@@ -106,7 +97,6 @@ __all__ = [
     "remainder_magnitude",
     "PowerSumState",
     "init_state",
-    "update_state",
     "loo_log_series",
     "loo_series_error_bound",
     "state_from_path",
@@ -115,15 +105,8 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "limit_cdf",
-    "law_from_tag",
-    "std_normal",
-    "normal_var2",
-    "exp_normal",
-    "exp_sqrt2_normal",
-    "point_mass",
     "ASCLT_KINDS",
     "LogAvgAccumulator",
-    "new_accumulator",
     "default_grid",
     "AscltReport",
     "run_asclt_path",
@@ -133,7 +116,6 @@ __all__ = [
     "SllnReport",
     "empirical_cdf",
     "ks_distance",
-    "default_compare_law",
     "run_clt_experiment",
     "run_slln_experiment",
     "NeumaierSum",

@@ -32,21 +32,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec, moments, sample
-from .limits import LimitLaw, limit_cdf, normal_quantile, normal_var2, std_normal
-from .statistics import loo_log_statistic
+from .limits import LimitLaw, limit_cdf, normal_quantile
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS, loo_log_statistic
 from .streaming import init_state, loo_log_series
 from .summation import NeumaierSum
 
 __all__ = [
-    "ASCLT_KINDS",
     "LogAvgAccumulator",
-    "new_accumulator",
     "default_grid",
     "AscltReport",
     "run_asclt_path",
 ]
-
-ASCLT_KINDS = ("loo", "rw", "lin", "std")
 
 ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 
@@ -120,11 +116,6 @@ class LogAvgAccumulator:
         return self.weights / math.log(self.last_n)
 
 
-def new_accumulator(grid) -> LogAvgAccumulator:
-    """Fresh accumulator over a strictly increasing grid."""
-    return LogAvgAccumulator(grid)
-
-
 @dataclass
 class AscltReport:
     """Result of a single-trajectory run against its comparison law."""
@@ -152,12 +143,6 @@ class AscltReport:
         fileobj.write(ASCLT_CSV_HEADER + "\n")
         for x, a, f, gap in self.rows():
             fileobj.write(f"{x!r},{a!r},{f!r},{gap!r}\n")
-
-
-def _comparison_law(kind: str) -> LimitLaw:
-    # log-scale comparison laws: the product statistics are accumulated
-    # as their logs, so e^Z laws become plain normals
-    return normal_var2() if kind == "rw" else std_normal()
 
 
 def run_asclt_path(
@@ -192,7 +177,9 @@ def run_asclt_path(
     path = sample(spec, n_max, base_seed, stream_index)
     v = path.values
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
-    law = _comparison_law(kind)
+    # the product statistics are accumulated as their logs, so they are
+    # compared with the log-scale law
+    law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
     state = init_state(mu)
     running = NeumaierSum()  # rw: sum of log(S_k/(k mu)); lin/std: sum of draws

@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
-from .asclt import ASCLT_KINDS, AscltReport, run_asclt_path
-from .distributions import DistributionSpec, make_distribution, moments
-from .limits import LAW_TAGS, law_from_tag
+from .asclt import AscltReport, run_asclt_path
+from .distributions import DistributionSpec, make_distribution, moments, sample
+from .limits import LAW_TAGS, LimitLaw
 from .montecarlo import (
     ConvergenceReport,
     ExperimentConfig,
@@ -31,11 +32,11 @@ from .montecarlo import (
     run_slln_experiment,
 )
 from .statistics import (
+    ASCLT_KINDS,
     STATISTIC_KINDS,
     linearized_statistic,
     standardized_sum,
 )
-from .distributions import sample
 
 __all__ = ["main", "entrypoint", "parse_dist", "emit_plot_script"]
 
@@ -45,6 +46,8 @@ IDENTITY_TOLERANCE = 1e-10
 
 def parse_dist(text: str) -> DistributionSpec:
     """Parse the ``family:p1[:p2[:p3]]`` grammar into a validated spec."""
+    if not isinstance(text, str):
+        raise TypeError(f"expected a distribution like 'exponential:1', got {text!r}")
     parts = text.split(":")
     family, raw = parts[0], parts[1:]
     try:
@@ -54,18 +57,43 @@ def parse_dist(text: str) -> DistributionSpec:
     return make_distribution(family, params)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed integer list {text!r}")
+def _split(cast):
+    """Coercer for a comma-separated flag string or a config-file list."""
+    def coerce(value) -> tuple:
+        items = value.split(",") if isinstance(value, str) else value
+        return tuple(cast(p) for p in items)
+
+    return coerce
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed number list {text!r}")
+_REQUIRED = object()  # field default: the value must come from a flag or the config
+
+# per command: (flag attribute, config key, default, coercer); a coercer
+# takes a flag value or a config-file value and raises TypeError or
+# ValueError on anything it cannot turn into the typed value
+_CLT_FIELDS = (
+    ("dist", "spec", _REQUIRED, parse_dist),
+    ("stat", "kind", _REQUIRED, str),
+    ("n", "nList", _REQUIRED, _split(int)),
+    ("reps", "M", 1000, int),
+    ("seed", "baseSeed", DEFAULT_SEED, int),
+    ("law", "compareLaw", None, str),
+    ("workers", "workers", 1, int),
+)
+_ASCLT_FIELDS = (
+    ("dist", "spec", _REQUIRED, parse_dist),
+    ("stat", "kind", _REQUIRED, str),
+    ("N", "N", _REQUIRED, int),
+    ("seed", "baseSeed", DEFAULT_SEED, int),
+    ("exact_cutoff", "exactCutoff", 2000, int),
+    ("grid", "grid", None, _split(float)),
+    ("workers", "workers", 1, int),  # accepted for symmetry; a single path is sequential
+)
+_SLLN_FIELDS = (
+    ("dist", "spec", _REQUIRED, parse_dist),
+    ("n", "nList", _REQUIRED, _split(int)),
+    ("seed", "baseSeed", DEFAULT_SEED, int),
+)
 
 
 def emit_plot_script(report, csv_path: str, out_path: str) -> None:
@@ -112,160 +140,105 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _resolve(args, config_keys: dict[str, str]) -> dict:
-    """Merge config-file values under explicit flags (flags win)."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for attr, key in config_keys.items():
-        flag_value = getattr(args, attr)
-        resolved[key] = flag_value if flag_value is not None else cfg.get(key)
-    return resolved
-
-
 def _echo_config(name: str, resolved: dict) -> None:
     print(f"{name} config: {json.dumps(resolved, sort_keys=True)}", file=sys.stderr)
 
 
-def _emit_config(args, resolved: dict) -> None:
-    if getattr(args, "emit_config", None):
+def _resolve(args, parser: argparse.ArgumentParser, fields) -> dict:
+    """Merge config-file values under explicit flags (flags win).
+
+    Fills defaults, echoes the resolved config (and writes it for
+    ``--emit-config``), then returns each value coerced, by config key.
+    Usage errors surface here, before any work is done; a value its
+    coercer rejects becomes a ValueError naming the key.
+    """
+    if getattr(args, "plot", None) and not args.out:
+        parser.error("--plot needs --out so the script can reference the CSV")
+    cfg = _load_config(args.config) if args.config else {}
+    resolved = {}
+    for attr, key, default, _ in fields:
+        value = getattr(args, attr)
+        if value is None:
+            value = cfg.get(key)
+        if value is None and default is _REQUIRED:
+            parser.error(f"missing required value {key!r} (flag or config file)")
+        resolved[key] = default if value is None else value
+    _echo_config(args.command, resolved)
+    if args.emit_config:
         with open(args.emit_config, "w") as fh:
             json.dump(resolved, fh, indent=2, sort_keys=True)
             fh.write("\n")
+    values = {}
+    for _, key, _, coerce in fields:
+        try:
+            values[key] = None if resolved[key] is None else coerce(resolved[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"invalid {key!r}: {exc}") from None
+    return values
 
 
 def _open_out(path):
-    return open(path, "w") if path else sys.stdout
+    return open(path, "w") if path else nullcontext(sys.stdout)
 
 
-def _require(resolved: dict, key: str, parser: argparse.ArgumentParser) -> None:
-    if resolved.get(key) is None:
-        parser.error(f"missing required value {key!r} (flag or config file)")
+def _write_report(args, report, **csv_options) -> None:
+    """Write the report's CSV to --out (default stdout), then any --plot script."""
+    with _open_out(args.out) as out:
+        report.to_csv(out, **csv_options)
+    if getattr(args, "plot", None):
+        emit_plot_script(report, args.out, args.plot)
 
 
 def _cmd_clt(args, parser) -> int:
-    keys = {
-        "dist": "spec", "stat": "kind", "n": "nList", "reps": "M",
-        "seed": "baseSeed", "law": "compareLaw", "workers": "workers",
-    }
-    resolved = _resolve(args, keys)
-    for k in ("spec", "kind", "nList"):
-        _require(resolved, k, parser)
-    if resolved["M"] is None:
-        resolved["M"] = 1000
-    if resolved["baseSeed"] is None:
-        resolved["baseSeed"] = DEFAULT_SEED
-    if resolved["workers"] is None:
-        resolved["workers"] = 1
-    _echo_config("clt", resolved)
-    _emit_config(args, resolved)
-
-    spec = parse_dist(resolved["spec"]) if isinstance(resolved["spec"], str) else resolved["spec"]
-    n_list = resolved["nList"]
-    if isinstance(n_list, str):
-        n_list = _parse_int_list(n_list)
-    law = None
-    if resolved["compareLaw"]:
-        mu = moments(spec)[0]
-        law = law_from_tag(resolved["compareLaw"], mu)
+    v = _resolve(args, parser, _CLT_FIELDS)
+    tag = v["compareLaw"]
     config = ExperimentConfig(
-        spec=spec,
-        kind=resolved["kind"],
-        n_list=tuple(n_list),
-        reps=int(resolved["M"]),
-        base_seed=int(resolved["baseSeed"]),
-        compare_law=law,
-        workers=int(resolved["workers"]),
+        spec=v["spec"],
+        kind=v["kind"],
+        n_list=v["nList"],
+        reps=v["M"],
+        base_seed=v["baseSeed"],
+        compare_law=LimitLaw(tag, moments(v["spec"])[0]) if tag else None,
+        workers=v["workers"],
     )
     report = run_clt_experiment(config)
-    out = _open_out(args.out)
-    try:
-        report.to_csv(out, timing=args.timing)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_report(args, report, timing=args.timing)
     for row in report.rows:
         print(
             f"n={row.n} ks={row.ks:.6f} ({row.wall_seconds:.2f}s)",
             file=sys.stderr,
         )
-    if args.plot:
-        if not args.out:
-            parser.error("--plot needs --out so the script can reference the CSV")
-        emit_plot_script(report, args.out, args.plot)
     return 0
 
 
 def _cmd_asclt(args, parser) -> int:
-    keys = {
-        "dist": "spec", "stat": "kind", "N": "N", "seed": "baseSeed",
-        "exact_cutoff": "exactCutoff", "grid": "grid", "workers": "workers",
-    }
-    resolved = _resolve(args, keys)
-    for k in ("spec", "kind", "N"):
-        _require(resolved, k, parser)
-    if resolved["baseSeed"] is None:
-        resolved["baseSeed"] = DEFAULT_SEED
-    if resolved["exactCutoff"] is None:
-        resolved["exactCutoff"] = 2000
-    if resolved["workers"] is None:
-        resolved["workers"] = 1  # accepted for symmetry; a single path is sequential
-    _echo_config("asclt", resolved)
-    _emit_config(args, resolved)
-
-    spec = parse_dist(resolved["spec"]) if isinstance(resolved["spec"], str) else resolved["spec"]
-    grid = resolved["grid"]
-    if isinstance(grid, str):
-        grid = _parse_float_list(grid)
+    v = _resolve(args, parser, _ASCLT_FIELDS)
     report = run_asclt_path(
-        spec,
-        resolved["kind"],
-        int(resolved["N"]),
-        int(resolved["baseSeed"]),
-        grid=grid,
-        exact_cutoff=int(resolved["exactCutoff"]),
+        v["spec"],
+        v["kind"],
+        v["N"],
+        v["baseSeed"],
+        grid=v["grid"],
+        exact_cutoff=v["exactCutoff"],
     )
-    out = _open_out(args.out)
-    try:
-        report.to_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_report(args, report)
     print(
         f"sup-gap={report.sup_gap:.6f} (logN normalization: {report.sup_gap_logn:.6f}) "
         f"series from n={report.mode_switch_n} fallbacks={report.fallback_count}",
         file=sys.stderr,
     )
-    if args.plot:
-        if not args.out:
-            parser.error("--plot needs --out so the script can reference the CSV")
-        emit_plot_script(report, args.out, args.plot)
     return 0
 
 
 def _cmd_slln(args, parser) -> int:
-    keys = {"dist": "spec", "n": "nList", "seed": "baseSeed"}
-    resolved = _resolve(args, keys)
-    for k in ("spec", "nList"):
-        _require(resolved, k, parser)
-    if resolved["baseSeed"] is None:
-        resolved["baseSeed"] = DEFAULT_SEED
-    _echo_config("slln", resolved)
-    _emit_config(args, resolved)
-    spec = parse_dist(resolved["spec"]) if isinstance(resolved["spec"], str) else resolved["spec"]
-    n_list = resolved["nList"]
-    if isinstance(n_list, str):
-        n_list = _parse_int_list(n_list)
-    report = run_slln_experiment(spec, n_list, int(resolved["baseSeed"]))
-    out = _open_out(args.out)
-    try:
-        report.to_csv(out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    v = _resolve(args, parser, _SLLN_FIELDS)
+    _write_report(args, run_slln_experiment(v["spec"], v["nList"], v["baseSeed"]))
     return 0
 
 
 def _cmd_identity(args, parser) -> int:
+    if args.reps < 1:
+        parser.error("--reps must be >= 1")
     resolved = {
         "spec": args.dist, "n": args.n, "reps": args.reps,
         "baseSeed": args.seed if args.seed is not None else DEFAULT_SEED,
@@ -293,17 +266,13 @@ def _cmd_dist_table(args, parser) -> int:
         "uniform:0.5:1.5", "twopoint:0.5:2:0.5",
     ]
     _echo_config("dist-table", {"dists": dists})
-    out = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         out.write("family,params,mu,sigma,gamma\n")
         for text in dists:
             spec = parse_dist(text)
             mu, sigma, gam = moments(spec)
             params = ":".join(repr(p) for p in spec.params)
             out.write(f"{spec.family},{params},{mu!r},{sigma!r},{gam!r}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -381,11 +350,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a command
+    except SystemExit as exc:  # usage errors, from parsing or inside a command
         return int(exc.code) if exc.code is not None else 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

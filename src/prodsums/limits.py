@@ -2,15 +2,15 @@
 
 The laws that appear as limits in this problem family:
 
-===============  =========  ==============================================
-tag              CLI name   CDF
-===============  =========  ==============================================
-StdNormal        n01        Phi(x)
-NormalVar2       n02        Phi(x / sqrt(2))
-ExpNormal        expnorm    Phi(log x) for x > 0, else 0   (law of e^Z)
-ExpSqrt2Normal   expsqrt2   Phi(log x / sqrt(2)) for x > 0, else 0
-PointMass        point      step at mu
-===============  =========  ==============================================
+=========  =========================================================
+tag        CDF
+=========  =========================================================
+n01        Phi(x)                                      (standard normal)
+n02        Phi(x / sqrt(2))                            (variance-2 normal)
+expnorm    Phi(log x) for x > 0, else 0                (law of e^Z)
+expsqrt2   Phi(log x / sqrt(2)) for x > 0, else 0      (law of e^(sqrt(2) Z))
+point      step at mu                                  (point mass)
+=========  =========================================================
 
 Phi is implemented here via the complementary error function using
 W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969;
@@ -29,12 +29,6 @@ from dataclasses import dataclass
 __all__ = [
     "LAW_TAGS",
     "LimitLaw",
-    "std_normal",
-    "normal_var2",
-    "exp_normal",
-    "exp_sqrt2_normal",
-    "point_mass",
-    "law_from_tag",
     "normal_cdf",
     "normal_quantile",
     "limit_cdf",
@@ -146,11 +140,6 @@ def normal_cdf(x: float) -> float:
     return 0.5 * _erfc(-x / _SQRT2)
 
 
-def normal_pdf(x: float) -> float:
-    """Standard normal density."""
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
 def normal_quantile(p: float) -> float:
     """Inverse of :func:`normal_cdf` on (0, 1).
 
@@ -187,48 +176,26 @@ def normal_quantile(p: float) -> float:
 
 @dataclass(frozen=True)
 class LimitLaw:
-    """One of the closed-form limit laws, identified by CLI tag."""
+    """One of the closed-form limit laws, identified by CLI tag.
+
+    ``mu`` locates the point mass; the other laws drop it.
+    """
 
     tag: str
-    mu: float = math.nan  # point-mass location; unused otherwise
+    mu: float = math.nan
 
     def __post_init__(self):
         if self.tag not in LAW_TAGS:
             raise ValueError(
                 f"unknown law tag {self.tag!r}; expected one of {', '.join(LAW_TAGS)}"
             )
-        if self.tag == "point" and not math.isfinite(self.mu):
+        if self.tag != "point":
+            object.__setattr__(self, "mu", math.nan)
+        elif not math.isfinite(self.mu):
             raise ValueError("point-mass law needs a finite location mu")
 
     def cdf(self, x: float) -> float:
         return limit_cdf(self, x)
-
-
-def std_normal() -> LimitLaw:
-    return LimitLaw("n01")
-
-
-def normal_var2() -> LimitLaw:
-    return LimitLaw("n02")
-
-
-def exp_normal() -> LimitLaw:
-    return LimitLaw("expnorm")
-
-
-def exp_sqrt2_normal() -> LimitLaw:
-    return LimitLaw("expsqrt2")
-
-
-def point_mass(mu: float) -> LimitLaw:
-    return LimitLaw("point", float(mu))
-
-
-def law_from_tag(tag: str, mu: float = math.nan) -> LimitLaw:
-    """Build a law from its CLI tag; ``point`` requires a location."""
-    if tag == "point":
-        return point_mass(mu)
-    return LimitLaw(tag)
 
 
 def limit_cdf(law: LimitLaw, x: float) -> float:

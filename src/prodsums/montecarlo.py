@@ -6,11 +6,12 @@ pre-assigned substream and the experiment is reproducible for any
 worker count: workers only split the replicate range into chunks,
 and chunks are reduced back in replicate order.
 
-Product-form statistics are evaluated and compared on the log scale by
-default (``loo`` against the standard normal, ``rw`` against the
-variance-2 normal).  Passing a product-scale law (``expnorm`` /
-``expsqrt2``) exponentiates the values first; because exp is strictly
-increasing this leaves the KS distance unchanged up to rounding.
+Each kind is compared against its ``log_law`` in
+:data:`~prodsums.statistics.STATISTIC_KINDS` by default, so the
+product-form statistics are compared on the log scale.  Passing the
+kind's ``product_law`` exponentiates the values first; because exp is
+strictly increasing this leaves the KS distance unchanged up to
+rounding.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DistributionSpec, moments, sample
-from .limits import LimitLaw, limit_cdf, normal_var2, point_mass, std_normal
+from .limits import LimitLaw, limit_cdf
 from . import statistics as stats
 from .statistics import STATISTIC_KINDS
 
@@ -35,24 +36,12 @@ __all__ = [
     "SllnReport",
     "empirical_cdf",
     "ks_distance",
-    "default_compare_law",
     "run_clt_experiment",
     "run_slln_experiment",
 ]
 
 CLT_CSV_HEADER = "n,M,ks,mean,sd,mean_remainder,mean_maxdev,seconds"
 SLLN_CSV_HEADER = "n,gm_prefix,err_prefix,gm_loo,err_loo"
-
-# laws a kind may be compared against: its log-scale limit, plus the
-# product-scale equivalent for the product-form statistics
-_ALLOWED_LAWS = {
-    "loo": ("n01", "expnorm"),
-    "rw": ("n02", "expsqrt2"),
-    "lin": ("n01",),
-    "std": ("n01",),
-    "gm-prefix": ("point",),
-    "gm-loo": ("point",),
-}
 
 
 @dataclass(frozen=True)
@@ -68,7 +57,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.kind not in STATISTIC_KINDS:
+        kind = STATISTIC_KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if kind is None:
             raise ValueError(
                 f"unknown statistic {self.kind!r}; expected one of "
                 f"{', '.join(STATISTIC_KINDS)}"
@@ -76,32 +66,20 @@ class ExperimentConfig:
         ns = tuple(int(n) for n in self.n_list)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n list must be nonempty and strictly increasing")
-        min_n = 1 if self.kind in ("rw", "std", "gm-prefix") else 2
-        if ns[0] < min_n:
-            raise ValueError(f"kind {self.kind!r} needs n >= {min_n}")
+        if ns[0] < kind.min_n:
+            raise ValueError(f"kind {self.kind!r} needs n >= {kind.min_n}")
         object.__setattr__(self, "n_list", ns)
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.compare_law is not None:
-            allowed = _ALLOWED_LAWS[self.kind]
+            allowed = tuple(filter(None, (kind.log_law, kind.product_law)))
             if self.compare_law.tag not in allowed:
                 raise ValueError(
                     f"law {self.compare_law.tag!r} is not a limit of kind "
                     f"{self.kind!r}; allowed: {', '.join(allowed)}"
                 )
-
-
-def default_compare_law(kind: str, spec: DistributionSpec) -> LimitLaw:
-    """The limit law each statistic kind is compared against (log scale)."""
-    if kind == "rw":
-        return normal_var2()
-    if kind in ("loo", "lin", "std"):
-        return std_normal()
-    if kind in ("gm-prefix", "gm-loo"):
-        return point_mass(moments(spec)[0])
-    raise ValueError(f"unknown statistic {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -137,21 +115,11 @@ def ks_distance(emp: EmpiricalCdf, law: LimitLaw) -> float:
     return float(max(np.max(i / m - f), np.max(f - (i - 1.0) / m)))
 
 
-_STAT_FUNCS = {
-    "loo": lambda v, mu, sigma, gam: stats.loo_log_statistic(v, mu, gam),
-    "rw": lambda v, mu, sigma, gam: stats.rw_log_statistic(v, mu, gam),
-    "lin": lambda v, mu, sigma, gam: stats.linearized_statistic(v, mu, gam),
-    "std": lambda v, mu, sigma, gam: stats.standardized_sum(v, mu, sigma),
-    "gm-prefix": lambda v, mu, sigma, gam: stats.geometric_mean_prefix(v),
-    "gm-loo": lambda v, mu, sigma, gam: stats.geometric_mean_loo(v),
-}
-
-
 def _replicate_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate replicates r0..r1-1 of one row; top level for pickling."""
     spec, kind, n, base_seed, row_index, r0, r1 = args
     mu, sigma, gam = moments(spec)
-    func = _STAT_FUNCS[kind]
+    func = STATISTIC_KINDS[kind].evaluate
     want_diag = kind == "loo"
     vals = np.empty(r1 - r0)
     rems = np.full(r1 - r0, math.nan)
@@ -233,8 +201,9 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     diagnostics.  Deterministic for fixed base_seed whatever the worker
     count.
     """
-    law = config.compare_law or default_compare_law(config.kind, config.spec)
-    product_scale = law.tag in ("expnorm", "expsqrt2")
+    kind = STATISTIC_KINDS[config.kind]
+    law = config.compare_law or LimitLaw(kind.log_law, moments(config.spec)[0])
+    product_scale = law.tag == kind.product_law
     rows = []
     for i, n in enumerate(config.n_list):
         t0 = time.perf_counter()

@@ -16,29 +16,27 @@ every sum is accumulated with ``math.fsum``, so exact algebraic
 identities between different formulas survive at the 1e-10 level out to
 n = 1e4.
 
-Statistic kinds and their CLI tags:
-
-=============  ===================================================
-``loo``        normalized log product of leave-one-out sums
-``rw``         normalized log product of prefix sums
-``lin``        first-order linearization of ``loo``
-``std``        classical standardized sum of the draws
-``gm-prefix``  geometric mean of S_k / k
-``gm-loo``     geometric mean of S_{n,k} / (n-1)
-=============  ===================================================
+The statistic kinds are listed once, in :data:`STATISTIC_KINDS` at the
+end of this module: each CLI tag with its evaluator, the limit laws it
+is compared against, its smallest path length and whether the
+single-trajectory runner supports it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from math import fsum
+from typing import Callable
 
 import numpy as np
 
 from .distributions import SamplePath
 
 __all__ = [
+    "StatisticKind",
     "STATISTIC_KINDS",
+    "ASCLT_KINDS",
     "prefix_sums",
     "loo_log_statistic",
     "rw_log_statistic",
@@ -49,9 +47,6 @@ __all__ = [
     "max_relative_deviation",
     "remainder_magnitude",
 ]
-
-STATISTIC_KINDS = ("loo", "rw", "lin", "std", "gm-prefix", "gm-loo")
-
 
 def _values(path) -> np.ndarray:
     """Coerce a SamplePath or array-like into a validated 1-D array."""
@@ -194,3 +189,43 @@ def remainder_magnitude(path, mu: float, gamma: float) -> float:
     m = (v.size - 1) * mu
     c = (fsum(v) - m - v) / m
     return fsum(c * c) / (gamma * math.sqrt(v.size))
+
+
+@dataclass(frozen=True)
+class StatisticKind:
+    """One statistic kind, keyed by its CLI tag in :data:`STATISTIC_KINDS`.
+
+    ``log_law`` (the default comparison law) and ``product_law`` (the law
+    of the exponentiated statistic, if any) are ``limits.LAW_TAGS`` tags.
+    ``asclt`` marks the kinds :func:`prodsums.asclt.run_asclt_path` streams.
+    """
+
+    evaluate: Callable[[np.ndarray, float, float, float], float]
+    log_law: str
+    product_law: str | None
+    min_n: int
+    asclt: bool
+
+
+STATISTIC_KINDS = {
+    "loo": StatisticKind(
+        lambda v, mu, sigma, gam: loo_log_statistic(v, mu, gam), "n01", "expnorm", 2, True
+    ),
+    "rw": StatisticKind(
+        lambda v, mu, sigma, gam: rw_log_statistic(v, mu, gam), "n02", "expsqrt2", 1, True
+    ),
+    "lin": StatisticKind(
+        lambda v, mu, sigma, gam: linearized_statistic(v, mu, gam), "n01", None, 2, True
+    ),
+    "std": StatisticKind(
+        lambda v, mu, sigma, gam: standardized_sum(v, mu, sigma), "n01", None, 1, True
+    ),
+    "gm-prefix": StatisticKind(
+        lambda v, mu, sigma, gam: geometric_mean_prefix(v), "point", None, 1, False
+    ),
+    "gm-loo": StatisticKind(
+        lambda v, mu, sigma, gam: geometric_mean_loo(v), "point", None, 2, False
+    ),
+}
+
+ASCLT_KINDS = tuple(tag for tag, kind in STATISTIC_KINDS.items() if kind.asclt)

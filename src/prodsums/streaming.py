@@ -36,7 +36,6 @@ from .summation import NeumaierSum
 __all__ = [
     "PowerSumState",
     "init_state",
-    "update_state",
     "loo_log_series",
     "loo_series_error_bound",
     "state_from_path",
@@ -99,11 +98,6 @@ def init_state(mu: float) -> PowerSumState:
     return PowerSumState(mu)
 
 
-def update_state(state: PowerSumState, x: float) -> PowerSumState:
-    """Absorb one positive draw into the state (in place) and return it."""
-    return state.update(x)
-
-
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
     """Third-order surrogate for the leave-one-out log statistic.
 
@@ -161,7 +155,7 @@ def loo_series_error_bound(state: PowerSumState, gamma: float) -> float:
 def state_from_path(path, mu: float) -> PowerSumState:
     """Build the state of a whole path at once.
 
-    Equivalent to streaming every draw through :func:`update_state` (the
+    Equivalent to streaming every draw through :meth:`PowerSumState.update` (the
     reconstruction tests pin the two against each other) but evaluated
     with vectorized powers and exact sums, so bulk replays cost one pass
     of array arithmetic instead of a Python-level loop.

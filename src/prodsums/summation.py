@@ -9,9 +9,7 @@ instead of growing linearly with the number of terms.
 
 from __future__ import annotations
 
-from math import fsum
-
-__all__ = ["fsum", "NeumaierSum"]
+__all__ = ["NeumaierSum"]
 
 
 class NeumaierSum:

@@ -11,7 +11,6 @@ from prodsums import (
     LogAvgAccumulator,
     default_grid,
     make_distribution,
-    new_accumulator,
     normal_cdf,
     normal_quantile,
     run_asclt_path,
@@ -24,18 +23,18 @@ EXP1 = make_distribution("exponential", [1.0])
 
 class TestAccumulator:
     def test_fresh_state(self):
-        acc = new_accumulator([-2.0, 0.0, 2.0])
+        acc = LogAvgAccumulator([-2.0, 0.0, 2.0])
         assert np.array_equal(acc.weights, [0.0, 0.0, 0.0])
         assert acc.total_weight == 0.0
         assert acc.last_n == 1
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            new_accumulator([1.0, 1.0])
+            LogAvgAccumulator([1.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            new_accumulator([2.0, 1.0])
+            LogAvgAccumulator([2.0, 1.0])
         with pytest.raises(ValueError, match="nonempty"):
-            new_accumulator([])
+            LogAvgAccumulator([])
 
     def test_default_grid_is_normal_quantiles(self):
         g = default_grid()
@@ -44,30 +43,30 @@ class TestAccumulator:
             assert x == pytest.approx(normal_quantile(0.05 * j), abs=1e-12)
 
     def test_first_step_below_grid(self):
-        acc = new_accumulator([-2.0, 0.0, 2.0])
+        acc = LogAvgAccumulator([-2.0, 0.0, 2.0])
         acc.accumulate(2, -1e9)
         assert np.allclose(acc.weights, [0.5, 0.5, 0.5])
         assert acc.total_weight == 0.5
 
     def test_first_step_inside_grid(self):
-        acc = new_accumulator([-2.0, 0.0, 2.0, 4.0])
+        acc = LogAvgAccumulator([-2.0, 0.0, 2.0, 4.0])
         acc.accumulate(2, -1.0)
         assert np.allclose(acc.weights, [0.0, 0.5, 0.5, 0.5])
 
     def test_indicator_is_leq(self):
         # t exactly on a grid point counts for that point
-        acc = new_accumulator([0.0, 1.0])
+        acc = LogAvgAccumulator([0.0, 1.0])
         acc.accumulate(2, 0.0)
         assert np.allclose(acc.weights, [0.5, 0.5])
 
     def test_above_grid_adds_nothing(self):
-        acc = new_accumulator([0.0, 1.0])
+        acc = LogAvgAccumulator([0.0, 1.0])
         acc.accumulate(2, 5.0)
         assert np.allclose(acc.weights, [0.0, 0.0])
         assert acc.total_weight == 0.5
 
     def test_sequential_n_enforced(self):
-        acc = new_accumulator([0.0])
+        acc = LogAvgAccumulator([0.0])
         acc.accumulate(2, 0.0)
         with pytest.raises(ValueError, match="sequential"):
             acc.accumulate(2, 0.0)
@@ -76,16 +75,16 @@ class TestAccumulator:
 
     def test_evaluate_before_accumulation(self):
         with pytest.raises(ValueError, match="nothing accumulated"):
-            new_accumulator([0.0]).evaluate()
+            LogAvgAccumulator([0.0]).evaluate()
 
     def test_single_step_evaluate_is_indicator(self):
-        acc = new_accumulator([-1.0, 0.5, 2.0])
+        acc = LogAvgAccumulator([-1.0, 0.5, 2.0])
         acc.accumulate(2, 0.1)
         assert np.array_equal(acc.evaluate(), [0.0, 1.0, 1.0])
 
     def test_harmonic_normalization(self):
         rng = np.random.default_rng(4)
-        acc = new_accumulator(default_grid())
+        acc = LogAvgAccumulator(default_grid())
         big_n = 5000
         for n in range(2, big_n + 1):
             acc.accumulate(n, float(rng.standard_normal()))
@@ -95,7 +94,7 @@ class TestAccumulator:
     @given(st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=300))
     @settings(max_examples=100, deadline=None)
     def test_values_monotone_and_bounded(self, ts):
-        acc = new_accumulator(default_grid())
+        acc = LogAvgAccumulator(default_grid())
         for i, t in enumerate(ts):
             acc.accumulate(i + 2, t)
         a = acc.evaluate()
@@ -107,8 +106,8 @@ class TestAccumulator:
         rng = np.random.default_rng(9)
         ts = rng.standard_normal(2000)
         grid = default_grid()
-        base = new_accumulator(grid)
-        bumped = new_accumulator(grid)
+        base = LogAvgAccumulator(grid)
+        bumped = LogAvgAccumulator(grid)
         at_risk = 0.0
         for i, t in enumerate(ts):
             n = i + 2

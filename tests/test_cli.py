@@ -107,6 +107,27 @@ class TestCltCommand:
         assert run_cli(["clt", "--config", str(cfg)]) == 1
         assert "invalid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,config,key", [
+        ("clt", {"spec": 5, "kind": "std", "nList": "10"}, "spec"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": 10}, "nList"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": "10", "M": [3]}, "M"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": [10],
+                 "workers": {"n": 2}}, "workers"),
+        ("slln", {"spec": ["exponential", 1], "nList": "10"}, "spec"),
+        ("slln", {"spec": "exponential:1", "nList": 100}, "nList"),
+        ("slln", {"spec": "exponential:1", "nList": "10", "baseSeed": [1]}, "baseSeed"),
+        ("asclt", {"spec": "exponential:1", "kind": "std", "N": [100]}, "N"),
+        ("asclt", {"spec": "exponential:1", "kind": "std", "N": 100, "grid": 0.5},
+         "grid"),
+    ])
+    def test_wrong_typed_config_value(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: invalid {key!r}" in captured.err
+        assert captured.out == ""
+
     def test_law_override(self, tmp_path):
         out = tmp_path / "o.csv"
         assert run_cli(
@@ -123,21 +144,29 @@ class TestCltCommand:
         script = gp.read_text()
         assert "logscale" in script and str(out) in script
 
-    def test_plot_needs_out(self):
+    def test_plot_needs_out(self, capsys):
+        # refused before any work: nothing is computed or printed
         assert run_cli(
             ["clt", "--dist", "exponential:1", "--stat", "std", "--n", "10",
              "--reps", "5", "--plot", "x.gp"]
         ) == 2
+        assert run_cli(
+            ["asclt", "--dist", "exponential:1", "--stat", "std", "--N", "100",
+             "--plot", "x.gp"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--plot needs --out" in captured.err
 
     def test_plot_refuses_empty_report(self, tmp_path):
-        from prodsums import ExperimentConfig, make_distribution, std_normal
+        from prodsums import ExperimentConfig, LimitLaw, make_distribution
         from prodsums.cli import emit_plot_script
         from prodsums.montecarlo import ConvergenceReport
 
         cfg = ExperimentConfig(
             make_distribution("exponential", [1.0]), "std", (10,), 1, 0
         )
-        empty = ConvergenceReport(config=cfg, law=std_normal(), rows=())
+        empty = ConvergenceReport(config=cfg, law=LimitLaw("n01"), rows=())
         with pytest.raises(ValueError, match="empty report"):
             emit_plot_script(empty, "r.csv", str(tmp_path / "r.gp"))
 
@@ -193,7 +222,41 @@ class TestSllnCommand:
         assert len(lines) == 3
 
 
+class TestRunnerSeam:
+    def test_commands_call_runners_through_module_globals(self, monkeypatch, tmp_path):
+        # the CLI looks the runners up at call time, so wrapping the module
+        # attributes (as the benchmark's tracer does) sees every call
+        import prodsums.cli as cli
+
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_clt_experiment",
+                            spy("clt", cli.run_clt_experiment))
+        monkeypatch.setattr(cli, "run_asclt_path", spy("asclt", cli.run_asclt_path))
+        out = str(tmp_path / "o.csv")
+        assert main(["clt", "--dist", "exponential:1", "--stat", "std", "--n", "10",
+                     "--reps", "5", "--out", out]) == 0
+        assert main(["asclt", "--dist", "exponential:1", "--stat", "std",
+                     "--N", "50", "--out", out]) == 0
+        assert calls == ["clt", "asclt"]
+
+
 class TestIdentityCommand:
+    def test_reps_must_be_positive(self, capsys):
+        code = run_cli(
+            ["identity", "--dist", "exponential:1", "--n", "100", "--reps", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--reps must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_exponential_passes(self, capsys):
         code = run_cli(
             ["identity", "--dist", "exponential:1", "--n", "1000", "--reps", "100"]

@@ -4,18 +4,7 @@ import numpy as np
 import pytest
 from mpmath import mp, ncdf
 
-from prodsums import (
-    exp_normal,
-    exp_sqrt2_normal,
-    law_from_tag,
-    limit_cdf,
-    normal_cdf,
-    normal_quantile,
-    normal_var2,
-    point_mass,
-    std_normal,
-)
-from prodsums.limits import LimitLaw
+from prodsums import LimitLaw, limit_cdf, normal_cdf, normal_quantile
 
 mp.dps = 30
 
@@ -86,15 +75,16 @@ class TestNormalQuantile:
 
 class TestLimitLaws:
     def test_tags(self):
-        assert std_normal().tag == "n01"
-        assert normal_var2().tag == "n02"
-        assert exp_normal().tag == "expnorm"
-        assert exp_sqrt2_normal().tag == "expsqrt2"
-        assert point_mass(2.0).tag == "point"
+        for tag in ("n01", "n02", "expnorm", "expsqrt2"):
+            assert LimitLaw(tag).tag == tag
+        assert LimitLaw("point", 2.0).tag == "point"
 
-    def test_law_from_tag(self):
-        assert law_from_tag("n02") == normal_var2()
-        assert law_from_tag("point", 3.0).mu == 3.0
+    def test_location_only_for_point(self):
+        # one constructor for every law: a mean passed with a tag only
+        # locates the point mass and is dropped by the other laws
+        assert LimitLaw("n02", 3.0) == LimitLaw("n02")
+        assert math.isnan(LimitLaw("n02", 3.0).mu)
+        assert LimitLaw("point", 3.0).mu == 3.0
 
     def test_unknown_tag(self):
         with pytest.raises(ValueError, match="unknown law"):
@@ -105,37 +95,38 @@ class TestLimitLaws:
             LimitLaw("point")
 
     def test_exp_normal_at_one(self):
-        assert limit_cdf(exp_normal(), 1.0) == 0.5
+        assert limit_cdf(LimitLaw("expnorm"), 1.0) == 0.5
 
     def test_positive_support(self):
         for x in (-3.0, -1e-9, 0.0):
-            assert limit_cdf(exp_sqrt2_normal(), x) == 0.0
-            assert limit_cdf(exp_normal(), x) == 0.0
+            assert limit_cdf(LimitLaw("expsqrt2"), x) == 0.0
+            assert limit_cdf(LimitLaw("expnorm"), x) == 0.0
 
     def test_exp_sqrt2_frozen(self):
         x = math.exp(math.sqrt(2.0))
-        assert limit_cdf(exp_sqrt2_normal(), x) == pytest.approx(PHI_1, abs=1e-12)
+        assert limit_cdf(LimitLaw("expsqrt2"), x) == pytest.approx(PHI_1, abs=1e-12)
 
     def test_var2_scaling(self):
         for x in (-2.0, -0.3, 0.0, 1.7):
-            assert limit_cdf(normal_var2(), x) == pytest.approx(
+            assert limit_cdf(LimitLaw("n02"), x) == pytest.approx(
                 normal_cdf(x / math.sqrt(2.0)), abs=1e-15
             )
 
     def test_point_mass_step(self):
-        law = point_mass(2.0)
+        law = LimitLaw("point", 2.0)
         assert limit_cdf(law, 1.999999) == 0.0
         assert limit_cdf(law, 2.0) == 1.0
         assert limit_cdf(law, 5.0) == 1.0
 
     def test_round_trip_exp_normal(self):
         for z in np.linspace(-30.0, 30.0, 121):
-            got = limit_cdf(exp_normal(), math.exp(float(z)))
+            got = limit_cdf(LimitLaw("expnorm"), math.exp(float(z)))
             assert abs(got - normal_cdf(float(z))) <= 1e-13
 
     @pytest.mark.parametrize(
         "law",
-        [std_normal(), normal_var2(), exp_normal(), exp_sqrt2_normal(), point_mass(1.0)],
+        [LimitLaw("n01"), LimitLaw("n02"), LimitLaw("expnorm"), LimitLaw("expsqrt2"),
+         LimitLaw("point", 1.0)],
     )
     def test_monotone_cdf_on_grid(self, law):
         xs = np.linspace(-20.0, 20.0, 10_000)
@@ -144,4 +135,4 @@ class TestLimitLaws:
         assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_cdf_method(self):
-        assert std_normal().cdf(0.0) == 0.5
+        assert LimitLaw("n01").cdf(0.0) == 0.5

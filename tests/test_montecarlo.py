@@ -6,20 +6,17 @@ import pytest
 
 from prodsums import (
     ExperimentConfig,
-    default_compare_law,
+    LimitLaw,
     empirical_cdf,
-    exp_normal,
     ks_distance,
     make_distribution,
     moments,
     normal_cdf,
     normal_quantile,
-    point_mass,
     run_clt_experiment,
     run_slln_experiment,
     sample,
     standardized_sum,
-    std_normal,
 )
 
 EXP1 = make_distribution("exponential", [1.0])
@@ -49,30 +46,30 @@ class TestEmpiricalCdf:
 
 class TestKsDistance:
     def test_single_zero_vs_normal(self):
-        assert ks_distance(empirical_cdf([0.0]), std_normal()) == pytest.approx(
+        assert ks_distance(empirical_cdf([0.0]), LimitLaw("n01")) == pytest.approx(
             0.5, abs=1e-15
         )
 
     def test_frozen_three_point(self):
-        got = ks_distance(empirical_cdf([-1.0, 0.0, 1.0]), std_normal())
+        got = ks_distance(empirical_cdf([-1.0, 0.0, 1.0]), LimitLaw("n01"))
         assert got == pytest.approx(KS_NEG1_0_1, abs=1e-13)
 
     def test_half_step_construction(self):
         m = 100
         qs = [normal_quantile((i - 0.5) / m) for i in range(1, m + 1)]
-        assert ks_distance(empirical_cdf(qs), std_normal()) == pytest.approx(
+        assert ks_distance(empirical_cdf(qs), LimitLaw("n01")) == pytest.approx(
             0.005, abs=1e-10
         )
 
     def test_point_mass_all_below(self):
-        assert ks_distance(empirical_cdf([1.0, 2.0]), point_mass(5.0)) == 1.0
+        assert ks_distance(empirical_cdf([1.0, 2.0]), LimitLaw("point", 5.0)) == 1.0
 
     def test_kolmogorov_sanity(self):
         # draws from the law itself: the 99th-percentile threshold
         # 1.63/sqrt(M) is exceeded in at most ~1% of trials (DKW bound)
         m, trials, fails = 200, 1000, 0
         thresh = 1.63 / math.sqrt(m)
-        law = std_normal()
+        law = LimitLaw("n01")
         rng = np.random.default_rng(0)
         for _ in range(trials):
             if ks_distance(empirical_cdf(rng.standard_normal(m)), law) > thresh:
@@ -88,6 +85,8 @@ class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown statistic"):
             ExperimentConfig(EXP1, "bogus", (10,), 5, 0)
+        with pytest.raises(ValueError, match="unknown statistic"):
+            ExperimentConfig(EXP1, ["loo"], (10,), 5, 0)
 
     def test_nonincreasing_n(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -105,21 +104,26 @@ class TestConfigValidation:
             ExperimentConfig(EXP1, "std", (10,), 5, 0, workers=0)
 
     def test_law_must_match_kind(self):
-        ExperimentConfig(EXP1, "loo", (10,), 5, 0, compare_law=exp_normal())
+        ExperimentConfig(EXP1, "loo", (10,), 5, 0, compare_law=LimitLaw("expnorm"))
         with pytest.raises(ValueError, match="not a limit of kind"):
-            ExperimentConfig(EXP1, "rw", (10,), 5, 0, compare_law=exp_normal())
+            ExperimentConfig(EXP1, "rw", (10,), 5, 0, compare_law=LimitLaw("expnorm"))
         with pytest.raises(ValueError, match="not a limit of kind"):
-            ExperimentConfig(EXP1, "std", (10,), 5, 0, compare_law=point_mass(1.0))
+            ExperimentConfig(
+                EXP1, "std", (10,), 5, 0, compare_law=LimitLaw("point", 1.0)
+            )
 
 
 class TestDefaultLaws:
     def test_mapping(self):
-        assert default_compare_law("loo", EXP1).tag == "n01"
-        assert default_compare_law("lin", EXP1).tag == "n01"
-        assert default_compare_law("std", EXP1).tag == "n01"
-        assert default_compare_law("rw", EXP1).tag == "n02"
-        gm_law = default_compare_law("gm-prefix", EXP1)
-        assert gm_law.tag == "point" and gm_law.mu == 1.0
+        def law(kind):
+            return run_clt_experiment(ExperimentConfig(EXP1, kind, (2,), 2, 0)).law
+
+        assert law("loo") == LimitLaw("n01")
+        assert law("lin") == LimitLaw("n01")
+        assert law("std") == LimitLaw("n01")
+        assert law("rw") == LimitLaw("n02")
+        assert law("gm-prefix") == LimitLaw("point", 1.0)
+        assert law("gm-loo") == LimitLaw("point", 1.0)
 
 
 class TestRunCltExperiment:
@@ -148,7 +152,9 @@ class TestRunCltExperiment:
 
     def test_log_product_scale_equivalence(self):
         log_cfg = ExperimentConfig(EXP1, "loo", (50,), 200, 7)
-        prod_cfg = ExperimentConfig(EXP1, "loo", (50,), 200, 7, compare_law=exp_normal())
+        prod_cfg = ExperimentConfig(
+            EXP1, "loo", (50,), 200, 7, compare_law=LimitLaw("expnorm")
+        )
         ks_log = run_clt_experiment(log_cfg).rows[0].ks
         ks_prod = run_clt_experiment(prod_cfg).rows[0].ks
         assert abs(ks_log - ks_prod) <= 1e-12

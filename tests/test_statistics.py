@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsums import (
+    ASCLT_KINDS,
+    STATISTIC_KINDS,
+    ExperimentConfig,
+    LimitLaw,
     geometric_mean_loo,
     geometric_mean_prefix,
     linearized_statistic,
@@ -19,6 +24,7 @@ from prodsums import (
     sample,
     standardized_sum,
 )
+from prodsums.cli import main
 
 # frozen against a 60-digit evaluation of the closed forms
 LOO_123 = -0.07452266510375413676601919  # (2/sqrt(3)) * ln(15/16)
@@ -269,3 +275,40 @@ class TestCrossStatisticInvariants:
             loo_log_statistic(vals, mu, gam) - linearized_statistic(vals, mu, gam)
         )
         assert gap <= 4.0 * remainder_magnitude(vals, mu, gam) + 1e-15
+
+
+def _stat_choices(command, capsys):
+    assert main([command, "--help"]) == 0
+    return re.search(r"--stat \{([^}]*)\}", capsys.readouterr().out).group(1).split(",")
+
+
+class TestKindTable:
+    EXPECTED_EVALUATOR = {
+        "loo": lambda v, mu, sigma, gam: loo_log_statistic(v, mu, gam),
+        "rw": lambda v, mu, sigma, gam: rw_log_statistic(v, mu, gam),
+        "lin": lambda v, mu, sigma, gam: linearized_statistic(v, mu, gam),
+        "std": lambda v, mu, sigma, gam: standardized_sum(v, mu, sigma),
+        "gm-prefix": lambda v, mu, sigma, gam: geometric_mean_prefix(v),
+        "gm-loo": lambda v, mu, sigma, gam: geometric_mean_loo(v),
+    }
+
+    @pytest.mark.parametrize("tag", list(STATISTIC_KINDS))
+    def test_entry(self, tag, capsys):
+        kind = STATISTIC_KINDS[tag]
+        assert _stat_choices("clt", capsys) == list(STATISTIC_KINDS)
+        asclt_choices = _stat_choices("asclt", capsys)
+        assert asclt_choices == list(ASCLT_KINDS)
+        assert (tag in asclt_choices) == kind.asclt
+
+        spec = make_distribution("gamma", [4.0, 0.5])
+        mu, sigma, gam = moments(spec)
+        v = sample(spec, 30, base_seed=1, stream_index=0).values
+        assert kind.evaluate(v, mu, sigma, gam) == self.EXPECTED_EVALUATOR[tag](
+            v, mu, sigma, gam
+        )
+
+        n = (kind.min_n,)
+        for law in filter(None, (kind.log_law, kind.product_law)):
+            ExperimentConfig(spec, tag, n, 1, 0, compare_law=LimitLaw(law, mu))
+        with pytest.raises(ValueError, match=f"needs n >= {kind.min_n}"):
+            ExperimentConfig(spec, tag, (kind.min_n - 1,), 1, 0)

@@ -14,7 +14,6 @@ from prodsums import (
     moments,
     sample,
     state_from_path,
-    update_state,
 )
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
@@ -44,8 +43,8 @@ class TestStateBasics:
 
     def test_update_arithmetic(self):
         s = init_state(2.0)
-        update_state(s, 1.0)
-        update_state(s, 3.0)
+        s.update(1.0)
+        s.update(3.0)
         assert s.n == 2
         assert s.total == 4.0
         assert s.p1 == 0.0
@@ -56,9 +55,9 @@ class TestStateBasics:
     def test_update_rejects_nonpositive(self):
         s = init_state(1.0)
         with pytest.raises(ValueError, match="positive"):
-            update_state(s, 0.0)
+            s.update(0.0)
         with pytest.raises(ValueError, match="positive"):
-            update_state(s, -2.0)
+            s.update(-2.0)
 
     @given(draws, st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=150, deadline=None)
