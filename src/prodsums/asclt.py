@@ -17,11 +17,17 @@ Accumulation starts at n = 2 because the leave-one-out statistic is
 undefined on a single draw (its normalizer (n-1)*mu vanishes); the
 single dropped term is irrelevant in the limit.
 
-Statistic evaluation inside :func:`run_asclt_path` is O(1) per step for
-the prefix kinds (``rw``, ``lin``, ``std``) and for the leave-one-out
-kind beyond ``exact_cutoff``, where the power-sum series takes over
-(falling back to the exact O(n) evaluation on the rare steps where the
-series validity gate fails).
+:func:`run_asclt_path` draws the path with one :func:`sample` call and
+walks it in blocks of 4096 steps.  Per block,
+:meth:`~prodsums.streaming.PowerSumState.extend` gives the running sums
+after every step, each kind's t_n is whole-array arithmetic on them (the
+leave-one-out kind through the power-sum series beyond ``exact_cutoff``),
+and :meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
+with one ``searchsorted`` and one ``bincount``.  Only the leave-one-out
+steps n <= ``exact_cutoff``, and the rare steps where the series validity
+gate fails, evaluate the exact O(n) statistic, one step at a time.  The
+cost is O(N) numpy work plus O(exact_cutoff^2) for the exact prefix; the
+memory beyond the path is one block's temporaries.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf, normal_quantile
 from .statistics import ASCLT_KINDS, STATISTIC_KINDS, loo_log_statistic
-from .streaming import init_state, loo_log_series
-from .summation import NeumaierSum
+from .streaming import PowerSumState, loo_series_from_sums
+from .summation import NeumaierSum, running_sums
 
 __all__ = [
     "LogAvgAccumulator",
@@ -46,6 +52,11 @@ __all__ = [
 
 ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 
+# steps per block of whole-array work in run_asclt_path: large enough to
+# amortize the per-block Python, small enough that the block's temporaries
+# stay a small fraction of the path itself
+_BLOCK = 4096
+
 
 def default_grid() -> np.ndarray:
     """Standard 19-point grid: normal quantiles at p = 0.05, ..., 0.95."""
@@ -55,9 +66,9 @@ def default_grid() -> np.ndarray:
 class LogAvgAccumulator:
     """Per-grid-point accumulation of 1/n-weighted indicator mass.
 
-    Weights and the total are Kahan-compensated so the normalization
-    identity (total = H_N - 1) holds to 1e-9 even for very long runs.
-    Accumulation is strictly sequential in n.
+    Weights are Kahan-compensated and the total is a Neumaier sum, so the
+    normalization identity (total = H_N - 1) holds to 1e-9 even for very
+    long runs.  Accumulation is strictly sequential in n.
     """
 
     def __init__(self, grid):
@@ -70,7 +81,7 @@ class LogAvgAccumulator:
         g.setflags(write=False)
         self.grid = g
         self._w = np.zeros(g.size)
-        self._wc = np.zeros(g.size)  # Kahan compensations
+        self._wc = np.zeros(g.size)  # Kahan compensations (excess added)
         self._total = NeumaierSum()
         self.last_n = 1  # first accepted n is 2
 
@@ -80,27 +91,35 @@ class LogAvgAccumulator:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._w + self._wc
+        return self._w - self._wc
 
-    def accumulate(self, n: int, t_n: float) -> "LogAvgAccumulator":
-        """Add the indicator row for step n; n must equal last_n + 1."""
+    def accumulate(self, n: int, t) -> "LogAvgAccumulator":
+        """Add the indicator rows of t, the statistic at steps n, n+1, ...
+
+        ``t`` is one value or a 1-D block of consecutive steps, all
+        finite; n must equal last_n + 1.
+        """
         if n != self.last_n + 1:
             raise ValueError(
                 f"accumulation must be strictly sequential: expected "
                 f"n = {self.last_n + 1}, got {n}"
             )
-        w = 1.0 / n
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if t.ndim != 1:
+            raise ValueError("t must be one value or a 1-D block")
+        bad = np.flatnonzero(~np.isfinite(t))
+        if bad.size:
+            raise ValueError(f"statistic is {t[bad[0]]} at n = {n + int(bad[0])}; it must be finite")
+        w = 1.0 / np.arange(n, n + t.size)
         # I(t_n <= grid[j]) holds for every j from the first grid point >= t_n
-        j = int(np.searchsorted(self.grid, t_n, side="left"))
-        if j < self.grid.size:
-            ws = self._w[j:]
-            cs = self._wc[j:]
-            y = w - cs
-            t = ws + y
-            cs[:] = (t - ws) - y
-            ws[:] = t
-        self._total.add(w)
-        self.last_n = n
+        first = np.searchsorted(self.grid, t, side="left")
+        mass = np.bincount(first, weights=w, minlength=self.grid.size + 1)
+        y = mass[: self.grid.size].cumsum() - self._wc
+        total = self._w + y
+        self._wc = (total - self._w) - y
+        self._w = total
+        self._total.add(float(w.sum()))
+        self.last_n = n + t.size - 1
         return self
 
     def evaluate(self) -> np.ndarray:
@@ -174,43 +193,44 @@ def run_asclt_path(
         raise ValueError("exact_cutoff must be >= 2")
 
     mu, sigma, gam = moments(spec)
-    path = sample(spec, n_max, base_seed, stream_index)
-    v = path.values
+    v = sample(spec, n_max, base_seed, stream_index).values
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
     # the product statistics are accumulated as their logs, so they are
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    state = init_state(mu)
-    running = NeumaierSum()  # rw: sum of log(S_k/(k mu)); lin/std: sum of draws
+    state = PowerSumState(mu)
+    log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
     fallbacks = 0
-
-    for n in range(1, n_max + 1):
-        x = float(v[n - 1])
-        state.update(x)
+    for start in range(0, n_max, _BLOCK):
+        s, p1, p2, p3, max_abs_d = state.extend(v[start : start + _BLOCK])
+        n = np.arange(start + 1, start + s.size + 1)
         if kind == "rw":
-            running.add(math.log1p((state.total - n * mu) / (n * mu)))
-        if n < 2:
-            continue
-        if kind == "rw":
-            t = running.value / (gam * math.sqrt(n))
+            k_mu = n * mu
+            t = running_sums(np.log1p((s - k_mu) / k_mu), log_sum) / (gam * np.sqrt(n))
         elif kind == "std":
-            t = state.p1 / (sigma * math.sqrt(n))
+            t = p1 / (sigma * np.sqrt(n))
         elif kind == "lin":
             # reduced form of the leave-one-out linearization
-            t = (state.total - n * mu) / (sigma * math.sqrt(n))
-        else:  # loo
-            if n <= exact_cutoff:
-                t = loo_log_statistic(v[:n], mu, gam)
-            else:
-                t, valid = loo_log_series(state, gam)
-                if not valid:
-                    fallbacks += 1
-                    t = loo_log_statistic(v[:n], mu, gam)
-                elif mode_switch is None:
-                    mode_switch = n
-        acc.accumulate(n, t)
+            t = (s - n * mu) / (sigma * np.sqrt(n))
+        else:  # loo: the series beyond exact_cutoff, exact where its gate fails
+            t = np.empty(s.size)
+            c = int(np.searchsorted(n, exact_cutoff, side="right"))
+            series, valid = loo_series_from_sums(
+                n[c:], mu, p1[c:], p2[c:], p3[c:], max_abs_d[c:], gam
+            )
+            t[c:] = series
+            failed = np.flatnonzero(~valid)
+            fallbacks += failed.size
+            if mode_switch is None and failed.size < valid.size:
+                mode_switch = int(n[c + np.argmax(valid)])
+            for i in (*range(c), *(c + failed).tolist()):
+                if n[i] > 1:  # n = 1 is never accumulated
+                    t[i] = loo_log_statistic(v[: n[i]], mu, gam)
+        if start == 0:  # accumulation starts at n = 2
+            n, t = n[1:], t[1:]
+        acc.accumulate(int(n[0]), t)
 
     a = acc.evaluate()
     f = np.array([limit_cdf(law, x) for x in acc.grid])

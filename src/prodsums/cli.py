@@ -57,6 +57,13 @@ def parse_dist(text: str) -> DistributionSpec:
     return make_distribution(family, params)
 
 
+def _integer(value) -> int:
+    """Strict integer coercer: an int, an integral float or a digit string."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _split(cast):
     """Coercer for a comma-separated flag string or a config-file list."""
     def coerce(value) -> tuple:
@@ -74,25 +81,25 @@ _REQUIRED = object()  # field default: the value must come from a flag or the co
 _CLT_FIELDS = (
     ("dist", "spec", _REQUIRED, parse_dist),
     ("stat", "kind", _REQUIRED, str),
-    ("n", "nList", _REQUIRED, _split(int)),
-    ("reps", "M", 1000, int),
-    ("seed", "baseSeed", DEFAULT_SEED, int),
+    ("n", "nList", _REQUIRED, _split(_integer)),
+    ("reps", "M", 1000, _integer),
+    ("seed", "baseSeed", DEFAULT_SEED, _integer),
     ("law", "compareLaw", None, str),
-    ("workers", "workers", 1, int),
+    ("workers", "workers", 1, _integer),
 )
 _ASCLT_FIELDS = (
     ("dist", "spec", _REQUIRED, parse_dist),
     ("stat", "kind", _REQUIRED, str),
-    ("N", "N", _REQUIRED, int),
-    ("seed", "baseSeed", DEFAULT_SEED, int),
-    ("exact_cutoff", "exactCutoff", 2000, int),
+    ("N", "N", _REQUIRED, _integer),
+    ("seed", "baseSeed", DEFAULT_SEED, _integer),
+    ("exact_cutoff", "exactCutoff", 2000, _integer),
     ("grid", "grid", None, _split(float)),
-    ("workers", "workers", 1, int),  # accepted for symmetry; a single path is sequential
+    ("workers", "workers", 1, _integer),  # accepted for symmetry; a single path is sequential
 )
 _SLLN_FIELDS = (
     ("dist", "spec", _REQUIRED, parse_dist),
-    ("n", "nList", _REQUIRED, _split(int)),
-    ("seed", "baseSeed", DEFAULT_SEED, int),
+    ("n", "nList", _REQUIRED, _split(_integer)),
+    ("seed", "baseSeed", DEFAULT_SEED, _integer),
 )
 
 

@@ -49,6 +49,11 @@ _ARITY = {
     "twopoint": 3,
 }
 
+# a spec that underflows to 0 with probability q leaves a draw unfixed
+# after k redraw rounds with probability q^k: for q <= 1/2, 100 rounds
+# leave any path up to 1e20 draws unfixed with probability below 1e-10
+_MAX_REDRAW_ROUNDS = 100
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -84,9 +89,11 @@ class SamplePath:
 def make_distribution(family: str, params) -> DistributionSpec:
     """Build a validated spec from a family name and parameter list.
 
-    Raises ``ValueError`` for an unknown family, wrong arity, or
+    Raises ``ValueError`` for an unknown family, wrong arity,
     parameters that violate the positive-support / positive-variance
-    invariants.
+    invariants, or parameters whose (mu, sigma, gamma) are not finite
+    and positive in double precision (for example ``lognormal:0:30``,
+    whose variance factor exp(s^2) - 1 overflows).
     """
     name = str(family).lower()
     if name not in FAMILIES:
@@ -118,7 +125,14 @@ def make_distribution(family: str, params) -> DistributionSpec:
             raise ValueError(f"twopoint requires 0 < low < high, got {p[:2]}")
         if not 0 < p_low < 1:
             raise ValueError(f"twopoint requires 0 < p_low < 1, got {p_low}")
-    return DistributionSpec(name, p)
+    spec = DistributionSpec(name, p)
+    try:
+        finite = all(0.0 < x < math.inf for x in moments(spec))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ValueError(f"{spec} has no finite positive (mu, sigma, gamma) in double precision")
+    return spec
 
 
 def moments(spec: DistributionSpec) -> tuple[float, float, float]:
@@ -201,7 +215,9 @@ def sample(
     stream_index) always yields bit-identical values.  Zero draws (for
     example an exponential inverse CDF hitting U = 1, or an extreme
     small-shape gamma underflowing) are redrawn from the same stream, so
-    every returned value is > 0.
+    every returned value is > 0.  A spec that still yields zeros after
+    100 redraw rounds (say ``gamma:1e-9:1``, whose draws almost all
+    underflow) raises ``ValueError``.
     """
     n = int(n)
     if n < 1:
@@ -209,8 +225,15 @@ def sample(
     gen = _generator(base_seed, stream_index)
     values = _draw(spec, gen, n)
     bad = values <= 0.0
-    while bad.any():
+    for _ in range(_MAX_REDRAW_ROUNDS):
+        if not bad.any():
+            break
         values[bad] = _draw(spec, gen, int(bad.sum()))
         bad = values <= 0.0
+    if bad.any():
+        raise ValueError(
+            f"{spec}: {int(bad.sum())} of {n} draws still underflow to 0 "
+            f"after {_MAX_REDRAW_ROUNDS} redraw rounds"
+        )
     values.setflags(write=False)
     return SamplePath(values, spec, int(base_seed), int(stream_index))

@@ -97,6 +97,9 @@ def empirical_cdf(values) -> EmpiricalCdf:
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
         raise ValueError("empirical CDF needs at least one value")
+    bad = int(np.count_nonzero(~np.isfinite(v)))
+    if bad:
+        raise ValueError(f"empirical CDF needs finite values, got {bad} NaN or infinite")
     v.setflags(write=False)
     return EmpiricalCdf(v)
 

@@ -22,6 +22,13 @@ to p1, p2, p3.  Because the v_k are O(1/n) rather than the O(1/sqrt(n))
 of the unfactored ratios, the truncation error decays like n^(-7/2) and
 is far below 1e-6 for n >= 1e3; the plain third-order expansion of
 log(S_{n,k}/m) would be noisier than the statistic's own convergence.
+
+A state absorbs draws one at a time (:meth:`PowerSumState.update`) or a
+block at a time (:meth:`PowerSumState.extend`, whole-array work that
+returns the state after every draw of the block).  The series and its
+validity gate are written once, in :func:`loo_series_from_sums`, which
+takes the sums as floats or as arrays; :func:`loo_log_series` applies it
+to one state.
 """
 
 from __future__ import annotations
@@ -31,12 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .summation import NeumaierSum
+from .summation import NeumaierSum, running_sums
 
 __all__ = [
     "PowerSumState",
     "init_state",
     "loo_log_series",
+    "loo_series_from_sums",
     "loo_series_error_bound",
     "state_from_path",
 ]
@@ -92,10 +100,59 @@ class PowerSumState:
             self.max_abs_d = abs(d)
         return self
 
+    def extend(self, draws) -> tuple[np.ndarray, ...]:
+        """Absorb a 1-D block of draws with whole-array work.
+
+        Returns ``(total, p1, p2, p3, max_abs_d)``, one array each with an
+        entry per draw: entry k is what that attribute reads after draws
+        0..k, as if each draw had gone through :meth:`update`.  The sums
+        continue the state's compensated totals (see
+        :func:`~prodsums.summation.running_sums`), so they stay within a
+        few ulps of the one-draw-at-a-time values over any number of
+        blocks.
+        """
+        x = np.asarray(draws, dtype=float)
+        if x.ndim != 1:
+            raise ValueError("draws must be a 1-D block")
+        if not np.all(x > 0.0):
+            raise ValueError("draws must be positive")
+        d = x - self.mu
+        d2 = d * d
+        sums = [
+            running_sums(terms, acc)
+            for terms, acc in ((x, self._s), (d, self._p1), (d2, self._p2), (d2 * d, self._p3))
+        ]
+        max_abs_d = np.maximum(np.maximum.accumulate(np.abs(d)), self.max_abs_d)
+        self.n += x.size
+        if x.size:
+            self.max_abs_d = float(max_abs_d[-1])
+        return (*sums, max_abs_d)
+
 
 def init_state(mu: float) -> PowerSumState:
     """Fresh zero state for a distribution with mean mu > 0."""
     return PowerSumState(mu)
+
+
+def loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gamma):
+    """Third-order series value and validity gate from the running sums.
+
+    Every argument but ``mu`` and ``gamma`` may be a float or an array
+    (``n`` >= 2 each); arrays are evaluated elementwise and must share a
+    shape.  Returns ``(value, valid)`` as numpy values: the series of
+    :func:`loo_log_series` and its gate ``(|D| + max|d|) / m <= 1/2``.
+    Where the anchored form is undefined, value is NaN and valid False.
+    """
+    m = (np.asarray(n) - 1) * mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = m + p1  # = S - mu, positive whenever valid
+        ratio = p1 / m
+        defined = (a > 0.0) & (ratio > -1.0)
+        valid = ((np.abs(p1) + max_abs_d) / m <= 0.5) & defined
+        anchor = n * np.log1p(ratio)
+        corr = p1 / a + p2 / (2.0 * a * a) + p3 / (3.0 * a * a * a)
+        value = (anchor - corr) / (gamma * np.sqrt(n))
+    return np.where(defined, value, np.nan), valid
 
 
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
@@ -115,19 +172,10 @@ def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
         raise ValueError("loo_log_series needs a state with n >= 2")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    m = (n - 1) * state.mu
-    d_big = state.p1
-    valid = (abs(d_big) + state.max_abs_d) / m <= 0.5
-    a = m + d_big  # = S - mu, positive whenever valid
-    if a <= 0.0 or d_big / m <= -1.0:
-        return math.nan, False
-    anchor = n * math.log1p(d_big / m)
-    corr = (
-        d_big / a
-        + state.p2 / (2.0 * a * a)
-        + state.p3 / (3.0 * a * a * a)
+    value, valid = loo_series_from_sums(
+        n, state.mu, state.p1, state.p2, state.p3, state.max_abs_d, gamma
     )
-    return (anchor - corr) / (gamma * math.sqrt(n)), valid
+    return float(value), bool(valid)
 
 
 def loo_series_error_bound(state: PowerSumState, gamma: float) -> float:

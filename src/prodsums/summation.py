@@ -5,11 +5,19 @@ running sums that must be updated one value at a time use
 :class:`NeumaierSum`, Neumaier's variant of Kahan summation, whose error
 after any number of updates stays O(eps) relative to the exact sum
 instead of growing linearly with the number of terms.
+:func:`running_sums` gives every prefix total of a block of values at
+numpy speed, continuing a :class:`NeumaierSum` from one block to the next.
 """
 
 from __future__ import annotations
 
-__all__ = ["NeumaierSum"]
+import numpy as np
+
+__all__ = ["NeumaierSum", "running_sums"]
+
+# plain cumsum error grows with the row length; the Neumaier carry keeps
+# it from growing with the number of rows
+_ROW = 256
 
 
 class NeumaierSum:
@@ -36,3 +44,23 @@ class NeumaierSum:
 
     def __repr__(self) -> str:
         return f"NeumaierSum({self.value!r})"
+
+
+def running_sums(values, carry: NeumaierSum) -> np.ndarray:
+    """Every prefix total ``carry + values[0] + ... + values[k]``.
+
+    The values are cut into rows of 256 and summed by ``np.cumsum``
+    within each row; the row totals are added to ``carry`` one by one,
+    so the carry ends holding the total of everything it has seen and
+    the error stays that of one row, however long the run.
+    """
+    x = np.asarray(values, dtype=float)
+    rows = -(-x.size // _ROW)
+    padded = np.zeros(rows * _ROW)
+    padded[: x.size] = x
+    local = np.cumsum(padded.reshape(rows, _ROW), axis=1)
+    base = np.empty((rows, 1))
+    for r, row_total in enumerate(local[:, -1].tolist()):
+        base[r, 0] = carry.value
+        carry.add(row_total)
+    return (local + base).reshape(-1)[: x.size]

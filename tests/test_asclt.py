@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from math import fsum
 
 import numpy as np
@@ -7,10 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodsums.asclt as asclt_module
 from prodsums import (
     LogAvgAccumulator,
+    NeumaierSum,
     default_grid,
+    init_state,
+    loo_log_series,
+    loo_log_statistic,
     make_distribution,
+    moments,
     normal_cdf,
     normal_quantile,
     run_asclt_path,
@@ -19,6 +26,63 @@ from prodsums import (
 )
 
 EXP1 = make_distribution("exponential", [1.0])
+
+
+def reference_path(spec, n_max, base_seed, exact_cutoff=2000):
+    """The trajectory loop, one step at a time, from the scalar public API.
+
+    Returns, per ASCLT kind, ``(t, A_N, mode_switch_n, fallback_count)``
+    with t[i] the statistic at n = i + 2.
+    """
+    mu, sigma, gam = moments(spec)
+    v = sample(spec, n_max, base_seed, 0).values
+    state, log_sum = init_state(mu), NeumaierSum()
+    accs = {kind: LogAvgAccumulator(default_grid()) for kind in ("loo", "rw", "lin", "std")}
+    ts = {kind: [] for kind in accs}
+    mode_switch, fallbacks = None, 0
+    for n in range(1, n_max + 1):
+        state.update(float(v[n - 1]))
+        log_sum.add(math.log1p((state.total - n * mu) / (n * mu)))
+        if n < 2:
+            continue
+        if n <= exact_cutoff:
+            loo = loo_log_statistic(v[:n], mu, gam)
+        else:
+            loo, valid = loo_log_series(state, gam)
+            if not valid:
+                fallbacks += 1
+                loo = loo_log_statistic(v[:n], mu, gam)
+            elif mode_switch is None:
+                mode_switch = n
+        root_n = math.sqrt(n)
+        step = {
+            "loo": loo,
+            "rw": log_sum.value / (gam * root_n),
+            "lin": (state.total - n * mu) / (sigma * root_n),
+            "std": state.p1 / (sigma * root_n),
+        }
+        for kind, t in step.items():
+            accs[kind].accumulate(n, t)
+            ts[kind].append(t)
+    return {
+        kind: (np.array(ts[kind]), accs[kind].evaluate(),
+               mode_switch if kind == "loo" else None, fallbacks if kind == "loo" else 0)
+        for kind in accs
+    }
+
+
+def engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff):
+    """run_asclt_path's report and every t_n it accumulated, in order."""
+    seen = []
+
+    class Recording(LogAvgAccumulator):
+        def accumulate(self, n, t):
+            seen.append(np.atleast_1d(np.array(t, dtype=float)))
+            return super().accumulate(n, t)
+
+    monkeypatch.setattr(asclt_module, "LogAvgAccumulator", Recording)
+    report = run_asclt_path(spec, kind, n_max, seed, exact_cutoff=exact_cutoff)
+    return report, np.concatenate(seen)
 
 
 class TestAccumulator:
@@ -73,6 +137,13 @@ class TestAccumulator:
         with pytest.raises(ValueError, match="sequential"):
             acc.accumulate(5, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_nonfinite_value_rejected(self, bad):
+        acc = LogAvgAccumulator([0.0])
+        with pytest.raises(ValueError, match="at n = 4; it must be finite"):
+            acc.accumulate(2, [0.1, 0.2, bad])
+        assert acc.last_n == 1
+
     def test_evaluate_before_accumulation(self):
         with pytest.raises(ValueError, match="nothing accumulated"):
             LogAvgAccumulator([0.0]).evaluate()
@@ -101,6 +172,38 @@ class TestAccumulator:
         assert np.all(a >= 0.0) and np.all(a <= 1.0)
         assert np.all(np.diff(a) >= 0.0)
         assert np.all(acc.weights <= acc.total_weight + 1e-12)
+
+    @given(
+        st.lists(st.floats(-3, 3, allow_nan=False), min_size=1, max_size=600),
+        st.lists(st.integers(1, 200), min_size=1, max_size=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_block_accumulate_matches_steps(self, ts, sizes):
+        steps, blocks = LogAvgAccumulator(default_grid()), LogAvgAccumulator(default_grid())
+        for i, t in enumerate(ts):
+            steps.accumulate(i + 2, t)
+        start, k = 0, 0
+        while start < len(ts):
+            size = sizes[k % len(sizes)]
+            blocks.accumulate(start + 2, np.array(ts[start : start + size]))
+            start, k = start + size, k + 1
+        assert blocks.last_n == steps.last_n == len(ts) + 1
+        assert np.all(np.abs(blocks.weights - steps.weights) <= 1e-12)
+        direct = [
+            fsum(1.0 / (i + 2) for i, t in enumerate(ts) if t <= x) for x in default_grid()
+        ]
+        assert np.all(np.abs(blocks.weights - direct) <= 1e-12)
+        assert abs(blocks.total_weight - steps.total_weight) <= 1e-12
+        assert np.all(np.abs(blocks.evaluate() - steps.evaluate()) <= 1e-12)
+
+    def test_block_sequencing_enforced(self):
+        acc = LogAvgAccumulator([0.0])
+        acc.accumulate(2, [0.1, -0.2, 0.3])
+        assert acc.last_n == 4
+        with pytest.raises(ValueError, match="expected n = 5"):
+            acc.accumulate(4, [0.0])
+        with pytest.raises(ValueError, match="1-D"):
+            acc.accumulate(5, [[0.0]])
 
     def test_indicator_robustness_to_tiny_perturbation(self):
         rng = np.random.default_rng(9)
@@ -191,3 +294,55 @@ class TestRunAscltPath:
         a = run_asclt_path(EXP1, "loo", 300, base_seed=8)
         b = run_asclt_path(EXP1, "loo", 300, base_seed=8)
         assert np.array_equal(a.a_values, b.a_values)
+
+
+class TestEngineMatchesStepLoop:
+    """The block engine against the step-by-step loop of reference_path."""
+
+    FAMILIES = {
+        "exponential:1": EXP1,
+        "lognormal:0:2": make_distribution("lognormal", [0.0, 2.0]),
+        "gamma:0.05:1": make_distribution("gamma", [0.05, 1.0]),
+        "uniform:0.5:1.5": make_distribution("uniform", [0.5, 1.5]),
+    }
+
+    @staticmethod
+    def check(monkeypatch, spec, n_max, seed, exact_cutoff=2000):
+        ref = reference_path(spec, n_max, seed, exact_cutoff)
+        for kind, (t_ref, a_ref, switch_ref, fallbacks_ref) in ref.items():
+            report, t = engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff)
+            assert t.size == n_max - 1
+            assert np.max(np.abs(t - t_ref)) <= 1e-12, kind
+            assert np.max(np.abs(report.a_values - a_ref)) <= 1e-12, kind
+            assert report.mode_switch_n == switch_ref, kind
+            assert report.fallback_count == fallbacks_ref, kind
+        return ref
+
+    # 20_000 is not a multiple of the block size and 3000 is below it
+    @pytest.mark.parametrize("n_max", [3000, 20_000])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_families(self, monkeypatch, family, n_max):
+        self.check(monkeypatch, self.FAMILIES[family], n_max, 0)
+
+    def test_long_path(self, monkeypatch):
+        self.check(monkeypatch, EXP1, 200_000, 0)
+
+    @pytest.mark.parametrize("family,exact_cutoff", [
+        ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
+    ])
+    def test_gate_fallbacks(self, monkeypatch, family, exact_cutoff):
+        ref = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
+        assert ref["loo"][3] > 0
+
+
+def test_traced_memory_stays_near_the_path():
+    # the path itself is 8 bytes a step; one more N-length float array in
+    # the engine would exceed this bound
+    n_max = 200_000
+    tracemalloc.start()
+    try:
+        run_asclt_path(EXP1, "loo", n_max, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n_max + 2**20

@@ -53,6 +53,20 @@ class TestUsageErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dist,stat,message", [
+        # moments overflow: rejected with the other bad specs
+        ("lognormal:0:30", "rw", "error: invalid 'spec': lognormal:0.0:30.0 has no finite"),
+        # every draw underflows: the bounded redraw loop gives up
+        ("gamma:1e-9:1", "loo", "error: gamma:1e-09:1.0: 100 of 100 draws still underflow"),
+        # S_1/mu rounds to 0, so log(S_1/mu) is -inf
+        ("lognormal:0:20", "rw", "error: statistic is -inf at n = 2; it must be finite"),
+    ])
+    def test_degenerate_spec_is_exit_1(self, capsys, dist, stat, message):
+        assert run_cli(["asclt", "--dist", dist, "--stat", stat, "--N", "100"]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestCltCommand:
     def test_basic_run(self, tmp_path, capsys):
@@ -119,6 +133,16 @@ class TestCltCommand:
         ("asclt", {"spec": "exponential:1", "kind": "std", "N": [100]}, "N"),
         ("asclt", {"spec": "exponential:1", "kind": "std", "N": 100, "grid": 0.5},
          "grid"),
+        # integer fields refuse bools and non-integral numbers
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": "10", "M": True}, "M"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": "10", "M": 2.7}, "M"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": [10, 20.5]}, "nList"),
+        ("clt", {"spec": "exponential:1", "kind": "std", "nList": "10",
+                 "workers": 1.5}, "workers"),
+        ("slln", {"spec": "exponential:1", "nList": "10", "baseSeed": False}, "baseSeed"),
+        ("asclt", {"spec": "exponential:1", "kind": "std", "N": 100.5}, "N"),
+        ("asclt", {"spec": "exponential:1", "kind": "loo", "N": 100,
+                   "exactCutoff": True}, "exactCutoff"),
     ])
     def test_wrong_typed_config_value(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "cfg.json"
@@ -127,6 +151,15 @@ class TestCltCommand:
         captured = capsys.readouterr()
         assert f"error: invalid {key!r}" in captured.err
         assert captured.out == ""
+
+    def test_integral_float_config_value_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"spec": "exponential:1", "kind": "std", "nList": [10.0], "M": 7.0}
+        ))
+        out = tmp_path / "o.csv"
+        assert run_cli(["clt", "--config", str(cfg), "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[1].startswith("10,7,")
 
     def test_law_override(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -43,6 +43,12 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError, match="at least one"):
             empirical_cdf([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        # a NaN would otherwise sort last and give a NaN KS distance
+        with pytest.raises(ValueError, match="finite values, got 1 NaN or infinite"):
+            empirical_cdf([0.1, bad])
+
 
 class TestKsDistance:
     def test_single_zero_vs_normal(self):

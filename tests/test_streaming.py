@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsums import (
+    NeumaierSum,
     init_state,
     loo_log_series,
     loo_log_statistic,
@@ -15,6 +16,8 @@ from prodsums import (
     sample,
     state_from_path,
 )
+from prodsums.streaming import loo_series_from_sums
+from prodsums.summation import running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
 # value of the third-order series, exact statistic, and their gap bound
@@ -25,6 +28,37 @@ BOUND_123 = 0.003382911734  # (2/sqrt(3)) * 3 * 0.25^4 / 4
 draws = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False), min_size=2, max_size=300
 )
+
+# random paths long enough to cross several 256-value rows of running_sums,
+# as (path, mu), and random splits of them into blocks
+rng_paths = st.builds(
+    lambda seed, size, log_sd: (
+        np.random.default_rng(seed).lognormal(0.0, log_sd, size), math.exp(log_sd**2 / 2)
+    ),
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 3000),
+    st.floats(0.1, 2.0),
+)
+block_sizes = st.lists(st.integers(1, 1200), min_size=1, max_size=6)
+
+
+def in_blocks(values, sizes):
+    """Consecutive slices of values, cycling through the block sizes."""
+    start, k = 0, 0
+    while start < len(values):
+        yield values[start : start + sizes[k % len(sizes)]]
+        start += sizes[k % len(sizes)]
+        k += 1
+
+
+def stepwise(values, mu):
+    """Reference: the state after each draw, one update() at a time."""
+    state = init_state(mu)
+    rows = []
+    for x in values:
+        state.update(float(x))
+        rows.append((state.total, state.p1, state.p2, state.p3, state.max_abs_d))
+    return state, np.array(rows)
 
 
 class TestStateBasics:
@@ -91,6 +125,84 @@ class TestStateBasics:
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
+class TestBlocks:
+    @given(rng_paths, block_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_extend_matches_repeated_update(self, path, sizes):
+        v, mu = path
+        ref, want = stepwise(v, mu)
+        state = init_state(mu)
+        got = np.vstack([np.column_stack(state.extend(b)) for b in in_blocks(v, sizes)])
+        # each sum to 1e-12 of the running sum of its terms' magnitudes
+        d = v - mu
+        scale = np.cumsum(np.column_stack([v, np.abs(d), d * d, np.abs(d) ** 3]), axis=0)
+        assert np.all(np.abs(got[:, :4] - want[:, :4]) <= 1e-12 * (1.0 + scale))
+        assert np.array_equal(got[:, 4], want[:, 4])
+        assert state.n == ref.n and state.max_abs_d == ref.max_abs_d
+        for a, b in ((state.total, ref.total), (state.p1, ref.p1), (state.p3, ref.p3)):
+            assert abs(a - b) <= 1e-12 * (1.0 + np.max(scale))
+
+    def test_extend_rejects_nonpositive_and_2d(self):
+        with pytest.raises(ValueError, match="positive"):
+            init_state(1.0).extend([1.0, 0.0])
+        with pytest.raises(ValueError, match="1-D"):
+            init_state(1.0).extend([[1.0, 2.0]])
+
+    @given(rng_paths, block_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_series_form_matches_loo_log_series(self, path, sizes):
+        v, mu = path
+        gam = 0.7
+        state = init_state(mu)
+        ref = init_state(mu)
+        n0 = 0
+        for b in in_blocks(v, sizes):
+            s, p1, p2, p3, max_abs_d = state.extend(b)
+            n = np.arange(n0 + 1, n0 + b.size + 1)
+            n0 += b.size
+            keep = n >= 2
+            value, valid = loo_series_from_sums(
+                n[keep], mu, p1[keep], p2[keep], p3[keep], max_abs_d[keep], gam
+            )
+            want = []
+            for x in b:
+                ref.update(float(x))
+                if ref.n >= 2:
+                    want.append(loo_log_series(ref, gam))
+            want_value = np.array([w[0] for w in want])
+            want_valid = np.array([w[1] for w in want], dtype=bool)
+            assert np.array_equal(valid, want_valid)
+            assert np.all(np.abs(value[valid] - want_value[valid]) <= 1e-12)
+
+    def test_series_form_undefined_is_nan(self):
+        value, valid = loo_series_from_sums(
+            np.array([2, 3]), 2.0, np.array([-2.5, 0.0]), np.zeros(2), np.zeros(2),
+            np.array([1.5, 0.0]), 1.0,
+        )
+        assert math.isnan(value[0]) and not valid[0]
+        assert value[1] == 0.0 and valid[1]
+
+    @given(st.lists(st.floats(-1e6, 1e6), max_size=700), block_sizes)
+    @settings(max_examples=100, deadline=None)
+    def test_running_sums_match_neumaier(self, values, sizes):
+        ref, want = NeumaierSum(), []
+        for x in values:
+            want.append(ref.add(x).value)
+        carry = NeumaierSum()
+        parts = [running_sums(b, carry) for b in in_blocks(values, sizes)]
+        got = np.concatenate(parts) if parts else np.empty(0)
+        scale = np.cumsum(np.abs(values)) if values else np.empty(0)
+        assert np.all(np.abs(got - np.array(want)) <= 1e-12 * (1.0 + scale))
+        assert abs(carry.value - ref.value) <= 1e-12 * (1.0 + sum(map(abs, values)))
+
+
+    def test_running_sums_do_not_drift(self):
+        # a plain cumsum of a million 0.1s drifts by about 1e-6
+        got = running_sums(np.full(10**6, 0.1), NeumaierSum())
+        want = np.arange(1, 10**6 + 1) * 0.1
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
 class TestSeries:
     def test_identity_case(self):
         s = init_state(2.0)
@@ -119,6 +231,11 @@ class TestSeries:
         s = state_from_path([0.01, 0.01], 2.0)
         _, valid = loo_log_series(s, 1.0)
         assert not valid
+
+    def test_gate_boundary(self):
+        # (|D| + max|d|) / m is exactly 1/2 here; any larger draw fails
+        assert loo_log_series(state_from_path([1.0, 1.0, 1.5], 1.0), 1.0)[1]
+        assert not loo_log_series(state_from_path([1.0, 1.0, 1.5 + 1e-12], 1.0), 1.0)[1]
 
     def test_bound_monotone_in_deviation(self):
         near = state_from_path([0.99, 1.01], 1.0)
