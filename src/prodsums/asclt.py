@@ -39,7 +39,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf, normal_quantile
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS, loo_log_statistic
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_statistic
 from .streaming import PowerSumState, loo_series_from_sums
 from .summation import NeumaierSum, running_sums
 
@@ -207,8 +207,7 @@ def run_asclt_path(
         s, p1, p2, p3, max_abs_d = state.extend(v[start : start + _BLOCK])
         n = np.arange(start + 1, start + s.size + 1)
         if kind == "rw":
-            k_mu = n * mu
-            t = running_sums(np.log1p((s - k_mu) / k_mu), log_sum) / (gam * np.sqrt(n))
+            t = running_sums(log_ratio(s, n * mu)[0], log_sum) / (gam * np.sqrt(n))
         elif kind == "std":
             t = p1 / (sigma * np.sqrt(n))
         elif kind == "lin":

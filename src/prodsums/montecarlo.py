@@ -16,7 +16,7 @@ rounding.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +43,11 @@ __all__ = [
 CLT_CSV_HEADER = "n,M,ks,mean,sd,mean_remainder,mean_maxdev,seconds"
 SLLN_CSV_HEADER = "n,gm_prefix,err_prefix,gm_loo,err_loo"
 
+# draws per kernel call: enough replicates to amortize numpy's per-call cost
+# at small n, few enough that a batch and the kernel's same-sized
+# temporaries add about 1 MiB to the peak memory at any n
+_BATCH_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -59,10 +64,8 @@ class ExperimentConfig:
     def __post_init__(self):
         kind = STATISTIC_KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if kind is None:
-            raise ValueError(
-                f"unknown statistic {self.kind!r}; expected one of "
-                f"{', '.join(STATISTIC_KINDS)}"
-            )
+            kinds = ", ".join(STATISTIC_KINDS)
+            raise ValueError(f"unknown statistic {self.kind!r}; expected one of {kinds}")
         ns = tuple(int(n) for n in self.n_list)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n list must be nonempty and strictly increasing")
@@ -76,10 +79,8 @@ class ExperimentConfig:
         if self.compare_law is not None:
             allowed = tuple(filter(None, (kind.log_law, kind.product_law)))
             if self.compare_law.tag not in allowed:
-                raise ValueError(
-                    f"law {self.compare_law.tag!r} is not a limit of kind "
-                    f"{self.kind!r}; allowed: {', '.join(allowed)}"
-                )
+                raise ValueError(f"law {self.compare_law.tag!r} is not a limit of kind "
+                                 f"{self.kind!r}; allowed: {', '.join(allowed)}")
 
 
 @dataclass(frozen=True)
@@ -118,46 +119,19 @@ def ks_distance(emp: EmpiricalCdf, law: LimitLaw) -> float:
     return float(max(np.max(i / m - f), np.max(f - (i - 1.0) / m)))
 
 
-def _replicate_block(args) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate replicates r0..r1-1 of one row; top level for pickling."""
+def _replicate_block(args) -> np.ndarray:
+    """(values, remainder, maxdev) of replicates r0..r1-1 of one row, each
+    drawn by its own :func:`sample` call; top level for pickling."""
     spec, kind, n, base_seed, row_index, r0, r1 = args
     mu, sigma, gam = moments(spec)
-    func = STATISTIC_KINDS[kind].evaluate
-    want_diag = kind == "loo"
-    vals = np.empty(r1 - r0)
-    rems = np.full(r1 - r0, math.nan)
-    devs = np.full(r1 - r0, math.nan)
-    for j, r in enumerate(range(r0, r1)):
-        path = sample(spec, n, base_seed, (row_index << 32) + r)
-        v = path.values
-        vals[j] = func(v, mu, sigma, gam)
-        if want_diag:
-            rems[j] = stats.remainder_magnitude(v, mu, gam)
-            devs[j] = stats.max_relative_deviation(v, mu)
-    return vals, rems, devs
-
-
-def _row_values(config: ExperimentConfig, row_index: int, n: int):
-    m = config.reps
-    if config.workers == 1:
-        blocks = [
-            _replicate_block(
-                (config.spec, config.kind, n, config.base_seed, row_index, 0, m)
-            )
-        ]
-    else:
-        chunk = max(1, -(-m // (config.workers * 4)))
-        tasks = [
-            (config.spec, config.kind, n, config.base_seed, row_index, r0,
-             min(r0 + chunk, m))
-            for r0 in range(0, m, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=config.workers) as ex:
-            blocks = list(ex.map(_replicate_block, tasks))
-    vals = np.concatenate([b[0] for b in blocks])
-    rems = np.concatenate([b[1] for b in blocks])
-    devs = np.concatenate([b[2] for b in blocks])
-    return vals, rems, devs
+    evaluate = STATISTIC_KINDS[kind].evaluate
+    out = np.empty((3, r1 - r0))
+    rows = max(1, _BATCH_BYTES // (8 * n))
+    for b0 in range(r0, r1, rows):
+        batch = [sample(spec, n, base_seed, (row_index << 32) + r).values
+                 for r in range(b0, min(b0 + rows, r1))]
+        out[:, b0 - r0 : b0 - r0 + len(batch)] = evaluate(np.array(batch), mu, sigma, gam)
+    return out
 
 
 @dataclass(frozen=True)
@@ -207,24 +181,23 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     kind = STATISTIC_KINDS[config.kind]
     law = config.compare_law or LimitLaw(kind.log_law, moments(config.spec)[0])
     product_scale = law.tag == kind.product_law
-    rows = []
-    for i, n in enumerate(config.n_list):
-        t0 = time.perf_counter()
-        vals, rems, devs = _row_values(config, i, n)
-        data = np.exp(vals) if product_scale else vals
-        ks = ks_distance(empirical_cdf(data), law)
-        rows.append(
-            ConvergenceRow(
-                n=n,
-                reps=config.reps,
-                ks=ks,
-                mean=float(np.mean(data)),
-                sd=float(np.std(data, ddof=1)) if data.size > 1 else 0.0,
-                mean_remainder=float(np.mean(rems)),
-                mean_maxdev=float(np.mean(devs)),
-                wall_seconds=time.perf_counter() - t0,
-            )
-        )
+    m, rows = config.reps, []
+    chunk = -(-m // (config.workers * 4))
+    # one pool serves every row; a single worker runs in this process
+    serial = config.workers == 1
+    with contextlib.nullcontext() if serial else ProcessPoolExecutor(config.workers) as pool:
+        for i, n in enumerate(config.n_list):
+            t0 = time.perf_counter()
+            tasks = [(config.spec, config.kind, n, config.base_seed, i, r0, min(r0 + chunk, m))
+                     for r0 in range(0, m, chunk)]
+            blocks = (map if serial else pool.map)(_replicate_block, tasks)
+            vals, rems, devs = np.concatenate(list(blocks), axis=1)
+            data = np.exp(vals) if product_scale else vals
+            sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
+            rows.append(ConvergenceRow(
+                n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,
+                float(np.mean(rems)), float(np.mean(devs)), time.perf_counter() - t0,
+            ))
     return ConvergenceReport(config=config, law=law, rows=tuple(rows))
 
 

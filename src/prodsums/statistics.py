@@ -9,34 +9,32 @@ and let mu, sigma be the distribution's mean and standard deviation with
 gamma = sigma/mu its coefficient of variation.
 
 Product-form statistics are always evaluated on the log scale: the raw
-products of n partial sums grow like exp(n) and overflow double
-precision near n = 150, while their normalized logarithms stay O(1).
-Each log ratio is computed as ``log1p`` of the centered increment, and
-every sum is accumulated with ``math.fsum``, so exact algebraic
-identities between different formulas survive at the 1e-10 level out to
-n = 1e4.
+products of n partial sums overflow double precision near n = 150, while
+their normalized logarithms stay O(1).  Each log ratio goes through
+:func:`log_ratio`, and every sum through :func:`~prodsums.summation.row_sums`.
 
-The statistic kinds are listed once, in :data:`STATISTIC_KINDS` at the
-end of this module: each CLI tag with its evaluator, the limit laws it
-is compared against, its smallest path length and whether the
-single-trajectory runner supports it.
+Each kind has one kernel, listed in :data:`STATISTIC_KINDS`.  A kernel
+evaluates a ``(rows, n)`` batch of paths by reductions along each row,
+so a row's value has the same bits in any batch; the public scalar
+functions are one-row calls of the kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import fsum
 from typing import Callable
 
 import numpy as np
 
 from .distributions import SamplePath
+from .summation import row_sums
 
 __all__ = [
     "StatisticKind",
     "STATISTIC_KINDS",
     "ASCLT_KINDS",
+    "log_ratio",
     "prefix_sums",
     "loo_log_statistic",
     "rw_log_statistic",
@@ -48,38 +46,112 @@ __all__ = [
     "remainder_magnitude",
 ]
 
-def _values(path) -> np.ndarray:
-    """Coerce a SamplePath or array-like into a validated 1-D array."""
-    if isinstance(path, SamplePath):
-        return path.values
-    v = np.asarray(path, dtype=float)
-    if v.ndim != 1 or v.size == 0:
+
+def _row(path) -> np.ndarray:
+    """One path (a SamplePath or a 1-D sequence) as a one-row batch."""
+    v = np.asarray(path.values if isinstance(path, SamplePath) else path, dtype=float)
+    if v.ndim != 1:
         raise ValueError("path must be a nonempty one-dimensional sequence")
-    if not np.all(v > 0.0):
-        raise ValueError("all path values must be strictly positive")
-    return v
+    return v[np.newaxis]
 
 
-def _check_loo(n: int, what: str) -> None:
-    if n < 2:
-        raise ValueError(
-            f"{what} needs a path of length >= 2; the leave-one-out "
-            f"normalizer (n-1)*mu vanishes at n = 1"
-        )
+def _paths(paths) -> np.ndarray:
+    """The validated ``(rows, n)`` float array every kernel works on."""
+    x = np.asarray(paths, dtype=float)
+    if x.ndim != 2 or x.size == 0:
+        raise ValueError("paths must form a nonempty (rows, n) array")
+    # a NaN fails both comparisons
+    if not (x.min() > 0.0 and x.max() < math.inf):
+        raise ValueError("all path values must be finite and strictly positive")
+    return x
 
 
-def _loo_centered(v: np.ndarray, mu: float) -> tuple[np.ndarray, float]:
-    """Return ((S - X_k - m)/m for all k, m) with m = (n-1)*mu."""
-    m = (v.size - 1) * mu
-    s = fsum(v)
-    if s - np.max(v) <= 0.0:
+def _check_positive(**params) -> None:
+    if not all(p > 0 for p in params.values()):
+        raise ValueError(f"{' and '.join(params)} must be positive")
+
+
+def _loo_sums(x: np.ndarray) -> np.ndarray:
+    """The leave-one-out sums S_n - X_k of every row, checked positive."""
+    if x.shape[1] < 2:
+        raise ValueError("leave-one-out statistics need n >= 2; (n-1)*mu vanishes at n = 1")
+    loo = row_sums(x)[:, np.newaxis] - x
+    if not loo.min() > 0.0:
         raise ValueError("every leave-one-out sum S_n - X_k must be positive")
-    return (s - m - v) / m, m
+    return loo
+
+
+def log_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``(log(num/den), num/den - 1)`` for positive num, den.
+
+    The log is ``log1p`` of the centred increment ``d = (num - den)/den``
+    while d > -1/2.  Below that it is ``log(num) - log(den)``: there d
+    has lost the digits of a small ratio, and rounds to exactly -1 once
+    num/den is below about 1e-16, where ``log1p`` would give -inf.
+    """
+    d = (num - den) / den
+    logs = np.maximum(d, -0.5)
+    np.log1p(logs, out=logs)
+    if d.min() <= -0.5:
+        low = d <= -0.5
+        num, den = np.broadcast_arrays(num, den)
+        logs[low] = np.log(num[low]) - np.log(den[low])
+    return logs, d
+
+
+def _no_diagnostics(values: np.ndarray):
+    nan = np.full(values.shape, math.nan)
+    return values, nan, nan
+
+
+def _loo(paths, mu, sigma, gam):
+    x = _paths(paths)
+    _check_positive(mu=mu, gamma=gam)
+    logs, c = log_ratio(_loo_sums(x), (x.shape[1] - 1) * mu)
+    scale = gam * math.sqrt(x.shape[1])
+    return row_sums(logs) / scale, row_sums(c * c) / scale, np.abs(c).max(axis=1)
+
+
+def _rw(paths, mu, sigma, gam):
+    x = _paths(paths)
+    _check_positive(mu=mu, gamma=gam)
+    n = x.shape[1]
+    logs, _ = log_ratio(np.cumsum(x, axis=1), np.arange(1, n + 1, dtype=float) * mu)
+    return _no_diagnostics(row_sums(logs) / (gam * math.sqrt(n)))
+
+
+def _lin(paths, mu, sigma, gam):
+    x = _paths(paths)
+    _check_positive(mu=mu, gamma=gam)
+    m = (x.shape[1] - 1) * mu
+    return _no_diagnostics(row_sums((_loo_sums(x) - m) / m) / (gam * math.sqrt(x.shape[1])))
+
+
+def _std(paths, mu, sigma, gam):
+    x = _paths(paths)
+    _check_positive(sigma=sigma)
+    return _no_diagnostics(row_sums((x - mu) / sigma) / math.sqrt(x.shape[1]))
+
+
+# a geometric mean is exp of the log statistic at mu = gamma = 1 over sqrt(n)
+def _gm_prefix(paths, mu, sigma, gam):
+    values, _, _ = _rw(paths, 1.0, None, 1.0)
+    return _no_diagnostics(np.exp(values / math.sqrt(np.shape(paths)[1])))
+
+
+def _gm_loo(paths, mu, sigma, gam):
+    values, _, _ = _loo(paths, 1.0, None, 1.0)
+    return _no_diagnostics(np.exp(values / math.sqrt(np.shape(paths)[1])))
+
+
+def _one(kernel, path, mu=None, sigma=None, gamma=None, output=0) -> float:
+    """Output 0 (the value), 1 (remainder) or 2 (maxdev) of a one-row call."""
+    return float(kernel(_row(path), mu, sigma, gamma)[output][0])
 
 
 def prefix_sums(path) -> np.ndarray:
     """Prefix sums S_1, ..., S_n of the path."""
-    return np.cumsum(_values(path))
+    return np.cumsum(_paths(_row(path))[0])
 
 
 def loo_log_statistic(path, mu: float, gamma: float) -> float:
@@ -89,12 +161,7 @@ def loo_log_statistic(path, mu: float, gamma: float) -> float:
     so ``exp(T_n)`` is the normalized product itself without the raw
     product of n terms ever being formed.
     """
-    v = _values(path)
-    _check_loo(v.size, "loo_log_statistic")
-    if mu <= 0 or gamma <= 0:
-        raise ValueError("mu and gamma must be positive")
-    c, _ = _loo_centered(v, mu)
-    return fsum(np.log1p(c)) / (gamma * math.sqrt(v.size))
+    return _one(_loo, path, mu, gamma=gamma)
 
 
 def rw_log_statistic(path, mu: float, gamma: float) -> float:
@@ -103,12 +170,7 @@ def rw_log_statistic(path, mu: float, gamma: float) -> float:
     Returns ``(1/(gamma*sqrt(n))) * sum_k log(S_k/(k*mu))``, the log of
     the normalized product of partial sums.
     """
-    v = _values(path)
-    if mu <= 0 or gamma <= 0:
-        raise ValueError("mu and gamma must be positive")
-    s = np.cumsum(v)
-    k = np.arange(1, v.size + 1, dtype=float)
-    return fsum(np.log1p((s - k * mu) / (k * mu))) / (gamma * math.sqrt(v.size))
+    return _one(_rw, path, mu, gamma=gamma)
 
 
 def linearized_statistic(path, mu: float, gamma: float) -> float:
@@ -120,21 +182,12 @@ def linearized_statistic(path, mu: float, gamma: float) -> float:
     makes the agreement between the two a genuine cross-check of the
     implementation rather than a tautology.
     """
-    v = _values(path)
-    _check_loo(v.size, "linearized_statistic")
-    if mu <= 0 or gamma <= 0:
-        raise ValueError("mu and gamma must be positive")
-    m = (v.size - 1) * mu
-    s = fsum(v)
-    return fsum((s - m - v) / m) / (gamma * math.sqrt(v.size))
+    return _one(_lin, path, mu, gamma=gamma)
 
 
 def standardized_sum(path, mu: float, sigma: float) -> float:
     """Classical standardized sum ``(1/sqrt(n)) * sum_i (X_i - mu)/sigma``."""
-    v = _values(path)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return fsum((v - mu) / sigma) / math.sqrt(v.size)
+    return _one(_std, path, mu, sigma)
 
 
 def geometric_mean_prefix(path) -> float:
@@ -143,20 +196,12 @@ def geometric_mean_prefix(path) -> float:
     Equals ``(prod_k S_k / n!)^(1/n)`` but is computed as the exponential
     of the averaged logs; neither n! nor the raw product is ever formed.
     """
-    v = _values(path)
-    s = np.cumsum(v)
-    k = np.arange(1, v.size + 1, dtype=float)
-    return math.exp(fsum(np.log(s / k)) / v.size)
+    return _one(_gm_prefix, path)
 
 
 def geometric_mean_loo(path) -> float:
     """Geometric mean of the normalized leave-one-out sums S_{n,k}/(n-1)."""
-    v = _values(path)
-    _check_loo(v.size, "geometric_mean_loo")
-    s = fsum(v)
-    if s - np.max(v) <= 0.0:
-        raise ValueError("every leave-one-out sum S_n - X_k must be positive")
-    return math.exp(fsum(np.log((s - v) / (v.size - 1))) / v.size)
+    return _one(_gm_loo, path)
 
 
 def max_relative_deviation(path, mu: float) -> float:
@@ -166,12 +211,7 @@ def max_relative_deviation(path, mu: float) -> float:
     O(sqrt(loglog n / n)) at which the leave-one-out ratios concentrate
     around 1.
     """
-    v = _values(path)
-    _check_loo(v.size, "max_relative_deviation")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    m = (v.size - 1) * mu
-    return float(np.max(np.abs((fsum(v) - m - v) / m)))
+    return _one(_loo, path, mu, gamma=1.0, output=2)
 
 
 def remainder_magnitude(path, mu: float, gamma: float) -> float:
@@ -182,25 +222,23 @@ def remainder_magnitude(path, mu: float, gamma: float) -> float:
     controlled by (up to the factor 4 valid while the ratios stay within
     1/2 of 1); its expectation is gamma/sqrt(n) * n/(n-1).
     """
-    v = _values(path)
-    _check_loo(v.size, "remainder_magnitude")
-    if mu <= 0 or gamma <= 0:
-        raise ValueError("mu and gamma must be positive")
-    m = (v.size - 1) * mu
-    c = (fsum(v) - m - v) / m
-    return fsum(c * c) / (gamma * math.sqrt(v.size))
+    return _one(_loo, path, mu, gamma=gamma, output=1)
 
 
 @dataclass(frozen=True)
 class StatisticKind:
     """One statistic kind, keyed by its CLI tag in :data:`STATISTIC_KINDS`.
 
+    ``evaluate(paths, mu, sigma, gamma)`` maps a ``(rows, n)`` array of
+    paths to ``(values, remainder, maxdev)``, one entry per row; the
+    diagnostics are :func:`remainder_magnitude` and
+    :func:`max_relative_deviation` for ``loo`` and NaN otherwise.
     ``log_law`` (the default comparison law) and ``product_law`` (the law
     of the exponentiated statistic, if any) are ``limits.LAW_TAGS`` tags.
     ``asclt`` marks the kinds :func:`prodsums.asclt.run_asclt_path` streams.
     """
 
-    evaluate: Callable[[np.ndarray, float, float, float], float]
+    evaluate: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     log_law: str
     product_law: str | None
     min_n: int
@@ -208,24 +246,12 @@ class StatisticKind:
 
 
 STATISTIC_KINDS = {
-    "loo": StatisticKind(
-        lambda v, mu, sigma, gam: loo_log_statistic(v, mu, gam), "n01", "expnorm", 2, True
-    ),
-    "rw": StatisticKind(
-        lambda v, mu, sigma, gam: rw_log_statistic(v, mu, gam), "n02", "expsqrt2", 1, True
-    ),
-    "lin": StatisticKind(
-        lambda v, mu, sigma, gam: linearized_statistic(v, mu, gam), "n01", None, 2, True
-    ),
-    "std": StatisticKind(
-        lambda v, mu, sigma, gam: standardized_sum(v, mu, sigma), "n01", None, 1, True
-    ),
-    "gm-prefix": StatisticKind(
-        lambda v, mu, sigma, gam: geometric_mean_prefix(v), "point", None, 1, False
-    ),
-    "gm-loo": StatisticKind(
-        lambda v, mu, sigma, gam: geometric_mean_loo(v), "point", None, 2, False
-    ),
+    "loo": StatisticKind(_loo, "n01", "expnorm", 2, True),
+    "rw": StatisticKind(_rw, "n02", "expsqrt2", 1, True),
+    "lin": StatisticKind(_lin, "n01", None, 2, True),
+    "std": StatisticKind(_std, "n01", None, 1, True),
+    "gm-prefix": StatisticKind(_gm_prefix, "point", None, 1, False),
+    "gm-loo": StatisticKind(_gm_loo, "point", None, 2, False),
 }
 
 ASCLT_KINDS = tuple(tag for tag, kind in STATISTIC_KINDS.items() if kind.asclt)

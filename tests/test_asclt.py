@@ -42,7 +42,10 @@ def reference_path(spec, n_max, base_seed, exact_cutoff=2000):
     mode_switch, fallbacks = None, 0
     for n in range(1, n_max + 1):
         state.update(float(v[n - 1]))
-        log_sum.add(math.log1p((state.total - n * mu) / (n * mu)))
+        # log(S_n/(n mu)) by the documented rule of statistics.log_ratio:
+        # log1p of the increment keeps no digits of a ratio far below 1
+        d = (state.total - n * mu) / (n * mu)
+        log_sum.add(math.log1p(d) if d > -0.5 else math.log(state.total) - math.log(n * mu))
         if n < 2:
             continue
         if n <= exact_cutoff:

@@ -1,7 +1,12 @@
 import json
+import math
 
+import mpmath
+import numpy as np
 import pytest
 
+import prodsums.asclt as asclt_module
+from prodsums import LogAvgAccumulator, moments, sample
 from prodsums.cli import main, parse_dist
 
 
@@ -58,14 +63,71 @@ class TestUsageErrors:
         ("lognormal:0:30", "rw", "error: invalid 'spec': lognormal:0.0:30.0 has no finite"),
         # every draw underflows: the bounded redraw loop gives up
         ("gamma:1e-9:1", "loo", "error: gamma:1e-09:1.0: 100 of 100 draws still underflow"),
-        # S_1/mu rounds to 0, so log(S_1/mu) is -inf
-        ("lognormal:0:20", "rw", "error: statistic is -inf at n = 2; it must be finite"),
     ])
     def test_degenerate_spec_is_exit_1(self, capsys, dist, stat, message):
         assert run_cli(["asclt", "--dist", dist, "--stat", stat, "--N", "100"]) == 1
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+
+def rw_oracle(values, mu, gam):
+    """The rw statistic of every prefix of a path, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        s, log_sum, out = mpmath.mpf(0), mpmath.mpf(0), []
+        for k, x in enumerate(values, start=1):
+            s += mpmath.mpf(float(x))
+            log_sum += mpmath.log(s / (k * mpmath.mpf(mu)))
+            out.append(float(log_sum / (mpmath.mpf(gam) * mpmath.sqrt(k))))
+    return np.array(out)
+
+
+class TestHeavySpecRw:
+    """Specs whose draws sit far below mu, so S_k/(k mu) is tiny.
+
+    log1p of the centred increment rounds such ratios to -1 and gives
+    -inf; the statistic must stay finite and accurate.
+    """
+
+    HEAVY = ["lognormal:0:20", "gamma:0.001:1"]
+
+    @pytest.mark.parametrize("dist", HEAVY)
+    def test_asclt_finite_and_exact(self, dist, tmp_path, monkeypatch):
+        seen = []
+
+        class Recording(LogAvgAccumulator):
+            def accumulate(self, n, t):
+                seen.append(np.atleast_1d(np.array(t, dtype=float)))
+                return super().accumulate(n, t)
+
+        monkeypatch.setattr(asclt_module, "LogAvgAccumulator", Recording)
+        out = tmp_path / "a.csv"
+        assert run_cli(["asclt", "--dist", dist, "--stat", "rw", "--N", "200",
+                        "--seed", "3", "--out", str(out)]) == 0
+        a_n = [float(line.split(",")[1]) for line in out.read_text().split("\n")[1:-1]]
+        assert len(a_n) == 19 and all(math.isfinite(a) for a in a_n)
+        spec = parse_dist(dist)
+        mu, _, gam = moments(spec)
+        want = rw_oracle(sample(spec, 200, 3, 0).values, mu, gam)[1:]
+        got = np.concatenate(seen)
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("dist", HEAVY)
+    def test_clt_finite_and_exact(self, dist, tmp_path):
+        out = tmp_path / "c.csv"
+        assert run_cli(["clt", "--dist", dist, "--stat", "rw", "--n", "5,60",
+                        "--reps", "12", "--seed", "4", "--out", str(out)]) == 0
+        spec = parse_dist(dist)
+        mu, _, gam = moments(spec)
+        for i, line in enumerate(out.read_text().split("\n")[1:-1]):
+            n, _, ks, mean, sd = line.split(",")[:5]
+            assert all(math.isfinite(float(x)) for x in (ks, mean, sd))
+            want = math.fsum(
+                rw_oracle(sample(spec, int(n), 4, (i << 32) + r).values, mu, gam)[-1]
+                for r in range(12)
+            ) / 12
+            assert abs(float(mean) - want) <= 1e-12 * abs(want)
 
 
 class TestCltCommand:

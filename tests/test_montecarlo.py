@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import prodsums.montecarlo as montecarlo_module
 from prodsums import (
     ExperimentConfig,
     LimitLaw,
@@ -172,6 +174,37 @@ class TestRunCltExperiment:
         run_clt_experiment(cfg1).to_csv(a)
         run_clt_experiment(cfg2).to_csv(b)
         assert a.getvalue() == b.getvalue()
+
+    def test_one_pool_per_experiment(self, monkeypatch):
+        built = []
+
+        class Counting(montecarlo_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", Counting)
+        csv = {}
+        for workers in (1, 2):
+            buf = io.StringIO()
+            cfg = ExperimentConfig(EXP1, "loo", (10, 30, 90), 40, 5, workers=workers)
+            run_clt_experiment(cfg).to_csv(buf)
+            csv[workers] = buf.getvalue()
+        assert built == [(2,)]
+        assert csv[1] == csv[2]
+
+    def test_peak_memory_of_long_replicates(self):
+        # the replicates are evaluated in batches of about 256 KiB of
+        # draws, so the traced peak stays far below all 150 paths (12 MB)
+        cfg = ExperimentConfig(EXP1, "loo", (10_000,), 150, 0)
+        run_clt_experiment(ExperimentConfig(EXP1, "loo", (10,), 2, 0))  # first-call caches
+        tracemalloc.start()
+        try:
+            run_clt_experiment(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
 
     def test_csv_schema(self):
         cfg = ExperimentConfig(EXP1, "rw", (5, 25), 10, 0)

@@ -303,12 +303,95 @@ class TestKindTable:
         spec = make_distribution("gamma", [4.0, 0.5])
         mu, sigma, gam = moments(spec)
         v = sample(spec, 30, base_seed=1, stream_index=0).values
-        assert kind.evaluate(v, mu, sigma, gam) == self.EXPECTED_EVALUATOR[tag](
-            v, mu, sigma, gam
-        )
+        values, _, _ = kind.evaluate(v[np.newaxis], mu, sigma, gam)
+        assert values.shape == (1,)
+        assert values[0] == self.EXPECTED_EVALUATOR[tag](v, mu, sigma, gam)
 
         n = (kind.min_n,)
         for law in filter(None, (kind.log_law, kind.product_law)):
             ExperimentConfig(spec, tag, n, 1, 0, compare_law=LimitLaw(law, mu))
         with pytest.raises(ValueError, match=f"needs n >= {kind.min_n}"):
             ExperimentConfig(spec, tag, (kind.min_n - 1,), 1, 0)
+
+
+SCALAR = {
+    **TestKindTable.EXPECTED_EVALUATOR,
+    "remainder": lambda v, mu, sigma, gam: remainder_magnitude(v, mu, gam),
+    "maxdev": lambda v, mu, sigma, gam: max_relative_deviation(v, mu),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("tag", list(SCALAR))
+def test_nonfinite_draws_rejected(tag, bad):
+    # v > 0 alone lets +inf through, which gave inf or NaN statistics
+    with pytest.raises(ValueError, match="finite and strictly positive"):
+        SCALAR[tag]([1.0, bad, 2.0], 1.0, 1.0, 1.0)
+    if tag in STATISTIC_KINDS:
+        batch = np.array([[1.0, 3.0, 2.0], [1.0, bad, 2.0]])
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            STATISTIC_KINDS[tag].evaluate(batch, 1.0, 1.0, 1.0)
+
+
+def fsum_oracle(tag, v, mu, sigma, gam):
+    """(value, remainder, maxdev) of one path, every sum by math.fsum."""
+    n = len(v)
+    loo = [math.fsum(v) - x for x in v]
+    ratios = [y / ((n - 1) * mu) for y in loo] if n > 1 else []
+    prefix = np.cumsum(v).tolist()
+    scale = gam * math.sqrt(n)
+    value = {
+        "loo": lambda: math.fsum(math.log(r) for r in ratios) / scale,
+        "rw": lambda: math.fsum(math.log(s / (k * mu)) for k, s in enumerate(prefix, 1)) / scale,
+        "lin": lambda: math.fsum(r - 1.0 for r in ratios) / scale,
+        "std": lambda: math.fsum((x - mu) / sigma for x in v) / math.sqrt(n),
+        "gm-prefix": lambda: math.exp(
+            math.fsum(math.log(s / k) for k, s in enumerate(prefix, 1)) / n),
+        "gm-loo": lambda: math.exp(math.fsum(math.log(y / (n - 1)) for y in loo) / n),
+    }[tag]()
+    if tag != "loo":
+        return value, math.nan, math.nan
+    dev = [r - 1.0 for r in ratios]
+    return value, math.fsum(d * d for d in dev) / scale, max(map(abs, dev))
+
+
+@st.composite
+def batches(draw):
+    """A kind, a (rows, n) batch of gamma draws and the draws' moments."""
+    tag = draw(st.sampled_from(list(STATISTIC_KINDS)))
+    n = draw(st.integers(STATISTIC_KINDS[tag].min_n, 10_000))
+    rows = draw(st.integers(1, max(1, min(8, 20_000 // n))))
+    shape = draw(st.floats(0.2, 10.0))
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).gamma(shape, 1.0, (rows, n))
+    return tag, x, shape, math.sqrt(shape), 1.0 / math.sqrt(shape)
+
+
+class TestKernels:
+    @given(batches(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_row_bits_do_not_depend_on_the_batch(self, case, data):
+        tag, x, mu, sigma, gam = case
+        evaluate = STATISTIC_KINDS[tag].evaluate
+        whole = evaluate(x, mu, sigma, gam)
+        lo = data.draw(st.integers(0, x.shape[0] - 1))
+        hi = data.draw(st.integers(lo + 1, x.shape[0]))
+        part = evaluate(x[lo:hi].copy(), mu, sigma, gam)
+        for got, want in zip(part, whole):
+            assert np.array_equal(got, want[lo:hi], equal_nan=True)
+        one = SCALAR[tag](x[lo], mu, sigma, gam)
+        assert one == whole[0][lo]
+        if tag == "loo":
+            assert remainder_magnitude(x[lo], mu, gam) == whole[1][lo]
+            assert max_relative_deviation(x[lo], mu) == whole[2][lo]
+
+    @given(batches())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fsum_oracle(self, case):
+        tag, x, mu, sigma, gam = case
+        got = STATISTIC_KINDS[tag].evaluate(x, mu, sigma, gam)
+        for i, v in enumerate(x.tolist()):
+            for out, want in zip(got, fsum_oracle(tag, v, mu, sigma, gam)):
+                if math.isnan(want):
+                    assert math.isnan(out[i])
+                else:
+                    assert abs(out[i] - want) <= 1e-12 * (1.0 + abs(want))

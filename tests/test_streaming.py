@@ -17,7 +17,7 @@ from prodsums import (
     state_from_path,
 )
 from prodsums.streaming import loo_series_from_sums
-from prodsums.summation import running_sums
+from prodsums.summation import row_sums, running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
 # value of the third-order series, exact statistic, and their gap bound
@@ -195,6 +195,20 @@ class TestBlocks:
         assert np.all(np.abs(got - np.array(want)) <= 1e-12 * (1.0 + scale))
         assert abs(carry.value - ref.value) <= 1e-12 * (1.0 + sum(map(abs, values)))
 
+
+    @given(
+        st.lists(st.floats(-1e12, 1e12).filter(lambda x: x == 0 or abs(x) > 1e-12),
+                 min_size=1, max_size=3000),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_row_sums_are_accurate_in_any_order(self, values, rnd):
+        perm = list(values)
+        rnd.shuffle(perm)
+        exact = math.fsum(values)
+        # within one rounding of the exact sum, plus a far smaller low-part error
+        bound = 2.3e-16 * abs(exact) + 1e-20 * sum(map(abs, values))
+        assert np.all(np.abs(row_sums(np.array([values, perm])) - exact) <= bound)
 
     def test_running_sums_do_not_drift(self):
         # a plain cumsum of a million 0.1s drifts by about 1e-6
