@@ -29,6 +29,7 @@ from .distributions import (
     make_distribution,
     moments,
     sample,
+    sample_rows,
 )
 from .statistics import (
     ASCLT_KINDS,
@@ -36,6 +37,7 @@ from .statistics import (
     geometric_mean_loo,
     geometric_mean_prefix,
     linearized_statistic,
+    loo_log_prefixes,
     loo_log_statistic,
     max_relative_deviation,
     prefix_sums,
@@ -85,9 +87,11 @@ __all__ = [
     "make_distribution",
     "moments",
     "sample",
+    "sample_rows",
     "STATISTIC_KINDS",
     "prefix_sums",
     "loo_log_statistic",
+    "loo_log_prefixes",
     "rw_log_statistic",
     "linearized_statistic",
     "standardized_sum",

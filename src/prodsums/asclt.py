@@ -25,9 +25,12 @@ leave-one-out kind through the power-sum series beyond ``exact_cutoff``),
 and :meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
 with one ``searchsorted`` and one ``bincount``.  Only the leave-one-out
 steps n <= ``exact_cutoff``, and the rare steps where the series validity
-gate fails, evaluate the exact O(n) statistic, one step at a time.  The
-cost is O(N) numpy work plus O(exact_cutoff^2) for the exact prefix; the
-memory beyond the path is one block's temporaries.
+gate fails, evaluate the exact O(n) statistic: each block passes its
+exact steps, then its failed steps, to one
+:func:`~prodsums.statistics.loo_log_prefixes` call, which evaluates them
+in batches of zero-padded prefixes.  The cost is O(N) numpy work plus
+O(exact_cutoff^2) for the exact prefix; the memory beyond the path is one
+block's temporaries.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf, normal_quantile
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_statistic
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
 from .streaming import PowerSumState, loo_series_from_sums
 from .summation import NeumaierSum, running_sums
 
@@ -224,9 +227,9 @@ def run_asclt_path(
             fallbacks += failed.size
             if mode_switch is None and failed.size < valid.size:
                 mode_switch = int(n[c + np.argmax(valid)])
-            for i in (*range(c), *(c + failed).tolist()):
-                if n[i] > 1:  # n = 1 is never accumulated
-                    t[i] = loo_log_statistic(v[: n[i]], mu, gam)
+            lo = int(start == 0)  # n = 1 is never accumulated
+            t[lo:c] = loo_log_prefixes(v, n[lo:c], mu, gam)
+            t[c + failed] = loo_log_prefixes(v, n[c + failed], mu, gam)
         if start == 0:  # accumulation starts at n = 2
             n, t = n[1:], t[1:]
         acc.accumulate(int(n[0]), t)

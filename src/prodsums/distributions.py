@@ -19,7 +19,9 @@ Sampling is deterministic and splittable.  A path is addressed by a
 ``(base_seed, stream_index)`` pair of 64-bit integers; the pair is mixed
 into a single Philox key by :func:`derive_stream_seed`, so replicate ``r``
 of an experiment can simply use ``stream_index = r`` and the draws never
-depend on evaluation order or worker count.
+depend on evaluation order or worker count.  :func:`sample_rows` draws
+many streams with one generator, re-keyed to each stream's starting
+state, and gives every row the bits :func:`sample` gives that stream.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ __all__ = [
     "make_distribution",
     "moments",
     "sample",
+    "sample_rows",
     "derive_stream_seed",
 ]
 
@@ -189,6 +192,26 @@ def _generator(base_seed: int, stream_index: int) -> np.random.Generator:
     )
 
 
+def _rekey(gen: np.random.Generator, base_seed: int, stream_index: int) -> np.random.Generator:
+    """gen with its Philox in the state ``_generator`` starts that stream in.
+
+    Setting the state skips building a new Philox, whose constructor
+    also draws a throw-away seed from the operating system.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": np.zeros(4, dtype=np.uint64),
+            "key": np.array([derive_stream_seed(base_seed, stream_index), 0], dtype=np.uint64),
+        },
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def _draw(spec: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarray:
     p = spec.params
     if spec.family == "exponential":
@@ -206,6 +229,30 @@ def _draw(spec: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarra
     return np.where(gen.random(n) < p_low, low, high)
 
 
+def _path_values(spec: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n draws of one stream, zero draws redrawn from the end of the stream."""
+    values = _draw(spec, gen, n)
+    bad = values <= 0.0
+    for _ in range(_MAX_REDRAW_ROUNDS):
+        if not bad.any():
+            break
+        values[bad] = _draw(spec, gen, int(bad.sum()))
+        bad = values <= 0.0
+    if bad.any():
+        raise ValueError(
+            f"{spec}: {int(bad.sum())} of {n} draws still underflow to 0 "
+            f"after {_MAX_REDRAW_ROUNDS} redraw rounds"
+        )
+    return values
+
+
+def _length(n) -> int:
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    return n
+
+
 def sample(
     spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0
 ) -> SamplePath:
@@ -219,21 +266,22 @@ def sample(
     100 redraw rounds (say ``gamma:1e-9:1``, whose draws almost all
     underflow) raises ``ValueError``.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"path length must be >= 1, got {n}")
-    gen = _generator(base_seed, stream_index)
-    values = _draw(spec, gen, n)
-    bad = values <= 0.0
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        if not bad.any():
-            break
-        values[bad] = _draw(spec, gen, int(bad.sum()))
-        bad = values <= 0.0
-    if bad.any():
-        raise ValueError(
-            f"{spec}: {int(bad.sum())} of {n} draws still underflow to 0 "
-            f"after {_MAX_REDRAW_ROUNDS} redraw rounds"
-        )
+    n = _length(n)
+    values = _path_values(spec, _generator(base_seed, stream_index), n)
     values.setflags(write=False)
     return SamplePath(values, spec, int(base_seed), int(stream_index))
+
+
+def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices) -> np.ndarray:
+    """A ``(len(stream_indices), n)`` array of paths, one stream per row.
+
+    Row i has the bits of ``sample(spec, n, base_seed,
+    stream_indices[i]).values``; one generator, re-keyed for each
+    stream, draws every row.
+    """
+    n = _length(n)
+    out = np.empty((len(stream_indices), n))
+    gen = _generator(base_seed, 0)
+    for row, stream_index in zip(out, stream_indices):
+        row[:] = _path_values(spec, _rekey(gen, base_seed, stream_index), n)
+    return out

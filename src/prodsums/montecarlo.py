@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample
+from .distributions import DistributionSpec, moments, sample, sample_rows
 from .limits import LimitLaw, limit_cdf
 from . import statistics as stats
-from .statistics import STATISTIC_KINDS
+from .statistics import _BATCH_BYTES, STATISTIC_KINDS
 
 __all__ = [
     "ExperimentConfig",
@@ -42,12 +42,6 @@ __all__ = [
 
 CLT_CSV_HEADER = "n,M,ks,mean,sd,mean_remainder,mean_maxdev,seconds"
 SLLN_CSV_HEADER = "n,gm_prefix,err_prefix,gm_loo,err_loo"
-
-# draws per kernel call: enough replicates to amortize numpy's per-call cost
-# at small n, few enough that a batch and the kernel's same-sized
-# temporaries add about 1 MiB to the peak memory at any n
-_BATCH_BYTES = 256 * 1024
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -121,16 +115,16 @@ def ks_distance(emp: EmpiricalCdf, law: LimitLaw) -> float:
 
 def _replicate_block(args) -> np.ndarray:
     """(values, remainder, maxdev) of replicates r0..r1-1 of one row, each
-    drawn by its own :func:`sample` call; top level for pickling."""
+    drawn from its own stream; top level for pickling."""
     spec, kind, n, base_seed, row_index, r0, r1 = args
     mu, sigma, gam = moments(spec)
     evaluate = STATISTIC_KINDS[kind].evaluate
     out = np.empty((3, r1 - r0))
     rows = max(1, _BATCH_BYTES // (8 * n))
     for b0 in range(r0, r1, rows):
-        batch = [sample(spec, n, base_seed, (row_index << 32) + r).values
-                 for r in range(b0, min(b0 + rows, r1))]
-        out[:, b0 - r0 : b0 - r0 + len(batch)] = evaluate(np.array(batch), mu, sigma, gam)
+        b1 = min(b0 + rows, r1)
+        batch = sample_rows(spec, n, base_seed, [(row_index << 32) + r for r in range(b0, b1)])
+        out[:, b0 - r0 : b1 - r0] = evaluate(batch, mu, sigma, gam)
     return out
 
 

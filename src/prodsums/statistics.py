@@ -16,7 +16,9 @@ their normalized logarithms stay O(1).  Each log ratio goes through
 Each kind has one kernel, listed in :data:`STATISTIC_KINDS`.  A kernel
 evaluates a ``(rows, n)`` batch of paths by reductions along each row,
 so a row's value has the same bits in any batch; the public scalar
-functions are one-row calls of the kernels.
+functions are one-row calls of the kernels.  :func:`loo_log_prefixes`
+evaluates the leave-one-out statistic of many prefixes of one path with
+the same arithmetic, a batch of zero-padded prefixes at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "log_ratio",
     "prefix_sums",
     "loo_log_statistic",
+    "loo_log_prefixes",
     "rw_log_statistic",
     "linearized_statistic",
     "standardized_sum",
@@ -45,6 +48,12 @@ __all__ = [
     "max_relative_deviation",
     "remainder_magnitude",
 ]
+
+
+# draws per batch of rows: enough rows to amortize numpy's per-call cost at
+# small n, few enough that a batch and the kernel's same-sized temporaries
+# add about 1 MiB to the peak memory at any n
+_BATCH_BYTES = 256 * 1024
 
 
 def _row(path) -> np.ndarray:
@@ -72,12 +81,22 @@ def _check_positive(**params) -> None:
 
 
 def _loo_sums(x: np.ndarray) -> np.ndarray:
-    """The leave-one-out sums S_n - X_k of every row, checked positive."""
+    """The leave-one-out sums S_n - X_k of every row, each positive.
+
+    ``S_n - X_k`` cancels when X_k is most of S_n.  At most one draw of a
+    row exceeds S_n/2, and its entry is summed afresh from the other
+    draws; every other entry is at least S_n/2.
+    """
     if x.shape[1] < 2:
         raise ValueError("leave-one-out statistics need n >= 2; (n-1)*mu vanishes at n = 1")
-    loo = row_sums(x)[:, np.newaxis] - x
-    if not loo.min() > 0.0:
-        raise ValueError("every leave-one-out sum S_n - X_k must be positive")
+    s = row_sums(x)
+    loo = s[:, np.newaxis] - x
+    rows = np.flatnonzero(x.max(axis=1) > 0.5 * s)
+    if rows.size:
+        rest = x[rows]
+        k = rest.argmax(axis=1)
+        rest[np.arange(rows.size), k] = 0.0
+        loo[rows, k] = row_sums(rest)
     return loo
 
 
@@ -162,6 +181,44 @@ def loo_log_statistic(path, mu: float, gamma: float) -> float:
     product of n terms ever being formed.
     """
     return _one(_loo, path, mu, gamma=gamma)
+
+
+def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
+    """:func:`loo_log_statistic` of ``path[:n]`` for every n in ns.
+
+    ``ns`` is a nondecreasing sequence of prefix lengths, each from 2 to
+    the path's length; only the draws up to the longest prefix are read.
+    The prefixes are stacked into triangular ``(rows, width)`` batches of
+    at most about 256 KiB, width being the batch's longest prefix.  Each
+    row is zero past its own n, and its leave-one-out entries there are
+    set to (n-1)*mu, whose log ratio is exactly 0, so every row goes
+    through the arithmetic of the one-row call.
+    """
+    ns = np.asarray(ns)
+    out = np.empty(ns.size)
+    if ns.ndim != 1 or (ns.size and ns.dtype.kind not in "iu"):
+        raise ValueError("ns must be a 1-D sequence of integers")
+    if not ns.size:
+        return out
+    if ns[0] < 2 or np.any(np.diff(ns) < 0):
+        raise ValueError("ns must be nondecreasing prefix lengths n >= 2")
+    x = _paths(_row(path)[:, : ns[-1]])[0]
+    if ns[-1] > x.size:
+        raise ValueError(f"prefix length {ns[-1]} exceeds the path length {x.size}")
+    _check_positive(mu=mu, gamma=gamma)
+    cap = _BATCH_BYTES // 8
+    i = 0
+    while i < ns.size:
+        # rows i..j-1 hold (j - i) * ns[j - 1] values; at least one row
+        fits = np.arange(1, ns.size - i + 1) * ns[i:] <= cap
+        j = i + max(1, int(np.count_nonzero(fits)))
+        n = ns[i:j, np.newaxis]
+        inside = np.arange(n[-1, 0]) < n
+        m = (n - 1) * mu
+        loo = np.where(inside, _loo_sums(np.where(inside, x[: n[-1, 0]], 0.0)), m)
+        out[i:j] = row_sums(log_ratio(loo, m)[0]) / (gamma * np.sqrt(n[:, 0]))
+        i = j
+    return out
 
 
 def rw_log_statistic(path, mu: float, gamma: float) -> float:

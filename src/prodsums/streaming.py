@@ -203,22 +203,14 @@ def loo_series_error_bound(state: PowerSumState, gamma: float) -> float:
 def state_from_path(path, mu: float) -> PowerSumState:
     """Build the state of a whole path at once.
 
-    Equivalent to streaming every draw through :meth:`PowerSumState.update` (the
-    reconstruction tests pin the two against each other) but evaluated
-    with vectorized powers and exact sums, so bulk replays cost one pass
-    of array arithmetic instead of a Python-level loop.
+    Equivalent to streaming every draw through :meth:`PowerSumState.update`
+    (the reconstruction tests pin the two against each other) but one
+    :meth:`PowerSumState.extend` call, so bulk replays cost one pass of
+    array arithmetic instead of a Python-level loop.
     """
     v = np.asarray(getattr(path, "values", path), dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("path must be a nonempty 1-D sequence")
-    if not np.all(v > 0.0):
-        raise ValueError("draws must be positive")
-    state = init_state(mu)
-    d = v - mu
-    state.n = v.size
-    state._s = NeumaierSum(math.fsum(v))
-    state._p1 = NeumaierSum(math.fsum(d))
-    state._p2 = NeumaierSum(math.fsum(d * d))
-    state._p3 = NeumaierSum(math.fsum(d * d * d))
-    state.max_abs_d = float(np.max(np.abs(d)))
+    state = PowerSumState(mu)
+    state.extend(v)
     return state

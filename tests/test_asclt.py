@@ -337,6 +337,34 @@ class TestEngineMatchesStepLoop:
         ref = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
         assert ref["loo"][3] > 0
 
+    @pytest.mark.parametrize("family", ["exponential:1", "lognormal:0:2"])
+    def test_exact_prefix_crosses_a_block(self, monkeypatch, family):
+        assert 5000 > asclt_module._BLOCK
+        self.check(monkeypatch, self.FAMILIES[family], 6000, 0, exact_cutoff=5000)
+
+
+@pytest.mark.parametrize("family,exact_cutoff", [
+    ("exponential:1", 2000), ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
+])
+def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
+    # one prefix-evaluator call for a block's exact steps and one for its
+    # gate failures, never one scalar call per step
+    spec = TestEngineMatchesStepLoop.FAMILIES[family]
+    scalar, batched = [], []
+    prefixes = asclt_module.loo_log_prefixes
+
+    def counting(path, ns, mu, gamma):
+        batched.append(len(ns))
+        return prefixes(path, ns, mu, gamma)
+
+    monkeypatch.setattr(asclt_module, "loo_log_statistic",
+                        lambda *args: scalar.append(args), raising=False)
+    monkeypatch.setattr(asclt_module, "loo_log_prefixes", counting)
+    report = run_asclt_path(spec, "loo", 20_000, 0, exact_cutoff=exact_cutoff)
+    assert scalar == []
+    assert len(batched) == 2 * -(-20_000 // asclt_module._BLOCK)
+    assert sum(batched) == exact_cutoff - 1 + report.fallback_count
+
 
 def test_traced_memory_stays_near_the_path():
     # the path itself is 8 bytes a step; one more N-length float array in

@@ -10,6 +10,7 @@ from prodsums import (
     make_distribution,
     moments,
     sample,
+    sample_rows,
 )
 
 # one representative valid spec per family, used by several suites
@@ -167,6 +168,27 @@ class TestSample:
         assert hashlib.sha256(p.values.tobytes()).hexdigest() == (
             "4c02d13c38139095a428b2d573a24eea17fe42fed5903fc9facd86b2ce7252f3"
         )
+
+    @pytest.mark.parametrize("family,params", [*SHOWCASE, ("gamma", [0.002, 1.0])])
+    def test_rows_match_sample(self, family, params):
+        # one re-keyed generator per call; streams past 2**32 belong to
+        # later rows of a clt experiment, and a repeated stream must
+        # restart from its first draw
+        spec = make_distribution(family, params)
+        streams = [5, 0, 2**32 + 7, 2**64 - 1, 5]
+        rows = sample_rows(spec, 300, 17, streams)
+        assert rows.shape == (5, 300)
+        for row, stream in zip(rows, streams):
+            assert np.array_equal(row, sample(spec, 300, 17, stream).values)
+
+    def test_rows_reject_bad_arguments(self):
+        spec = make_distribution("exponential", [1.0])
+        with pytest.raises(ValueError, match=">= 1"):
+            sample_rows(spec, 0, 0, [0])
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            sample_rows(spec, 3, 0, [2**64])
+        with pytest.raises(ValueError, match="10 of 10 draws still underflow"):
+            sample_rows(make_distribution("gamma", [1e-9, 1.0]), 10, 0, [0])
 
     def test_underflowing_spec_raises(self):
         # nearly every gamma(1e-9) draw is 0.0 in double precision

@@ -1,11 +1,14 @@
 import math
 import re
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodsums.statistics as statistics_module
 from prodsums import (
     ASCLT_KINDS,
     STATISTIC_KINDS,
@@ -14,6 +17,7 @@ from prodsums import (
     geometric_mean_loo,
     geometric_mean_prefix,
     linearized_statistic,
+    loo_log_prefixes,
     loo_log_statistic,
     make_distribution,
     max_relative_deviation,
@@ -71,10 +75,27 @@ class TestLooLogStatistic:
         with pytest.raises(ValueError, match="n = 1"):
             loo_log_statistic([1.0], 1.0, 1.0)
 
-    def test_numerically_vanishing_loo_sum(self):
-        # the small value is swallowed by rounding, so S - max becomes 0
-        with pytest.raises(ValueError, match="leave-one-out sum"):
-            loo_log_statistic([1e300, 1e-300], 1.0, 1.0)
+    def test_dominant_draw_keeps_the_small_loo_sum(self):
+        # S_n rounds to 1e20, so S_n - 1e20 would be 0 and its log -inf;
+        # the leave-one-out sum of the dominant draw is the other draw
+        want = float((mpmath.log(1e-20) + mpmath.log(1e20)) / mpmath.sqrt(2))
+        assert loo_log_statistic([1e20, 1e-20], 1.0, 1.0) == pytest.approx(want, abs=1e-13)
+
+    def test_dominant_draws_match_mpmath(self):
+        # most gamma:0.001:1 paths are one draw and 49 far smaller ones, so
+        # S_n - X_k cancels for that draw
+        spec = make_distribution("gamma", [0.001, 1.0])
+        mu, sigma, gam = moments(spec)
+        paths = np.array([sample(spec, 50, 0, i).values for i in range(20)])
+        batch = STATISTIC_KINDS["loo"].evaluate(paths, mu, sigma, gam)[0]
+        for v, got in zip(paths, batch):
+            with mpmath.workdps(60):
+                x = [mpmath.mpf(float(d)) for d in v]
+                s, m = mpmath.fsum(x), 49 * mpmath.mpf(mu)
+                want = mpmath.fsum(mpmath.log((s - d) / m) for d in x)
+                want = float(want / (mpmath.mpf(gam) * mpmath.sqrt(50)))
+            for value in (got, loo_log_statistic(v, mu, gam), loo_log_prefixes(v, [50], mu, gam)[0]):
+                assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_bad_mu_gamma(self):
         with pytest.raises(ValueError, match="positive"):
@@ -85,6 +106,54 @@ class TestLooLogStatistic:
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError, match="strictly positive"):
             loo_log_statistic([1.0, -2.0, 3.0], 1.0, 1.0)
+
+
+class TestLooLogPrefixes:
+    @given(
+        st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=600),
+        st.data(),
+        st.sampled_from([8, 8 * 37, statistics_module._BATCH_BYTES]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_row_calls(self, vals, data, budget):
+        ns = sorted(data.draw(st.lists(st.integers(2, len(vals)), min_size=1, max_size=40)))
+        mu, gam = 1.3, 0.7
+        with mock.patch.object(statistics_module, "_BATCH_BYTES", budget):
+            got = loo_log_prefixes(vals, ns, mu, gam)
+        want = [loo_log_statistic(vals[:n], mu, gam) for n in ns]
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+    def test_batches_are_bounded(self, monkeypatch):
+        shapes = []
+        kernel = statistics_module._loo_sums
+        monkeypatch.setattr(statistics_module, "_loo_sums",
+                            lambda x: shapes.append(x.shape) or kernel(x))
+        v = sample(make_distribution("exponential", [1.0]), 3000, 0, 0).values
+        loo_log_prefixes(v, np.arange(2, 3001), 1.0, 1.0)
+        assert sum(rows for rows, _ in shapes) == 2999
+        assert max(rows * width for rows, width in shapes) <= statistics_module._BATCH_BYTES // 8
+        assert len(shapes) < 300
+
+    def test_empty(self):
+        assert loo_log_prefixes([1.0, 2.0], [], 1.0, 1.0).shape == (0,)
+
+    def test_reads_only_the_prefixes(self):
+        assert loo_log_prefixes([1.0, 2.0, math.inf], [2], 1.0, 1.0)[0] == (
+            loo_log_statistic([1.0, 2.0], 1.0, 1.0))
+
+    @pytest.mark.parametrize("ns,match", [
+        ([3, 2], "nondecreasing"), ([1, 2], "n >= 2"), ([2, 4], "exceeds the path length"),
+        ([2.0], "integers"), ([[2]], "integers"),
+    ])
+    def test_bad_prefix_lengths(self, ns, match):
+        with pytest.raises(ValueError, match=match):
+            loo_log_prefixes([1.0, 2.0, 3.0], ns, 1.0, 1.0)
+
+    def test_bad_path_and_moments(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            loo_log_prefixes([1.0, -2.0, 3.0], [3], 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            loo_log_prefixes([1.0, 2.0], [2], 1.0, 0.0)
 
 
 class TestRwLogStatistic:
