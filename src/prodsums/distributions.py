@@ -19,9 +19,10 @@ Sampling is deterministic and splittable.  A path is addressed by a
 ``(base_seed, stream_index)`` pair of 64-bit integers; the pair is mixed
 into a single Philox key by :func:`derive_stream_seed`, so replicate ``r``
 of an experiment can simply use ``stream_index = r`` and the draws never
-depend on evaluation order or worker count.  :func:`sample_rows` draws
-many streams with one generator, re-keyed to each stream's starting
-state, and gives every row the bits :func:`sample` gives that stream.
+depend on evaluation order or worker count.  :func:`sample_rows` is the
+one sampler: it keys a batch of streams in one pass, re-keys one
+generator to the start of each stream and draws each row in place.
+:func:`sample` is its one-row call.
 """
 
 from __future__ import annotations
@@ -42,15 +43,9 @@ __all__ = [
     "derive_stream_seed",
 ]
 
-FAMILIES = ("exponential", "gamma", "lognormal", "uniform", "twopoint")
-
-_ARITY = {
-    "exponential": 1,
-    "gamma": 2,
-    "lognormal": 2,
-    "uniform": 2,
-    "twopoint": 3,
-}
+# the parameter count of each family
+_ARITY = {"exponential": 1, "gamma": 2, "lognormal": 2, "uniform": 2, "twopoint": 3}
+FAMILIES = tuple(_ARITY)
 
 # a spec that underflows to 0 with probability q leaves a draw unfixed
 # after k redraw rounds with probability q^k: for q <= 1/2, 100 rounds
@@ -162,6 +157,22 @@ def moments(spec: DistributionSpec) -> tuple[float, float, float]:
     return mu, sigma, sigma / mu
 
 
+def _stream_keys(base_seed: int, stream_indices) -> np.ndarray:
+    """The :func:`derive_stream_seed` keys of many streams, in one numpy pass."""
+    base_seed = int(base_seed)
+    streams = [int(i) for i in stream_indices]
+    if not 0 <= base_seed <= _MASK64:
+        raise ValueError("base_seed must fit in 64 unsigned bits")
+    if streams and not (0 <= min(streams) and max(streams) <= _MASK64):
+        raise ValueError("stream_index must fit in 64 unsigned bits")
+    # uint64 array arithmetic wraps modulo 2**64, as SplitMix64 needs;
+    # (i + 1) * golden + base is folded into i * golden + (golden + base)
+    z = np.array(streams, dtype=np.uint64) * _GOLDEN + ((_GOLDEN + base_seed) & _MASK64)
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
 def derive_stream_seed(base_seed: int, stream_index: int) -> int:
     """Mix (base_seed, stream_index) into one 64-bit generator key.
 
@@ -172,90 +183,61 @@ def derive_stream_seed(base_seed: int, stream_index: int) -> int:
     stream indices therefore key statistically independent Philox
     streams, and the mapping is reproducible across platforms.
     """
-    base_seed = int(base_seed)
-    stream_index = int(stream_index)
-    if not 0 <= base_seed <= _MASK64:
-        raise ValueError("base_seed must fit in 64 unsigned bits")
-    if not 0 <= stream_index <= _MASK64:
-        raise ValueError("stream_index must fit in 64 unsigned bits")
-    z = (base_seed + ((stream_index + 1) & _MASK64) * _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+    return int(_stream_keys(base_seed, [stream_index])[0])
 
 
-def _generator(base_seed: int, stream_index: int) -> np.random.Generator:
-    # Philox is counter-based: cheap to key, arbitrary numbers of
-    # independent streams.
-    return np.random.Generator(
-        np.random.Philox(key=derive_stream_seed(base_seed, stream_index))
-    )
-
-
-def _rekey(gen: np.random.Generator, base_seed: int, stream_index: int) -> np.random.Generator:
-    """gen with its Philox in the state ``_generator`` starts that stream in.
-
-    Setting the state skips building a new Philox, whose constructor
-    also draws a throw-away seed from the operating system.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, dtype=np.uint64),
-            "key": np.array([derive_stream_seed(base_seed, stream_index), 0], dtype=np.uint64),
-        },
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+def _rekey(gen: np.random.Generator, state: dict, key) -> np.random.Generator:
+    """gen at the start of the stream keyed by key; state is a fresh Philox's."""
+    state["state"]["key"][0] = key
+    gen.bit_generator.state = state
     return gen
 
 
-def _draw(spec: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarray:
+def _draw(spec: DistributionSpec, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the contiguous 1-D out with draws, in place."""
     p = spec.params
     if spec.family == "exponential":
         # inverse CDF with U = 1 - random() in (0, 1]; log1p keeps the
         # small-u tail exact
-        return -np.log1p(-gen.random(n)) / p[0]
-    if spec.family == "gamma":
-        return gen.standard_gamma(p[0], n) * p[1]
-    if spec.family == "lognormal":
-        return np.exp(p[0] + p[1] * gen.standard_normal(n))
-    if spec.family == "uniform":
+        np.log1p(np.negative(gen.random(out=out), out=out), out=out)
+        out /= -p[0]
+    elif spec.family == "gamma":
+        gen.standard_gamma(p[0], out=out)
+        out *= p[1]
+    elif spec.family == "lognormal":
+        gen.standard_normal(out=out)
+        out *= p[1]
+        out += p[0]
+        np.exp(out, out=out)
+    elif spec.family == "uniform":
         a, b = p
-        return a + (b - a) * gen.random(n)
-    low, high, p_low = p
-    return np.where(gen.random(n) < p_low, low, high)
+        gen.random(out=out)
+        out *= b - a
+        out += a
+    else:
+        low, high, p_low = p
+        is_low = gen.random(out=out) < p_low
+        out.fill(high)
+        out[is_low] = low
+    return out
 
 
-def _path_values(spec: DistributionSpec, gen: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of one stream, zero draws redrawn from the end of the stream."""
-    values = _draw(spec, gen, n)
-    bad = values <= 0.0
+def _path_values(spec: DistributionSpec, gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill out with one stream, zero draws redrawn from the end of the stream."""
+    bad = _draw(spec, gen, out) <= 0.0
     for _ in range(_MAX_REDRAW_ROUNDS):
         if not bad.any():
             break
-        values[bad] = _draw(spec, gen, int(bad.sum()))
-        bad = values <= 0.0
+        out[bad] = _draw(spec, gen, np.empty(int(bad.sum())))
+        bad = out <= 0.0
     if bad.any():
         raise ValueError(
-            f"{spec}: {int(bad.sum())} of {n} draws still underflow to 0 "
+            f"{spec}: {int(bad.sum())} of {out.size} draws still underflow to 0 "
             f"after {_MAX_REDRAW_ROUNDS} redraw rounds"
         )
-    return values
 
 
-def _length(n) -> int:
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"path length must be >= 1, got {n}")
-    return n
-
-
-def sample(
-    spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0
-) -> SamplePath:
+def sample(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0) -> SamplePath:
     """Draw a path of ``n`` strictly positive values.
 
     Pure function of its arguments: the same (spec, n, base_seed,
@@ -266,8 +248,7 @@ def sample(
     100 redraw rounds (say ``gamma:1e-9:1``, whose draws almost all
     underflow) raises ``ValueError``.
     """
-    n = _length(n)
-    values = _path_values(spec, _generator(base_seed, stream_index), n)
+    values = sample_rows(spec, n, base_seed, [stream_index])[0]
     values.setflags(write=False)
     return SamplePath(values, spec, int(base_seed), int(stream_index))
 
@@ -276,12 +257,19 @@ def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices) 
     """A ``(len(stream_indices), n)`` array of paths, one stream per row.
 
     Row i has the bits of ``sample(spec, n, base_seed,
-    stream_indices[i]).values``; one generator, re-keyed for each
-    stream, draws every row.
+    stream_indices[i]).values``.  One generator, re-keyed to the start of
+    each stream, draws every row in place; the rows holding a zero draw
+    are then drawn again with the redraw rule of :func:`sample`.
     """
-    n = _length(n)
-    out = np.empty((len(stream_indices), n))
-    gen = _generator(base_seed, 0)
-    for row, stream_index in zip(out, stream_indices):
-        row[:] = _path_values(spec, _rekey(gen, base_seed, stream_index), n)
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    keys = _stream_keys(base_seed, stream_indices)
+    out = np.empty((keys.size, n))
+    gen = np.random.Generator(np.random.Philox(key=0))
+    state = gen.bit_generator.state
+    for row, key in zip(out, keys):
+        _draw(spec, _rekey(gen, state, key), row)
+    for i in np.nonzero(out.min(axis=1) <= 0.0)[0]:
+        _path_values(spec, _rekey(gen, state, keys[i]), out[i])
     return out

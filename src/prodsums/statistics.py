@@ -128,7 +128,15 @@ def _loo(paths, mu, sigma, gam):
     _check_positive(mu=mu, gamma=gam)
     logs, c = log_ratio(_loo_sums(x), (x.shape[1] - 1) * mu)
     scale = gam * math.sqrt(x.shape[1])
-    return row_sums(logs) / scale, row_sums(c * c) / scale, np.abs(c).max(axis=1)
+    maxdev = np.abs(c).max(axis=1)
+    # c * c overflows once |c| passes 1e154: a row whose largest |c| is
+    # above 1 is squared at c / 2**e, e that maximum's binary exponent
+    e = np.where(maxdev > 1.0, np.frexp(maxdev)[1], 0)
+    big = np.nonzero(e)[0]
+    c[big] *= np.ldexp(1.0, -e[big])[:, np.newaxis]
+    with np.errstate(over="ignore"):  # a remainder past the double range is inf
+        remainder = np.ldexp(row_sums(c * c) / scale, 2 * e)
+    return row_sums(logs) / scale, remainder, maxdev
 
 
 def _rw(paths, mu, sigma, gam):
@@ -277,7 +285,8 @@ def remainder_magnitude(path, mu: float, gamma: float) -> float:
     Returns ``(1/(gamma*sqrt(n))) * sum_k (S_{n,k}/((n-1)*mu) - 1)^2``.
     This is the quantity the Taylor remainder of the log product is
     controlled by (up to the factor 4 valid while the ratios stay within
-    1/2 of 1); its expectation is gamma/sqrt(n) * n/(n-1).
+    1/2 of 1); its expectation is gamma/sqrt(n) * n/(n-1).  A remainder
+    beyond the double range is inf.
     """
     return _one(_loo, path, mu, gamma=gamma, output=1)
 

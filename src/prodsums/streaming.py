@@ -117,11 +117,13 @@ class PowerSumState:
         if not np.all(x > 0.0):
             raise ValueError("draws must be positive")
         d = x - self.mu
-        d2 = d * d
-        sums = [
-            running_sums(terms, acc)
-            for terms, acc in ((x, self._s), (d, self._p1), (d2, self._p2), (d2 * d, self._p3))
-        ]
+        # d**3 overflows past |d| = 1e102; the series gate rejects such sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            d2 = d * d
+            sums = [
+                running_sums(terms, acc)
+                for terms, acc in ((x, self._s), (d, self._p1), (d2, self._p2), (d2 * d, self._p3))
+            ]
         max_abs_d = np.maximum(np.maximum.accumulate(np.abs(d)), self.max_abs_d)
         self.n += x.size
         if x.size:
@@ -141,28 +143,28 @@ def loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gamma):
     (``n`` >= 2 each); arrays are evaluated elementwise and must share a
     shape.  Returns ``(value, valid)`` as numpy values: the series of
     :func:`loo_log_series` and its gate ``(|D| + max|d|) / m <= 1/2``.
-    Where the anchored form is undefined, value is NaN and valid False.
+    Where the value is not finite (the anchored form is undefined, or the
+    power sums overflowed), value is NaN and valid False.
     """
     m = (np.asarray(n) - 1) * mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = m + p1  # = S - mu, positive whenever valid
-        ratio = p1 / m
-        defined = (a > 0.0) & (ratio > -1.0)
-        valid = ((np.abs(p1) + max_abs_d) / m <= 0.5) & defined
-        anchor = n * np.log1p(ratio)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = m + p1  # = S - mu
+        anchor = n * np.log1p(p1 / m)
         corr = p1 / a + p2 / (2.0 * a * a) + p3 / (3.0 * a * a * a)
         value = (anchor - corr) / (gamma * np.sqrt(n))
-    return np.where(defined, value, np.nan), valid
+        finite = np.isfinite(value)
+        valid = ((np.abs(p1) + max_abs_d) / m <= 0.5) & finite
+    return np.where(finite, value, np.nan), valid
 
 
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
     """Third-order surrogate for the leave-one-out log statistic.
 
-    Returns ``(value, valid)``.  ``valid`` is True iff
-    ``(|D| + max|d|) / m <= 1/2``, the regime in which every
+    Returns ``(value, valid)``.  ``valid`` is True iff the value is finite
+    and ``(|D| + max|d|) / m <= 1/2``, the regime in which every
     leave-one-out ratio is within 1/2 of 1; outside it callers must fall
     back to the exact O(n) evaluation and the returned value is not
-    meaningful (NaN if the anchored form is undefined).
+    meaningful (NaN where it is not finite).
 
     When valid, ``|value - loo_log_statistic|`` is bounded by
     :func:`loo_series_error_bound`.

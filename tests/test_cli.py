@@ -296,6 +296,17 @@ class TestAscltCommand:
         assert run_cli(["asclt", "--config", str(cfg), "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_overflowing_series_falls_back(self, tmp_path, capsys):
+        # the centred draws of this spec square past the double range, so
+        # every series step fails its gate and is evaluated exactly
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["asclt", "--dist", "twopoint:1:1e300:0.5", "--stat", "loo", "--N", "3000"]
+        assert run_cli([*args, "--out", str(a)]) == 0
+        err = capsys.readouterr().err
+        assert "sup-gap=0.620078" in err and "fallbacks=1000" in err
+        assert run_cli([*args, "--exact-cutoff", "3000", "--out", str(b)]) == 0
+        assert a.read_text() == b.read_text()
+
     def test_plot_script(self, tmp_path):
         out, gp = tmp_path / "a.csv", tmp_path / "a.gp"
         assert run_cli(

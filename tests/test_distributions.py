@@ -22,6 +22,45 @@ SHOWCASE = [
     ("twopoint", [0.5, 2.0, 0.5]),
 ]
 
+# streams past 2**32 belong to later rows of a clt experiment
+EDGE_STREAMS = [5, 0, 2**32 + 7, 2**64 - 1]
+
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(base_seed, stream_index):
+    """The documented key mixing, in plain Python integers."""
+    z = (base_seed + (stream_index + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_draw(spec, gen, n):
+    p = spec.params
+    if spec.family == "exponential":
+        return -np.log1p(-gen.random(n)) / p[0]
+    if spec.family == "gamma":
+        return gen.standard_gamma(p[0], n) * p[1]
+    if spec.family == "lognormal":
+        return np.exp(p[0] + p[1] * gen.standard_normal(n))
+    if spec.family == "uniform":
+        return p[0] + (p[1] - p[0]) * gen.random(n)
+    low, high, p_low = p
+    return np.where(gen.random(n) < p_low, low, high)
+
+
+def reference_path(spec, n, base_seed, stream_index):
+    """One stream from its own fresh Philox, by the documented redraw rule:
+    every zero draw is replaced, round after round, by the stream's next
+    draws, in order."""
+    gen = np.random.Generator(np.random.Philox(key=derive_stream_seed(base_seed, stream_index)))
+    values = reference_draw(spec, gen, n)
+    while np.any(values <= 0.0):
+        bad = values <= 0.0
+        values[bad] = reference_draw(spec, gen, int(bad.sum()))
+    return values
+
 
 class TestMakeDistribution:
     def test_exponential_unit(self):
@@ -171,15 +210,33 @@ class TestSample:
 
     @pytest.mark.parametrize("family,params", [*SHOWCASE, ("gamma", [0.002, 1.0])])
     def test_rows_match_sample(self, family, params):
-        # one re-keyed generator per call; streams past 2**32 belong to
-        # later rows of a clt experiment, and a repeated stream must
-        # restart from its first draw
+        # one re-keyed generator per call against one fresh generator per
+        # stream; a repeated stream must restart from its first draw
         spec = make_distribution(family, params)
-        streams = [5, 0, 2**32 + 7, 2**64 - 1, 5]
+        streams = [*EDGE_STREAMS, 5]
         rows = sample_rows(spec, 300, 17, streams)
         assert rows.shape == (5, 300)
         for row, stream in zip(rows, streams):
-            assert np.array_equal(row, sample(spec, 300, 17, stream).values)
+            want = reference_path(spec, 300, 17, stream)
+            assert np.array_equal(row, want)
+            assert np.array_equal(sample(spec, 300, 17, stream).values, want)
+
+    @pytest.mark.parametrize("family,params,digest", [
+        ("exponential", [1.0], "94e20ad77696475476fb0f0e3d844e20dc1de451caf4b5314068e958bb7e1e96"),
+        ("gamma", [4.0, 0.5], "86c223463906080de3cc026a10de1ea215e6777a9f13618424071d6d71849012"),
+        ("lognormal", [0.0, 0.5], "bf6d9dd1c4d4d47ac6af242ac3affe2c9b980f2ec9f9c6ac27f4d11ff1609edc"),
+        ("uniform", [0.5, 1.5], "68ccb86b4dec156e5b3d6ae2aee5eeb880cb5c3bb509bb591decc8dc8491e0f8"),
+        ("twopoint", [0.5, 2.0, 0.5], "441d7f27642714802a2b9980595190edd49efe09c517eb0ba2436aac86b78cdb"),
+        ("gamma", [0.002, 1.0], "269d8d5b355cf198979b6dd1990859d006f1a6963a935099cb35f63e1ff370e1"),
+    ])
+    def test_family_digests(self, family, params, digest):
+        # sha256 of the rows of the edge streams, recorded from the
+        # generator-per-stream sampler this one replaced
+        rows = sample_rows(make_distribution(family, params), 300, 17, EDGE_STREAMS)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_no_rows(self):
+        assert sample_rows(make_distribution("exponential", [1.0]), 4, 0, []).shape == (0, 4)
 
     def test_rows_reject_bad_arguments(self):
         spec = make_distribution("exponential", [1.0])
@@ -264,3 +321,8 @@ class TestStreamSeedMixing:
         for i in range(100):
             z = derive_stream_seed(12345, i)
             assert 0 <= z < (1 << 64)
+
+    @pytest.mark.parametrize("base_seed", [0, 17, 2**64 - 1])
+    def test_matches_plain_splitmix64(self, base_seed):
+        for stream in [*EDGE_STREAMS, 1, 2**63]:
+            assert derive_stream_seed(base_seed, stream) == splitmix64(base_seed, stream)

@@ -246,6 +246,23 @@ class TestDeviationDiagnostics:
         got = remainder_magnitude([1.0, 3.0], mu=2.0, gamma=0.5)
         assert got == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
 
+    def test_remainder_of_huge_ratios_matches_mpmath(self):
+        # c = 3e154 squares past the double range; the true remainder
+        # 6.36e307 does not
+        with mpmath.workdps(700):
+            x = [mpmath.mpf(3e154), mpmath.mpf(1e-154)]
+            want = float(mpmath.fsum((sum(x) - d - 1) ** 2 for d in x) / (10 * mpmath.sqrt(2)))
+        got = remainder_magnitude([3e154, 1e-154], 1.0, 10.0)
+        assert abs(got - want) <= 1e-12 * want
+        # the other row of a batch keeps the bits of its one-row call
+        batch = STATISTIC_KINDS["loo"].evaluate([[3e154, 1e-154], [1.0, 3.0]], 1.0, None, 10.0)
+        assert batch[1][0] == got
+        assert batch[1][1] == remainder_magnitude([1.0, 3.0], 1.0, 10.0)
+
+    def test_remainder_beyond_double_range_is_inf(self):
+        assert remainder_magnitude([1e300, 1e-300], 1.0, 1.0) == math.inf
+        assert loo_log_statistic([1e300, 1e-300], 1.0, 1.0) == pytest.approx(0.0, abs=1e-13)
+
     def test_lil_scale_pilot(self):
         # ratio against sqrt(loglog n / n) stays bounded (unknown LIL
         # constant calibrated well under 10 on pilot paths)

@@ -245,6 +245,14 @@ class TestSeries:
         _, valid = loo_log_series(s, 1.0)
         assert not valid
 
+    def test_overflowing_power_sums_fail_the_gate(self):
+        # d**2 overflows for these centred draws, so p2 and p3 are not
+        # finite, while (|D| + max|d|) / m = 1/3 alone would pass
+        s = state_from_path([1.0, 1e300, 1.0, 1e300], 0.5 + 5e299)
+        assert not math.isfinite(s.p2)
+        value, valid = loo_log_series(s, 1.0)
+        assert not math.isfinite(value) and not valid
+
     def test_gate_boundary(self):
         # (|D| + max|d|) / m is exactly 1/2 here; any larger draw fails
         assert loo_log_series(state_from_path([1.0, 1.0, 1.5], 1.0), 1.0)[1]
