@@ -235,7 +235,7 @@ def run_asclt_path(
         acc.accumulate(int(n[0]), t)
 
     a = acc.evaluate()
-    f = np.array([limit_cdf(law, x) for x in acc.grid])
+    f = limit_cdf(law, acc.grid)
     a_logn = acc.evaluate_log_normalized()
     return AscltReport(
         spec=spec,

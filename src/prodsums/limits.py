@@ -19,12 +19,20 @@ routine), giving relative error around 1e-16 without any dependency on
 platform special functions.  The quantile inverts this one CDF by
 bisection followed by a secant polish, so there is a single source of
 truth for normal probabilities.
+
+:func:`normal_cdf` and :func:`limit_cdf` take a float, which picks its branch
+of the rational forms with ``if``, or an array, which picks them with masks
+and runs the same arithmetic in the same order.  The array form maps
+``math.exp`` and ``math.log`` over its elements, as numpy's SIMD exp and log
+can differ from libm in the last bits, so the two forms agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "LAW_TAGS",
@@ -93,50 +101,79 @@ _ERFC_Q = (
 _INV_SQRT_PI = 5.6418958354775628695e-1
 
 
-def _exp_neg_sq(y: float) -> float:
+def _mapped(f):
+    """``f`` from :mod:`math` applied to each element of a 1-D array."""
+    return lambda a: np.fromiter(map(f, a.tolist()), float, a.size)
+
+
+def _exp_neg_sq(y, exp):
     # exp(-y^2) with the argument split to avoid losing low bits of y^2
-    ysq = math.floor(y * 16.0) / 16.0
-    return math.exp(-ysq * ysq) * math.exp(-(y - ysq) * (y + ysq))
+    ysq = y * 16.0 // 1.0 / 16.0
+    return exp(-ysq * ysq) * exp(-(y - ysq) * (y + ysq))
+
+
+# Cody's three rational forms, each plain arithmetic on a float or an array
+def _erfc_small(x):  # |x| <= 0.46875: 1 - erf(x)
+    z = x * x
+    num = _ERF_A[4] * z
+    den = z
+    for i in range(3):
+        num = (num + _ERF_A[i]) * z
+        den = (den + _ERF_B[i]) * z
+    return 1.0 - x * (num + _ERF_A[3]) / (den + _ERF_B[3])
+
+
+def _erfc_mid(y, exp):  # 0.46875 < y <= 4: erfc(y)
+    num = _ERFC_C[8] * y
+    den = y
+    for i in range(7):
+        num = (num + _ERFC_C[i]) * y
+        den = (den + _ERFC_D[i]) * y
+    return _exp_neg_sq(y, exp) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
+
+
+def _erfc_tail(y, exp):  # 4 < y < 26.7: erfc(y); beyond, it underflows to 0
+    z = 1.0 / (y * y)
+    num = _ERFC_P[5] * z
+    den = z
+    for i in range(4):
+        num = (num + _ERFC_P[i]) * z
+        den = (den + _ERFC_Q[i]) * z
+    r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
+    return _exp_neg_sq(y, exp) * (_INV_SQRT_PI - r) / y
 
 
 def _erfc(x: float) -> float:
     y = abs(x)
     if y <= 0.46875:
-        z = y * y
-        num = _ERF_A[4] * z
-        den = z
-        for i in range(3):
-            num = (num + _ERF_A[i]) * z
-            den = (den + _ERF_B[i]) * z
-        erf = x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-        return 1.0 - erf
-    if y <= 4.0:
-        num = _ERFC_C[8] * y
-        den = y
-        for i in range(7):
-            num = (num + _ERFC_C[i]) * y
-            den = (den + _ERFC_D[i]) * y
-        r = _exp_neg_sq(y) * (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    elif y < 26.7:
-        z = 1.0 / (y * y)
-        num = _ERFC_P[5] * z
-        den = z
-        for i in range(4):
-            num = (num + _ERFC_P[i]) * z
-            den = (den + _ERFC_Q[i]) * z
-        r = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-        r = _exp_neg_sq(y) * (_INV_SQRT_PI - r) / y
-    else:
-        r = 0.0  # below double-precision underflow
+        return _erfc_small(x)
+    r = _erfc_mid(y, math.exp) if y <= 4.0 else _erfc_tail(y, math.exp) if y < 26.7 else 0.0
     return 2.0 - r if x < 0.0 else r
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x), accurate to well under 1e-12."""
+def _erfc_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_erfc` of each element, the branches picked by masks."""
+    y = np.abs(x)
+    r = np.where(np.isnan(x), math.nan, 0.0)
+    mid = (y > 0.46875) & (y <= 4.0)
+    tail = (y > 4.0) & (y < 26.7)
+    exp = _mapped(math.exp)
+    r[mid] = _erfc_mid(y[mid], exp)
+    r[tail] = _erfc_tail(y[tail], exp)
+    np.subtract(2.0, r, out=r, where=x < 0.0)
+    small = y <= 0.46875
+    r[small] = _erfc_small(x[small])
+    return r
+
+
+def normal_cdf(x: float | np.ndarray) -> float | np.ndarray:
+    """Standard normal CDF Phi(x) of a float or each element of an array,
+    accurate to well under 1e-12."""
+    if isinstance(x, np.ndarray):
+        z = -np.asarray(x, dtype=float).reshape(-1) / _SQRT2
+        return (0.5 * _erfc_array(z)).reshape(x.shape)
     if math.isnan(x):
         return math.nan
-    if math.isinf(x):
-        return 0.0 if x < 0 else 1.0
     return 0.5 * _erfc(-x / _SQRT2)
 
 
@@ -198,14 +235,19 @@ class LimitLaw:
         return limit_cdf(self, x)
 
 
-def limit_cdf(law: LimitLaw, x: float) -> float:
-    """CDF of a limit law at x."""
-    if law.tag == "n01":
-        return normal_cdf(x)
-    if law.tag == "n02":
-        return normal_cdf(x / _SQRT2)
-    if law.tag == "expnorm":
-        return normal_cdf(math.log(x)) if x > 0.0 else 0.0
-    if law.tag == "expsqrt2":
-        return normal_cdf(math.log(x) / _SQRT2) if x > 0.0 else 0.0
-    return 1.0 if x >= law.mu else 0.0
+def limit_cdf(law: LimitLaw, x: float | np.ndarray) -> float | np.ndarray:
+    """CDF of a limit law at a float x, or at each element of an array x.
+    NaN gives NaN under every law."""
+    if law.tag in ("n01", "n02"):
+        return normal_cdf(x if law.tag == "n01" else x / _SQRT2)
+    scale = 1.0 if law.tag == "expnorm" else _SQRT2
+    if isinstance(x, np.ndarray):
+        if law.tag == "point":
+            return np.where(x >= law.mu, 1.0, np.where(x < law.mu, 0.0, math.nan))
+        f = np.zeros(x.shape)
+        up = ~(x <= 0.0)  # NaN included
+        f[up] = normal_cdf(_mapped(math.log)(x[up]) / scale)
+        return f
+    if law.tag == "point":
+        return 1.0 if x >= law.mu else 0.0 if x < law.mu else math.nan
+    return 0.0 if x <= 0.0 else normal_cdf(math.log(x) / scale)

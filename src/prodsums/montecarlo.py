@@ -108,7 +108,7 @@ def ks_distance(emp: EmpiricalCdf, law: LimitLaw) -> float:
     """
     v = emp.sorted_values
     m = v.size
-    f = np.array([limit_cdf(law, x) for x in v])
+    f = limit_cdf(law, v)
     i = np.arange(1, m + 1, dtype=float)
     return float(max(np.max(i / m - f), np.max(f - (i - 1.0) / m)))
 

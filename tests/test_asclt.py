@@ -366,6 +366,20 @@ def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
     assert sum(batched) == exact_cutoff - 1 + report.fallback_count
 
 
+def test_one_law_evaluation(monkeypatch):
+    calls = []
+    law_cdf = asclt_module.limit_cdf
+
+    def counting(law, x):
+        calls.append(np.shape(x))
+        return law_cdf(law, x)
+
+    monkeypatch.setattr(asclt_module, "limit_cdf", counting)
+    report = run_asclt_path(EXP1, "rw", 5000, 0)
+    assert calls == [report.grid.shape]
+    assert np.array_equal(report.limit_values, [law_cdf(report.law, float(x)) for x in report.grid])
+
+
 def test_traced_memory_stays_near_the_path():
     # the path itself is 8 bytes a step; one more N-length float array in
     # the engine would exceed this bound

@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 import prodsums.asclt as asclt_module
-from prodsums import LogAvgAccumulator, moments, sample
-from prodsums.cli import main, parse_dist
+import prodsums.cli as cli_module
+from prodsums import (
+    LogAvgAccumulator,
+    linearized_statistic,
+    moments,
+    sample,
+    sample_rows,
+    standardized_sum,
+)
+from prodsums.cli import IDENTITY_TOLERANCE, main, parse_dist
 
 
 def run_cli(args):
@@ -384,6 +392,39 @@ class TestIdentityCommand:
         out = capsys.readouterr().out
         printed = float(out.strip().split("=")[1].split("over")[0])
         assert printed > 1e-10
+
+
+    @pytest.mark.parametrize("args", [
+        ["--dist", "exponential:1"],
+        ["--dist", "gamma:4:0.5", "--seed", "7"],
+        ["--dist", "exponential:1", "--mu-override", "1.1"],
+    ])
+    def test_matches_per_path_loop(self, capsys, monkeypatch, args):
+        # the per-replicate loop the batched command replaced; 700 paths
+        # of n = 100 span three batches
+        n, reps = 100, 700
+        streams = []
+
+        def recording(spec, n, base_seed, indices):
+            streams.append(list(indices))
+            return sample_rows(spec, n, base_seed, indices)
+
+        monkeypatch.setattr(cli_module, "sample_rows", recording)
+        code = run_cli(["identity", *args, "--n", str(n), "--reps", str(reps)])
+        assert len(streams) == 3 and sum(streams, []) == list(range(reps))
+        opts = dict(zip(args[::2], args[1::2]))
+        spec = parse_dist(opts["--dist"])
+        mu, sigma, gam = moments(spec)
+        lin_mu = float(opts.get("--mu-override", mu))
+        lin_gam = gam if "--mu-override" not in opts else sigma / lin_mu
+        worst = 0.0
+        for r in range(reps):
+            path = sample(spec, n, int(opts.get("--seed", 0)), r)
+            gap = linearized_statistic(path, lin_mu, lin_gam) - standardized_sum(path, mu, sigma)
+            worst = max(worst, abs(gap))
+        assert capsys.readouterr().out == (
+            f"max |linearized - standardized| = {worst:.3e} over {reps} paths\n")
+        assert code == (0 if worst <= IDENTITY_TOLERANCE else 1)
 
 
 class TestDistTable:

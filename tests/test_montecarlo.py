@@ -10,6 +10,7 @@ from prodsums import (
     ExperimentConfig,
     LimitLaw,
     empirical_cdf,
+    limit_cdf,
     ks_distance,
     make_distribution,
     moments,
@@ -83,6 +84,36 @@ class TestKsDistance:
             if ks_distance(empirical_cdf(rng.standard_normal(m)), law) > thresh:
                 fails += 1
         assert fails <= 10
+
+    @pytest.mark.parametrize("law,scale", [
+        (LimitLaw("n01"), 1.0), (LimitLaw("n02"), math.sqrt(2.0)),
+        (LimitLaw("expnorm"), 1.0), (LimitLaw("expsqrt2"), math.sqrt(2.0)),
+        (LimitLaw("point", 1.0), 1.0),
+    ])
+    def test_matches_pointwise_reference(self, law, scale):
+        # the per-point loop the single array evaluation replaced
+        z = scale * np.random.default_rng(3).standard_normal(5000)
+        if law.tag.startswith("exp"):
+            z = np.exp(z)
+        elif law.tag == "point":
+            z = np.round(z, 1) + 1.0  # ties with the atom
+        emp = empirical_cdf(z)
+        v, m = emp.sorted_values, z.size
+        f = np.array([limit_cdf(law, x) for x in v])
+        i = np.arange(1, m + 1, dtype=float)
+        want = float(max(np.max(i / m - f), np.max(f - (i - 1.0) / m)))
+        assert ks_distance(emp, law) == want
+
+    def test_one_law_evaluation(self, monkeypatch):
+        calls = []
+
+        def counting(law, x):
+            calls.append(np.shape(x))
+            return limit_cdf(law, x)
+
+        monkeypatch.setattr(montecarlo_module, "limit_cdf", counting)
+        ks_distance(empirical_cdf(np.linspace(-2.0, 2.0, 1000)), LimitLaw("n01"))
+        assert calls == [(1000,)]
 
 
 class TestConfigValidation:
