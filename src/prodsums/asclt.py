@@ -18,9 +18,10 @@ undefined on a single draw (its normalizer (n-1)*mu vanishes); the
 single dropped term is irrelevant in the limit.
 
 :func:`run_asclt_path` draws the path with one :func:`sample` call and
-walks it in blocks of 4096 steps.  Per block,
-:meth:`~prodsums.streaming.PowerSumState.extend` gives the running sums
-after every step, each kind's t_n is whole-array arithmetic on them (the
+walks it in blocks of 4096 steps.  Per block, a kind forms the running
+sums it reads after every step: S_n (``rw``, ``lin``), S_n - n*mu
+(``std``) or :meth:`~prodsums.streaming.PowerSumState.extend`'s power
+sums (``loo``).  Each kind's t_n is whole-array arithmetic on them (the
 leave-one-out kind through the power-sum series beyond ``exact_cutoff``),
 and :meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
 with one ``searchsorted`` and one ``bincount``.  Only the leave-one-out
@@ -28,7 +29,7 @@ steps n <= ``exact_cutoff``, and the rare steps where the series validity
 gate fails, evaluate the exact O(n) statistic: each block passes its
 exact steps, then its failed steps, to one
 :func:`~prodsums.statistics.loo_log_prefixes` call, which evaluates them
-in batches of zero-padded prefixes.  The cost is O(N) numpy work plus
+in batches of prefixes.  The cost is O(N) numpy work plus
 O(exact_cutoff^2) for the exact prefix; the memory beyond the path is one
 block's temporaries.
 """
@@ -202,22 +203,25 @@ def run_asclt_path(
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    state = PowerSumState(mu)
+    state = PowerSumState(mu)  # loo: the power sums of the series
+    total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
     fallbacks = 0
     for start in range(0, n_max, _BLOCK):
-        s, p1, p2, p3, max_abs_d = state.extend(v[start : start + _BLOCK])
-        n = np.arange(start + 1, start + s.size + 1)
+        block = v[start : start + _BLOCK]
+        n = np.arange(start + 1, start + block.size + 1)
         if kind == "rw":
-            t = running_sums(log_ratio(s, n * mu)[0], log_sum) / (gam * np.sqrt(n))
+            logs = log_ratio(running_sums(block, total), n * mu)[0]
+            t = running_sums(logs, log_sum) / (gam * np.sqrt(n))
         elif kind == "std":
-            t = p1 / (sigma * np.sqrt(n))
+            t = running_sums(block - mu, total) / (sigma * np.sqrt(n))
         elif kind == "lin":
             # reduced form of the leave-one-out linearization
-            t = (s - n * mu) / (sigma * np.sqrt(n))
+            t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
         else:  # loo: the series beyond exact_cutoff, exact where its gate fails
-            t = np.empty(s.size)
+            _, p1, p2, p3, max_abs_d = state.extend(block)
+            t = np.empty(block.size)
             c = int(np.searchsorted(n, exact_cutoff, side="right"))
             series, valid = loo_series_from_sums(
                 n[c:], mu, p1[c:], p2[c:], p3[c:], max_abs_d[c:], gam

@@ -251,8 +251,9 @@ def _cmd_identity(args, parser) -> int:
     _echo_config("identity", resolved)
     spec = parse_dist(args.dist)
     mu, sigma, gam = moments(spec)
+    # a zero override fails the kernel's positivity check like a negative one
     lin_mu, lin_gam = (mu, gam) if args.mu_override is None else (
-        args.mu_override, sigma / args.mu_override)
+        args.mu_override, sigma / args.mu_override if args.mu_override else np.nan)
     rows = max(1, _BATCH_BYTES // (8 * max(args.n, 1)))
     gaps = []  # the largest gap of each batch; a NaN gap makes the check fail
     for r0 in range(0, args.reps, rows):

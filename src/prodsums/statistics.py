@@ -18,7 +18,7 @@ evaluates a ``(rows, n)`` batch of paths by reductions along each row,
 so a row's value has the same bits in any batch; the public scalar
 functions are one-row calls of the kernels.  :func:`loo_log_prefixes`
 evaluates the leave-one-out statistic of many prefixes of one path with
-the same arithmetic, a batch of zero-padded prefixes at a time.
+the same arithmetic, a batch of prefixes at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SamplePath
-from .summation import row_sums
+from .summation import _prefix_totals, row_sums
 
 __all__ = [
     "StatisticKind",
@@ -196,11 +196,11 @@ def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
 
     ``ns`` is a nondecreasing sequence of prefix lengths, each from 2 to
     the path's length; only the draws up to the longest prefix are read.
-    The prefixes are stacked into triangular ``(rows, width)`` batches of
-    at most about 256 KiB, width being the batch's longest prefix.  Each
-    row is zero past its own n, and its leave-one-out entries there are
-    set to (n-1)*mu, whose log ratio is exactly 0, so every row goes
-    through the arithmetic of the one-row call.
+    The S_n come from one pass over the path, and the prefixes are
+    stacked into triangular batches of at most about 128 KiB, up to the
+    batch's longest prefix.  A row holds S_n - X_k up to its n and
+    (n-1)*mu past it, whose log ratio is exactly 0; a row whose largest
+    draw exceeds S_n/2 takes the one-row call's cancellation-free sums.
     """
     ns = np.asarray(ns)
     out = np.empty(ns.size)
@@ -214,16 +214,23 @@ def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
     if ns[-1] > x.size:
         raise ValueError(f"prefix length {ns[-1]} exceeds the path length {x.size}")
     _check_positive(mu=mu, gamma=gamma)
-    cap = _BATCH_BYTES // 8
+    s = _prefix_totals(x, ns)
+    dominant = np.maximum.accumulate(x)[ns - 1] > 0.5 * s
+    cap = _BATCH_BYTES // 16
     i = 0
     while i < ns.size:
         # rows i..j-1 hold (j - i) * ns[j - 1] values; at least one row
         fits = np.arange(1, ns.size - i + 1) * ns[i:] <= cap
         j = i + max(1, int(np.count_nonzero(fits)))
         n = ns[i:j, np.newaxis]
-        inside = np.arange(n[-1, 0]) < n
+        w = n[-1, 0]
         m = (n - 1) * mu
-        loo = np.where(inside, _loo_sums(np.where(inside, x[: n[-1, 0]], 0.0)), m)
+        loo = s[i:j, np.newaxis] - x[:w]
+        np.copyto(loo[:, n[0, 0] :], m, where=np.arange(n[0, 0], w) >= n)
+        big = np.flatnonzero(dominant[i:j])
+        if big.size:
+            inside = np.arange(w) < n[big]
+            loo[big] = np.where(inside, _loo_sums(np.where(inside, x[:w], 0.0)), m[big])
         out[i:j] = row_sums(log_ratio(loo, m)[0]) / (gamma * np.sqrt(n[:, 0]))
         i = j
     return out

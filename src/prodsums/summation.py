@@ -46,6 +46,27 @@ def row_sums(t: np.ndarray) -> np.ndarray:
     return total + np.subtract(t, high, out=high).sum(axis=1)
 
 
+def _prefix_totals(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """The totals of ``x[:n]``, x positive and n over the nondecreasing ns.
+
+    Prefixes whose largest term has one binary exponent share the split of
+    :func:`row_sums`: the cumsum of their high parts is exact, and that of
+    the low parts errs by far less than a rounding of the total.
+    """
+    _, e = np.frexp(np.maximum.accumulate(x[: ns[-1]])[ns - 1])
+    out = np.empty(ns.size)
+    lo = 0
+    while lo < ns.size:  # e is nondecreasing: one run of ns per exponent
+        hi = int(np.searchsorted(e, e[lo], side="right"))
+        t = x[: ns[hi - 1]]
+        grid = np.ldexp(1.0, min(e[lo] + t.size.bit_length() + 1, 1023))
+        high = (t + grid) - grid
+        k = ns[lo:hi] - 1
+        out[lo:hi] = np.cumsum(high)[k] + np.cumsum(t - high)[k]
+        lo = hi
+    return out
+
+
 class NeumaierSum:
     """Running compensated sum supporting O(1) incremental updates."""
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import prodsums.asclt as asclt_module
 from prodsums import (
+    ASCLT_KINDS,
     LogAvgAccumulator,
     NeumaierSum,
     default_grid,
@@ -364,6 +365,20 @@ def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
     assert scalar == []
     assert len(batched) == 2 * -(-20_000 // asclt_module._BLOCK)
     assert sum(batched) == exact_cutoff - 1 + report.fallback_count
+
+
+def test_only_loo_extends_the_power_sums(monkeypatch):
+    # rw, lin and std read S_n or p1 alone; loo alone needs p2, p3 and max|d|
+    blocks = []
+    extend = asclt_module.PowerSumState.extend
+    monkeypatch.setattr(asclt_module.PowerSumState, "extend",
+                        lambda self, draws: blocks.append(len(draws)) or extend(self, draws))
+    for kind in ASCLT_KINDS:
+        blocks.clear()
+        run_asclt_path(EXP1, kind, 10_000, 0)
+        want = [4096, 4096, 1808] if kind == "loo" else []
+        assert blocks == want, kind
+    assert asclt_module._BLOCK == 4096
 
 
 def test_one_law_evaluation(monkeypatch):

@@ -393,6 +393,13 @@ class TestIdentityCommand:
         printed = float(out.strip().split("=")[1].split("over")[0])
         assert printed > 1e-10
 
+    @pytest.mark.parametrize("override", ["0", "-1"])
+    def test_nonpositive_mu_override(self, capsys, override):
+        code = run_cli(["identity", "--dist", "exponential:1", "--n", "10", "--reps", "3",
+                        "--mu-override", override])
+        assert code == 1
+        assert "error: mu and gamma must be positive" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("args", [
         ["--dist", "exponential:1"],

@@ -124,15 +124,46 @@ class TestLooLogPrefixes:
         assert np.all(np.abs(got - want) <= 1e-12)
 
     def test_batches_are_bounded(self, monkeypatch):
+        # every batch makes one log_ratio call on its (rows, width) sums
         shapes = []
-        kernel = statistics_module._loo_sums
-        monkeypatch.setattr(statistics_module, "_loo_sums",
-                            lambda x: shapes.append(x.shape) or kernel(x))
+        kernel = statistics_module.log_ratio
+        monkeypatch.setattr(statistics_module, "log_ratio",
+                            lambda num, den: shapes.append(num.shape) or kernel(num, den))
         v = sample(make_distribution("exponential", [1.0]), 3000, 0, 0).values
         loo_log_prefixes(v, np.arange(2, 3001), 1.0, 1.0)
         assert sum(rows for rows, _ in shapes) == 2999
         assert max(rows * width for rows, width in shapes) <= statistics_module._BATCH_BYTES // 8
         assert len(shapes) < 300
+
+    def test_only_dominant_rows_are_padded(self, monkeypatch):
+        # a row reaches _loo_sums only when its largest draw exceeds S_n/2
+        rows = []
+        kernel = statistics_module._loo_sums
+        monkeypatch.setattr(statistics_module, "_loo_sums",
+                            lambda x: rows.extend(x.sum(axis=1).tolist()) or kernel(x))
+        v = sample(make_distribution("lognormal", [0.0, 2.0]), 400, 3, 0).values
+        ns = np.arange(2, 401)
+        loo_log_prefixes(v, ns, 1.0, 1.0)
+        s = np.cumsum(v)
+        dominant = np.maximum.accumulate(v) > 0.5 * s
+        assert 0 < dominant[1:].sum() < ns.size
+        assert len(rows) == dominant[1:].sum()
+        assert np.allclose(rows, s[1:][dominant[1:]], rtol=1e-12, atol=0)
+        rows.clear()
+        loo_log_prefixes(np.ones(50), np.arange(2, 51), 1.0, 1.0)
+        assert rows == []
+
+    def test_dominant_and_other_rows_in_one_batch(self):
+        # the first draw dominates the rows up to n = 667 or so, and a batch
+        # holds both kinds of row
+        v = np.concatenate([[1e3], sample(make_distribution("uniform", [1.0, 2.0]),
+                                          1499, 0, 0).values])
+        ns = np.arange(2, 1501, 7)
+        dominant = v[0] > 0.5 * np.cumsum(v)[ns - 1]
+        assert dominant.any() and not dominant.all()
+        got = loo_log_prefixes(v, ns, 1.0, 1.0)
+        want = [loo_log_statistic(v[:n], 1.0, 1.0) for n in ns]
+        assert np.all(np.abs(got - want) <= 1e-12)
 
     def test_empty(self):
         assert loo_log_prefixes([1.0, 2.0], [], 1.0, 1.0).shape == (0,)
