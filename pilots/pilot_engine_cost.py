@@ -9,12 +9,17 @@ wall time and minor page faults (``getrusage``), in total and for the
 stages the engine calls:
 
 * sample      -- drawing the path,
-* prefix      -- the exact leave-one-out prefix (``loo_log_prefixes``),
+* expansion   -- the order-16 series of the leave-one-out steps up to the
+                 cutoff and its certificate (``_certified_series``, its
+                 power sums included),
+* prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``) on
+                 the steps the expansion does not certify,
 * sums        -- the running sums (``running_sums``, ``PowerSumState.extend``),
 * series      -- the power-sum series of the leave-one-out kind,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
-and ``other`` for the rest of the run.  Timings depend on the machine
+and ``other`` for the rest of the run.  A stage called inside another
+counts towards the outer one.  Timings depend on the machine
 and its load; compare two checkouts by alternating runs.
 
 Run:  python3 pilots/pilot_engine_cost.py
@@ -26,7 +31,7 @@ import sys
 import time
 
 N, CUTOFF, SEED = 200_000, 2000, 0
-STAGES = ("sample", "prefix", "sums", "series", "accumulate")
+STAGES = ("sample", "expansion", "prefix", "sums", "series", "accumulate")
 
 
 def _faults() -> int:
@@ -37,19 +42,24 @@ def child(kind: str) -> None:
     import prodsums.asclt as asclt
     from prodsums import make_distribution
 
-    cost = {}
+    cost, active = {}, []
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
+            if active:
+                return fn(*args, **kwargs)
+            active.append(stage)
             t0, f0 = time.perf_counter(), _faults()
             try:
                 return fn(*args, **kwargs)
             finally:
                 s, f = cost.get(stage, (0.0, 0))
                 cost[stage] = (s + time.perf_counter() - t0, f + _faults() - f0)
+                active.pop()
         return wrapper
 
     asclt.sample = timed("sample", asclt.sample)
+    asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_prefixes = timed("prefix", asclt.loo_log_prefixes)
     asclt.running_sums = timed("sums", asclt.running_sums)
     asclt.PowerSumState.extend = timed("sums", asclt.PowerSumState.extend)

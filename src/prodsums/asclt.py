@@ -21,17 +21,17 @@ single dropped term is irrelevant in the limit.
 walks it in blocks of 4096 steps.  Per block, a kind forms the running
 sums it reads after every step: S_n (``rw``, ``lin``), S_n - n*mu
 (``std``) or :meth:`~prodsums.streaming.PowerSumState.extend`'s power
-sums (``loo``).  Each kind's t_n is whole-array arithmetic on them (the
-leave-one-out kind through the power-sum series beyond ``exact_cutoff``),
-and :meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
-with one ``searchsorted`` and one ``bincount``.  Only the leave-one-out
-steps n <= ``exact_cutoff``, and the rare steps where the series validity
-gate fails, evaluate the exact O(n) statistic: each block passes its
-exact steps, then its failed steps, to one
-:func:`~prodsums.statistics.loo_log_prefixes` call, which evaluates them
-in batches of prefixes.  The cost is O(N) numpy work plus
-O(exact_cutoff^2) for the exact prefix; the memory beyond the path is one
-block's temporaries.
+sums (``loo``).  Each kind's t_n is whole-array arithmetic on them, and
+:meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
+with one ``searchsorted`` and one ``bincount``.  The leave-one-out kind
+takes the third-order series beyond ``exact_cutoff``, and up to it the
+order-16 series of :func:`_certified_series` where that certifies the
+exact value's grid bin.  Its other steps, and the rare steps where the
+third-order gate fails, take the exact O(n) statistic through one
+:func:`~prodsums.statistics.loo_log_prefixes` call per block.  The cost
+is O(N) numpy work plus O(n) per exact step (41 of the first 2000 steps
+of exponential:1 at seed 0); the memory beyond the path is one block's
+temporaries.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf, normal_quantile
 from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
-from .streaming import PowerSumState, loo_series_from_sums
+from .streaming import PowerSumState, loo_series, loo_series_from_sums, series_error_bound
 from .summation import NeumaierSum, running_sums
 
 __all__ = [
@@ -60,6 +60,30 @@ ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 # amortize the per-block Python, small enough that the block's temporaries
 # stay a small fraction of the path itself
 _BLOCK = 4096
+
+_ORDER, _TOL, _SLACK = 16, 1e-14, 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
+
+
+def _certified_series(x, n, mu, max_abs_d, gam, carries, grid):
+    """The order-_ORDER series of t_n at draws x, steps n, and where it
+    does not certify the grid bin of the exact kernel's value.
+
+    Certified means finite, a truncation bound of at most _TOL, and no
+    grid point within that bound plus _SLACK*sqrt(n)/gamma.  Both values
+    err by a few roundings in each of the n log terms, so by
+    O(eps*sqrt(n)/gamma), and the slack is 64 such units.  ``carries``
+    continue the power sums of d = (X - mu)/mu, which no tiny scale
+    underflows; powers past the double range give a NaN value.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = (x - mu) / mu
+        powers = np.cumprod(np.broadcast_to(d, (len(carries), d.size)), axis=0)
+        sums = [running_sums(p, carry) for p, carry in zip(powers, carries)]
+        value, u = loo_series(n, 1.0, sums, max_abs_d / mu, gam)
+    bound = series_error_bound(n, u, gam, _ORDER)
+    reach = bound + _SLACK * np.sqrt(n) / gam
+    clear = np.searchsorted(grid, value - reach) == np.searchsorted(grid, value + reach, "right")
+    return value, ~(np.isfinite(value) & (bound <= _TOL) & clear)
 
 
 def default_grid() -> np.ndarray:
@@ -79,8 +103,8 @@ class LogAvgAccumulator:
         g = np.asarray(grid, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a nonempty 1-D sequence")
-        if not np.all(np.diff(g) > 0.0):
-            raise ValueError("grid must be strictly increasing")
+        if np.isnan(g).any() or not np.all(np.diff(g) > 0.0):
+            raise ValueError("grid must be strictly increasing, with no NaN")
         g = g.copy()
         g.setflags(write=False)
         self.grid = g
@@ -157,6 +181,7 @@ class AscltReport:
     sup_gap_logn: float = math.nan
     mode_switch_n: int | None = None
     fallback_count: int = 0
+    exact_steps: int = 0  # steps evaluated by the exact kernel
 
     def rows(self):
         for x, a, f in zip(self.grid, self.a_values, self.limit_values):
@@ -197,17 +222,18 @@ def run_asclt_path(
         raise ValueError("exact_cutoff must be >= 2")
 
     mu, sigma, gam = moments(spec)
-    v = sample(spec, n_max, base_seed, stream_index).values
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
+    v = sample(spec, n_max, base_seed, stream_index).values
     # the product statistics are accumulated as their logs, so they are
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
     state = PowerSumState(mu)  # loo: the power sums of the series
+    carries = [NeumaierSum() for _ in range(_ORDER)]  # loo: the sums of _certified_series
     total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
-    fallbacks = 0
+    fallbacks = exact_steps = 0
     for start in range(0, n_max, _BLOCK):
         block = v[start : start + _BLOCK]
         n = np.arange(start + 1, start + block.size + 1)
@@ -219,21 +245,22 @@ def run_asclt_path(
         elif kind == "lin":
             # reduced form of the leave-one-out linearization
             t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
-        else:  # loo: the series beyond exact_cutoff, exact where its gate fails
+        else:  # loo: series, exact where uncertified (n <= exact_cutoff) or gated
             _, p1, p2, p3, max_abs_d = state.extend(block)
-            t = np.empty(block.size)
             c = int(np.searchsorted(n, exact_cutoff, side="right"))
-            series, valid = loo_series_from_sums(
-                n[c:], mu, p1[c:], p2[c:], p3[c:], max_abs_d[c:], gam
-            )
-            t[c:] = series
-            failed = np.flatnonzero(~valid)
-            fallbacks += failed.size
-            if mode_switch is None and failed.size < valid.size:
+            t, valid = loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gam)
+            exact, valid = ~valid, valid[c:]
+            if c:
+                t[:c], exact[:c] = _certified_series(
+                    block[:c], n[:c], mu, max_abs_d[:c], gam, carries, acc.grid
+                )
+            fallbacks += valid.size - int(np.count_nonzero(valid))
+            if mode_switch is None and valid.any():
                 mode_switch = int(n[c + np.argmax(valid)])
-            lo = int(start == 0)  # n = 1 is never accumulated
-            t[lo:c] = loo_log_prefixes(v, n[lo:c], mu, gam)
-            t[c + failed] = loo_log_prefixes(v, n[c + failed], mu, gam)
+            exact[0] &= start > 0  # n = 1 is never accumulated
+            todo = np.flatnonzero(exact)
+            t[todo] = loo_log_prefixes(v, n[todo], mu, gam)
+            exact_steps += todo.size
         if start == 0:  # accumulation starts at n = 2
             n, t = n[1:], t[1:]
         acc.accumulate(int(n[0]), t)
@@ -256,4 +283,5 @@ def run_asclt_path(
         sup_gap_logn=float(np.max(np.abs(a_logn - f))),
         mode_switch_n=mode_switch,
         fallback_count=fallbacks,
+        exact_steps=exact_steps,
     )

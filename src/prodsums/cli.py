@@ -318,7 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", default=None, choices=ASCLT_KINDS)
     p.add_argument("--N", type=int, default=None, help="trajectory length")
     p.add_argument("--exact-cutoff", type=int, default=None,
-                   help="largest n evaluated exactly for the loo statistic (default 2000)")
+                   help="largest n where loo takes the exact value's grid bin, from "
+                        "a certified order-16 series or the O(n) kernel (default 2000)")
     p.add_argument("--grid", default=None,
                    help="comma-separated grid points (default: 19 normal quantiles)")
     p.add_argument("--workers", type=int, default=None,
@@ -359,8 +360,8 @@ def main(argv=None) -> int:
         return args.func(args, parser)
     except SystemExit as exc:  # usage errors, from parsing or inside a command
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

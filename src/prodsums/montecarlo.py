@@ -17,6 +17,7 @@ rounding.
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -177,9 +178,10 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     product_scale = law.tag == kind.product_law
     m, rows = config.reps, []
     chunk = -(-m // (config.workers * 4))
-    # one pool serves every row; a single worker runs in this process
-    serial = config.workers == 1
-    with contextlib.nullcontext() if serial else ProcessPoolExecutor(config.workers) as pool:
+    # one pool serves every row, with no more processes than tasks or cores
+    workers = min(config.workers, -(-m // chunk), os.cpu_count() or 1)
+    serial = workers == 1  # a single worker runs in this process
+    with contextlib.nullcontext() if serial else ProcessPoolExecutor(workers) as pool:
         for i, n in enumerate(config.n_list):
             t0 = time.perf_counter()
             tasks = [(config.spec, config.kind, n, config.base_seed, i, r0, min(r0 + chunk, m))

@@ -17,24 +17,27 @@ factors exactly as
 
 so the log sum splits into an anchor ``n*log1p(D/m)`` that is computed
 exactly and a correction ``sum_k log(1 - v_k)`` with v_k = d_k/(m+D).
-The correction is expanded to third order, and its power sums collapse
-to p1, p2, p3.  Because the v_k are O(1/n) rather than the O(1/sqrt(n))
-of the unfactored ratios, the truncation error decays like n^(-7/2) and
-is far below 1e-6 for n >= 1e3; the plain third-order expansion of
-log(S_{n,k}/m) would be noisier than the statistic's own convergence.
+The correction is expanded to order J (3 in a state), and its power sums
+collapse to p_1..p_J.  Because the v_k are O(1/n) rather than the
+O(1/sqrt(n)) of the unfactored ratios, the third-order error decays
+like n^(-7/2) and is far below 1e-6 for n >= 1e3; the plain third-order
+expansion of log(S_{n,k}/m) would be noisier than the statistic's own
+convergence.
 
 A state absorbs draws one at a time (:meth:`PowerSumState.update`) or a
 block at a time (:meth:`PowerSumState.extend`, whole-array work that
-returns the state after every draw of the block).  The series and its
-validity gate are written once, in :func:`loo_series_from_sums`, which
-takes the sums as floats or as arrays; :func:`loo_log_series` applies it
-to one state.
+returns the state after every draw of the block).  The series of any
+order and its bound are written once, in :func:`loo_series` and
+:func:`series_error_bound`, for floats or arrays; its gated third-order
+call is :func:`loo_series_from_sums`, applied to a state by
+:func:`loo_log_series`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -44,7 +47,9 @@ __all__ = [
     "PowerSumState",
     "init_state",
     "loo_log_series",
+    "loo_series",
     "loo_series_from_sums",
+    "series_error_bound",
     "loo_series_error_bound",
     "state_from_path",
 ]
@@ -136,25 +141,39 @@ def init_state(mu: float) -> PowerSumState:
     return PowerSumState(mu)
 
 
-def loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gamma):
-    """Third-order series value and validity gate from the running sums.
+def loo_series(n, mu, sums, max_abs_d, gamma):
+    """The series of order J = len(sums) and its gate quantity u.
 
-    Every argument but ``mu`` and ``gamma`` may be a float or an array
-    (``n`` >= 2 each); arrays are evaluated elementwise and must share a
-    shape.  Returns ``(value, valid)`` as numpy values: the series of
-    :func:`loo_log_series` and its gate ``(|D| + max|d|) / m <= 1/2``.
-    Where the value is not finite (the anchored form is undefined, or the
-    power sums overflowed), value is NaN and valid False.
+    ``sums`` holds p_1..p_J; every argument but ``mu`` and ``gamma`` may
+    be a float or an array (``n`` >= 2).  Returns ``(value, u)``: value
+    ``(n*log1p(D/m) - sum_j p_j/(j*a^j)) / (gamma*sqrt(n))``, NaN where not
+    finite, and ``u = (|D| + max|d|)/m``, which bounds every |d_k/a| while
+    u < 1, so the value is within :func:`series_error_bound` of the exact.
     """
     m = (np.asarray(n) - 1) * mu
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = m + p1  # = S - mu
-        anchor = n * np.log1p(p1 / m)
-        corr = p1 / a + p2 / (2.0 * a * a) + p3 / (3.0 * a * a * a)
-        value = (anchor - corr) / (gamma * np.sqrt(n))
-        finite = np.isfinite(value)
-        valid = ((np.abs(p1) + max_abs_d) / m <= 0.5) & finite
-    return np.where(finite, value, np.nan), valid
+        a = m + sums[0]  # = S - mu
+        # j*a^j is the product j*a*...*a rounded left to right
+        terms = [p / reduce(mul, [a] * (j - 1), j * a) for j, p in enumerate(sums, 1)]
+        value = (n * np.log1p(sums[0] / m) - sum(terms[1:], terms[0])) / (gamma * np.sqrt(n))
+        u = (np.abs(sums[0]) + max_abs_d) / m
+    return np.where(np.isfinite(value), value, np.nan), u
+
+
+def series_error_bound(n, u, gamma, order: int = 3):
+    """``n * u^(J+1) / ((J+1)*(1-u)) / (gamma*sqrt(n))``, inf where u >= 1:
+    each log(1 - d_k/a) has a tail past order J of at most u^(J+1)/((J+1)*(1-u))."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound = n * u ** (order + 1) / ((order + 1) * (1.0 - u)) / (gamma * np.sqrt(n))
+    return np.where(u < 1.0, bound, np.inf)
+
+
+def loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gamma):
+    """:func:`loo_series` at J = 3 as ``(value, valid)``: valid is the gate
+    ``u <= 1/2`` of :func:`loo_log_series` on a finite value."""
+    value, u = loo_series(n, mu, (p1, p2, p3), max_abs_d, gamma)
+    return value, (u <= 0.5) & np.isfinite(value)
 
 
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
@@ -181,25 +200,15 @@ def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
 
 
 def loo_series_error_bound(state: PowerSumState, gamma: float) -> float:
-    """Provable bound on |series - exact| while the series is valid.
-
-    With u = (|D| + max|d|)/m, every leave-one-out log ratio equals a
-    truncated series whose tail is at most u^4/(4*(1-u)) per term, hence
-
-        bound = n * u^4 / (4 * (1 - u)) / (gamma * sqrt(n)).
-
-    Returns inf when u >= 1.
-    """
+    """Provable bound on |series - exact| while the series is valid:
+    :func:`series_error_bound` at J = 3, inf when u >= 1."""
     n = state.n
     if n < 2:
         raise ValueError("loo_series_error_bound needs a state with n >= 2")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    m = (n - 1) * state.mu
-    u = (abs(state.p1) + state.max_abs_d) / m
-    if u >= 1.0:
-        return math.inf
-    return n * u**4 / (4.0 * (1.0 - u)) / (gamma * math.sqrt(n))
+    u = (abs(state.p1) + state.max_abs_d) / ((n - 1) * state.mu)
+    return float(series_error_bound(n, u, gamma))
 
 
 def state_from_path(path, mu: float) -> PowerSumState:

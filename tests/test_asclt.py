@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+import warnings
 from math import fsum
 
 import numpy as np
@@ -9,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodsums.asclt as asclt_module
+from prodsums.cli import parse_dist
 from prodsums import (
     ASCLT_KINDS,
     LogAvgAccumulator,
     NeumaierSum,
     default_grid,
     init_state,
+    loo_log_prefixes,
     loo_log_series,
     loo_log_statistic,
     make_distribution,
@@ -89,6 +92,28 @@ def engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff):
     return report, np.concatenate(seen)
 
 
+def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
+    """run_asclt_path's loo report, the steps n its prefix series certified
+    and their values."""
+    seen = []
+    certify = asclt_module._certified_series
+
+    def spy(x, n, *args):
+        value, exact = certify(x, n, *args)
+        seen.append((n[~exact], value[~exact]))
+        return value, exact
+
+    monkeypatch.setattr(asclt_module, "_certified_series", spy)
+    report = run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
+    ns, values = (np.concatenate(parts) for parts in zip(*seen))
+    return report, ns, values
+
+
+def exact_values(spec, n_max, seed, ns):
+    mu, _, gam = moments(spec)
+    return loo_log_prefixes(sample(spec, n_max, seed, 0).values, ns, mu, gam)
+
+
 class TestAccumulator:
     def test_fresh_state(self):
         acc = LogAvgAccumulator([-2.0, 0.0, 2.0])
@@ -103,6 +128,11 @@ class TestAccumulator:
             LogAvgAccumulator([2.0, 1.0])
         with pytest.raises(ValueError, match="nonempty"):
             LogAvgAccumulator([])
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.nan], [math.nan, 1.0]])
+    def test_nan_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="with no NaN"):
+            LogAvgAccumulator(grid)
 
     def test_default_grid_is_normal_quantiles(self):
         g = default_grid()
@@ -348,8 +378,9 @@ class TestEngineMatchesStepLoop:
     ("exponential:1", 2000), ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
 ])
 def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
-    # one prefix-evaluator call for a block's exact steps and one for its
-    # gate failures, never one scalar call per step
+    # one prefix-evaluator call per block (the bound allows two), for its
+    # uncertified prefix steps and its gate failures, never one scalar
+    # call per step
     spec = TestEngineMatchesStepLoop.FAMILIES[family]
     scalar, batched = [], []
     prefixes = asclt_module.loo_log_prefixes
@@ -361,10 +392,59 @@ def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
     monkeypatch.setattr(asclt_module, "loo_log_statistic",
                         lambda *args: scalar.append(args), raising=False)
     monkeypatch.setattr(asclt_module, "loo_log_prefixes", counting)
-    report = run_asclt_path(spec, "loo", 20_000, 0, exact_cutoff=exact_cutoff)
+    report, certified, _ = certified_run(monkeypatch, spec, 20_000, 0, exact_cutoff)
     assert scalar == []
-    assert len(batched) == 2 * -(-20_000 // asclt_module._BLOCK)
-    assert sum(batched) == exact_cutoff - 1 + report.fallback_count
+    assert len(batched) <= 2 * -(-20_000 // asclt_module._BLOCK)
+    uncertified = exact_cutoff - 1 - certified.size
+    assert sum(batched) == uncertified + report.fallback_count == report.exact_steps
+
+
+class TestCertifiedPrefix:
+    """The order-16 series of the steps n <= exact_cutoff."""
+
+    # the last family's powers of X - mu underflow from order 4
+    @pytest.mark.parametrize("family", [*TestEngineMatchesStepLoop.FAMILIES, "uniform:1e-100:2e-100"])
+    def test_certified_steps_match_the_exact_kernel(self, monkeypatch, family):
+        spec = parse_dist(family)
+        report, ns, values = certified_run(monkeypatch, spec, 3000, 0)
+        assert ns.size >= 400 and report.exact_steps == 1999 - ns.size
+        assert np.max(np.abs(values - exact_values(spec, 3000, 0, ns))) <= 1e-13
+
+    def test_certified_steps_at_a_million(self, monkeypatch):
+        n_max = 1_000_000
+        report, ns, values = certified_run(monkeypatch, EXP1, n_max, 0, exact_cutoff=n_max)
+        assert report.exact_steps == n_max - 1 - ns.size < 100
+        pick = np.unique(np.linspace(0, ns.size - 1, 48).astype(int))
+        assert np.max(np.abs(values[pick] - exact_values(EXP1, n_max, 0, ns[pick]))) <= 1e-12
+
+    def test_grid_point_at_a_step_sends_it_to_the_exact_kernel(self, monkeypatch):
+        _, ns, _ = certified_run(monkeypatch, EXP1, 3000, 0)
+        k = int(ns[ns.size // 2])
+        on_grid = exact_values(EXP1, 3000, 0, [k])[0]
+        exact_ns = []
+        prefixes = asclt_module.loo_log_prefixes
+        monkeypatch.setattr(asclt_module, "loo_log_prefixes",
+                            lambda path, ns, mu, gamma: exact_ns.extend(ns) or prefixes(path, ns, mu, gamma))
+        report = run_asclt_path(EXP1, "loo", 3000, 0, grid=np.sort(np.append(default_grid(), on_grid)))
+        assert k in exact_ns and report.exact_steps == len(exact_ns)
+
+    def test_huge_twopoint_run_is_warning_free(self, monkeypatch):
+        # the centred draws square past the double range; their scaled
+        # powers do not
+        spec = make_distribution("twopoint", [1.0, 1e300, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report, ns, values = certified_run(monkeypatch, spec, 6000, 0, exact_cutoff=5000)
+        assert report.fallback_count == 1000 and ns.size > 0
+        assert np.max(np.abs(values - exact_values(spec, 6000, 0, ns))) <= 1e-13
+
+    def test_overflowing_powers_are_not_certified(self):
+        x = np.array([1.0, 1e30, 1e30, 1.0])
+        carries = [NeumaierSum() for _ in range(asclt_module._ORDER)]
+        value, exact = asclt_module._certified_series(
+            x, np.arange(1, 5), 1.0, np.maximum.accumulate(np.abs(x - 1.0)), 1.0, carries, default_grid()
+        )
+        assert exact.all() and not np.isfinite(carries[-1].value)
 
 
 def test_only_loo_extends_the_power_sums(monkeypatch):

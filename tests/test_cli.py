@@ -315,6 +315,29 @@ class TestAscltCommand:
         assert run_cli([*args, "--exact-cutoff", "3000", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_nan_grid_is_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "a.csv"
+        args = ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "100", "--out", str(out)]
+        for grid in ("nan", "-1,nan,1"):
+            assert run_cli([*args, f"--grid={grid}"]) == 1
+            assert "error: grid must be strictly increasing, with no NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 728. TiB for an array"), "error: Unable to allocate 728. TiB"),
+        (MemoryError(), "error: MemoryError"),
+    ])
+    def test_memory_error_is_exit_1(self, monkeypatch, capsys, exc, message):
+        def sample(*args):
+            raise exc
+
+        monkeypatch.setattr(asclt_module, "sample", sample)
+        args = ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "100000000000000"]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_plot_script(self, tmp_path):
         out, gp = tmp_path / "a.csv", tmp_path / "a.gp"
         assert run_cli(

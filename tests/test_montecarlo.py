@@ -215,6 +215,7 @@ class TestRunCltExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: 2)
         csv = {}
         for workers in (1, 2):
             buf = io.StringIO()
@@ -223,6 +224,35 @@ class TestRunCltExperiment:
             csv[workers] = buf.getvalue()
         assert built == [(2,)]
         assert csv[1] == csv[2]
+
+    @pytest.mark.parametrize("cores", [3, None])
+    def test_pool_size_is_capped(self, monkeypatch, cores):
+        # a recording stand-in for the pool maps in this process, so the
+        # test starts no process whatever worker count it asks for
+        sizes, csv = [], set()
+
+        class Recording:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: cores)
+        # (reps, workers): 40 reps make at most 40 tasks and 2 reps at most 2
+        for reps, workers in [(40, 1), (40, 2), (40, 100_000_000), (2, 8), (40, 8)]:
+            buf = io.StringIO()
+            run_clt_experiment(ExperimentConfig(EXP1, "loo", (10, 30), reps, 5, workers=workers)).to_csv(buf)
+            csv.add((reps, buf.getvalue()))
+        assert sizes == ([2, 3, 2, 3] if cores else [])
+        assert len(csv) == 2  # one CSV per reps, whatever the worker count
 
     def test_peak_memory_of_long_replicates(self):
         # the replicates are evaluated in batches of about 256 KiB of

@@ -16,7 +16,7 @@ from prodsums import (
     sample,
     state_from_path,
 )
-from prodsums.streaming import loo_series_from_sums
+from prodsums.streaming import loo_series, loo_series_from_sums, series_error_bound
 from prodsums.summation import row_sums, running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
@@ -285,6 +285,27 @@ class TestSeries:
         exact = loo_log_statistic(vals, mu, gam)
         bound = loo_series_error_bound(s, gam)
         assert abs(value - exact) <= bound + 1e-13
+
+    def test_third_order_is_the_gated_series(self):
+        s = state_from_path([1.0, 2.0, 3.0], 2.0)
+        value, u = loo_series(3, 2.0, (s.p1, s.p2, s.p3), s.max_abs_d, 0.5)
+        assert value == loo_log_series(s, 0.5)[0]
+        assert series_error_bound(3, u, 0.5) == loo_series_error_bound(s, 0.5)
+
+    @given(draws, st.floats(min_value=0.2, max_value=5.0), st.integers(1, 16))
+    @settings(max_examples=200, deadline=None)
+    def test_any_order_within_its_bound(self, vals, gam, order):
+        v = np.array(vals)
+        mu = float(np.mean(v))
+        d = v - mu
+        sums = [math.fsum(d**j) for j in range(1, order + 1)]
+        value, u = loo_series(v.size, mu, sums, float(np.max(np.abs(d))), gam)
+        exact = loo_log_statistic(v, mu, gam)
+        assert abs(value - exact) <= series_error_bound(v.size, u, gam, order) + 1e-13
+
+    def test_bound_is_inf_from_u_one(self):
+        bound = series_error_bound(np.array([4, 4, 4]), np.array([0.5, 1.0, 1e300]), 1.0, 16)
+        assert bound[0] == 4 * 0.5**17 / (17 * 0.5) / 2 and np.all(np.isinf(bound[1:]))
 
 
 class TestCost:
