@@ -10,11 +10,11 @@ stages the engine calls:
 
 * sample      -- drawing the path,
 * expansion   -- the order-16 series of the leave-one-out steps up to the
-                 cutoff and its certificate (``_certified_series``, its
-                 power sums included),
+                 cutoff and its certificate (``_certified_series``),
 * prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``) on
                  the steps the expansion does not certify,
-* sums        -- the running sums (``running_sums``, ``PowerSumState.extend``),
+* sums        -- the running sums (``running_sums``), the power sums of
+                 the leave-one-out kind included,
 * series      -- the power-sum series of the leave-one-out kind,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
@@ -62,7 +62,6 @@ def child(kind: str) -> None:
     asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_prefixes = timed("prefix", asclt.loo_log_prefixes)
     asclt.running_sums = timed("sums", asclt.running_sums)
-    asclt.PowerSumState.extend = timed("sums", asclt.PowerSumState.extend)
     asclt.loo_series_from_sums = timed("series", asclt.loo_series_from_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 

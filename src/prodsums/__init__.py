@@ -75,7 +75,6 @@ from .montecarlo import (
     run_clt_experiment,
     run_slln_experiment,
 )
-from .summation import NeumaierSum
 
 __version__ = "0.1.0"
 
@@ -122,6 +121,5 @@ __all__ = [
     "ks_distance",
     "run_clt_experiment",
     "run_slln_experiment",
-    "NeumaierSum",
     "__version__",
 ]

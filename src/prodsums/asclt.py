@@ -20,14 +20,17 @@ single dropped term is irrelevant in the limit.
 :func:`run_asclt_path` draws the path with one :func:`sample` call and
 walks it in blocks of 4096 steps.  Per block, a kind forms the running
 sums it reads after every step: S_n (``rw``, ``lin``), S_n - n*mu
-(``std``) or :meth:`~prodsums.streaming.PowerSumState.extend`'s power
-sums (``loo``).  Each kind's t_n is whole-array arithmetic on them, and
-:meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
-with one ``searchsorted`` and one ``bincount``.  The leave-one-out kind
-takes the third-order series beyond ``exact_cutoff``, and up to it the
-order-16 series of :func:`_certified_series` where that certifies the
-exact value's grid bin.  Its other steps, and the rare steps where the
-third-order gate fails, take the exact O(n) statistic through one
+(``std``) or the power sums of d = (X - mu)/mu and the largest |d|
+(``loo``, :func:`_power_sums`).  Each kind's t_n is whole-array
+arithmetic on them, and :meth:`LogAvgAccumulator.accumulate` adds the
+block's indicator mass with one ``searchsorted`` and one ``bincount``.
+Scaling every draw by one constant changes neither t_n nor d, so
+the cost does not depend on the unit of the draws.  The leave-one-out
+kind takes the third-order series of these sums beyond
+``exact_cutoff``, and up to it the order-16 series of
+:func:`_certified_series` where that certifies the exact value's grid
+bin.  Its other steps, and the rare steps where the third-order gate
+fails, take the exact O(n) statistic through one
 :func:`~prodsums.statistics.loo_log_prefixes` call per block.  The cost
 is O(N) numpy work plus O(n) per exact step (41 of the first 2000 steps
 of exponential:1 at seed 0); the memory beyond the path is one block's
@@ -44,7 +47,7 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf, normal_quantile
 from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
-from .streaming import PowerSumState, loo_series, loo_series_from_sums, series_error_bound
+from .streaming import loo_series, loo_series_from_sums, series_error_bound
 from .summation import NeumaierSum, running_sums
 
 __all__ = [
@@ -64,23 +67,30 @@ _BLOCK = 4096
 _ORDER, _TOL, _SLACK = 16, 1e-14, 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
 
 
-def _certified_series(x, n, mu, max_abs_d, gam, carries, grid):
-    """The order-_ORDER series of t_n at draws x, steps n, and where it
-    does not certify the grid bin of the exact kernel's value.
+def _power_sums(d, carries):
+    """The running sums of d, d^2, ..., d^J, J = len(carries), each
+    continuing its carry.  Powers past the double range give sums that
+    are not finite, which neither series accepts."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums, power = [running_sums(d, carries[0])], d
+        for carry in carries[1:]:
+            power = power * d
+            sums.append(running_sums(power, carry))
+    return sums
+
+
+def _certified_series(n, sums, max_abs_d, gam, grid):
+    """The series of t_n at steps n, over the power sums of d = (X - mu)/mu
+    and the largest |d|, and where it does not certify the grid bin of the
+    exact kernel's value.
 
     Certified means finite, a truncation bound of at most _TOL, and no
     grid point within that bound plus _SLACK*sqrt(n)/gamma.  Both values
     err by a few roundings in each of the n log terms, so by
-    O(eps*sqrt(n)/gamma), and the slack is 64 such units.  ``carries``
-    continue the power sums of d = (X - mu)/mu, which no tiny scale
-    underflows; powers past the double range give a NaN value.
+    O(eps*sqrt(n)/gamma), and the slack is 64 such units.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = (x - mu) / mu
-        powers = np.cumprod(np.broadcast_to(d, (len(carries), d.size)), axis=0)
-        sums = [running_sums(p, carry) for p, carry in zip(powers, carries)]
-        value, u = loo_series(n, 1.0, sums, max_abs_d / mu, gam)
-    bound = series_error_bound(n, u, gam, _ORDER)
+    value, u = loo_series(n, 1.0, sums, max_abs_d, gam)
+    bound = series_error_bound(n, u, gam, len(sums))
     reach = bound + _SLACK * np.sqrt(n) / gam
     clear = np.searchsorted(grid, value - reach) == np.searchsorted(grid, value + reach, "right")
     return value, ~(np.isfinite(value) & (bound <= _TOL) & clear)
@@ -228,8 +238,8 @@ def run_asclt_path(
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    state = PowerSumState(mu)  # loo: the power sums of the series
-    carries = [NeumaierSum() for _ in range(_ORDER)]  # loo: the sums of _certified_series
+    carries = [NeumaierSum() for _ in range(_ORDER)]  # loo: sums of d^j, j <= 3 past the cutoff
+    max_abs_d = np.zeros(1)  # loo: the largest |d| so far is the last entry
     total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
@@ -246,14 +256,18 @@ def run_asclt_path(
             # reduced form of the leave-one-out linearization
             t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
         else:  # loo: series, exact where uncertified (n <= exact_cutoff) or gated
-            _, p1, p2, p3, max_abs_d = state.extend(block)
+            d = (block - mu) / mu
+            sums = _power_sums(d, carries)
+            max_abs_d = np.maximum(np.maximum.accumulate(np.abs(d)), max_abs_d[-1])
             c = int(np.searchsorted(n, exact_cutoff, side="right"))
-            t, valid = loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gam)
+            t, valid = loo_series_from_sums(n, 1.0, *sums[:3], max_abs_d, gam)
             exact, valid = ~valid, valid[c:]
             if c:
                 t[:c], exact[:c] = _certified_series(
-                    block[:c], n[:c], mu, max_abs_d[:c], gam, carries, acc.grid
+                    n[:c], [p[:c] for p in sums], max_abs_d[:c], gam, acc.grid
                 )
+            if n[-1] >= exact_cutoff:
+                del carries[3:]
             fallbacks += valid.size - int(np.count_nonzero(valid))
             if mode_switch is None and valid.any():
                 mode_switch = int(n[c + np.argmax(valid)])

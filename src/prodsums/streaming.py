@@ -24,13 +24,14 @@ like n^(-7/2) and is far below 1e-6 for n >= 1e3; the plain third-order
 expansion of log(S_{n,k}/m) would be noisier than the statistic's own
 convergence.
 
-A state absorbs draws one at a time (:meth:`PowerSumState.update`) or a
-block at a time (:meth:`PowerSumState.extend`, whole-array work that
-returns the state after every draw of the block).  The series of any
-order and its bound are written once, in :func:`loo_series` and
-:func:`series_error_bound`, for floats or arrays; its gated third-order
-call is :func:`loo_series_from_sums`, applied to a state by
-:func:`loo_log_series`.
+The series of any order and its bound are written once, in
+:func:`loo_series` and :func:`series_error_bound`, for floats or arrays;
+its gated third-order call is :func:`loo_series_from_sums`.
+:func:`~prodsums.asclt.run_asclt_path` calls them on its own sums of
+(X - mu)/mu.  A :class:`PowerSumState` is the scalar reference: it
+absorbs one draw at a time (:meth:`PowerSumState.update`) or a whole
+path (:func:`state_from_path`), and :func:`loo_log_series` applies the
+gated series to it.
 """
 
 from __future__ import annotations
@@ -104,36 +105,6 @@ class PowerSumState:
         if abs(d) > self.max_abs_d:
             self.max_abs_d = abs(d)
         return self
-
-    def extend(self, draws) -> tuple[np.ndarray, ...]:
-        """Absorb a 1-D block of draws with whole-array work.
-
-        Returns ``(total, p1, p2, p3, max_abs_d)``, one array each with an
-        entry per draw: entry k is what that attribute reads after draws
-        0..k, as if each draw had gone through :meth:`update`.  The sums
-        continue the state's compensated totals (see
-        :func:`~prodsums.summation.running_sums`), so they stay within a
-        few ulps of the one-draw-at-a-time values over any number of
-        blocks.
-        """
-        x = np.asarray(draws, dtype=float)
-        if x.ndim != 1:
-            raise ValueError("draws must be a 1-D block")
-        if not np.all(x > 0.0):
-            raise ValueError("draws must be positive")
-        d = x - self.mu
-        # d**3 overflows past |d| = 1e102; the series gate rejects such sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            d2 = d * d
-            sums = [
-                running_sums(terms, acc)
-                for terms, acc in ((x, self._s), (d, self._p1), (d2, self._p2), (d2 * d, self._p3))
-            ]
-        max_abs_d = np.maximum(np.maximum.accumulate(np.abs(d)), self.max_abs_d)
-        self.n += x.size
-        if x.size:
-            self.max_abs_d = float(max_abs_d[-1])
-        return (*sums, max_abs_d)
 
 
 def init_state(mu: float) -> PowerSumState:
@@ -215,13 +186,19 @@ def state_from_path(path, mu: float) -> PowerSumState:
     """Build the state of a whole path at once.
 
     Equivalent to streaming every draw through :meth:`PowerSumState.update`
-    (the reconstruction tests pin the two against each other) but one
-    :meth:`PowerSumState.extend` call, so bulk replays cost one pass of
-    array arithmetic instead of a Python-level loop.
+    (the reconstruction tests pin the two against each other), but the
+    sums are whole-array work (:func:`~prodsums.summation.running_sums`).
     """
     v = np.asarray(getattr(path, "values", path), dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("path must be a nonempty 1-D sequence")
-    state = PowerSumState(mu)
-    state.extend(v)
+    state = PowerSumState(mu, n=v.size)
+    if not np.all(v > 0.0):
+        raise ValueError("draws must be positive")
+    d = v - mu
+    state.max_abs_d = float(np.max(np.abs(d)))
+    # d**3 overflows past |d| = 1e102; the series gate rejects such sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms, acc in ((v, state._s), (d, state._p1), (d * d, state._p2), (d * d * d, state._p3)):
+            running_sums(terms, acc)
     return state

@@ -14,7 +14,6 @@ from prodsums.cli import parse_dist
 from prodsums import (
     ASCLT_KINDS,
     LogAvgAccumulator,
-    NeumaierSum,
     default_grid,
     init_state,
     loo_log_prefixes,
@@ -28,6 +27,7 @@ from prodsums import (
     sample,
     standardized_sum,
 )
+from prodsums.summation import NeumaierSum
 
 EXP1 = make_distribution("exponential", [1.0])
 
@@ -98,8 +98,8 @@ def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     seen = []
     certify = asclt_module._certified_series
 
-    def spy(x, n, *args):
-        value, exact = certify(x, n, *args)
+    def spy(n, *args):
+        value, exact = certify(n, *args)
         seen.append((n[~exact], value[~exact]))
         return value, exact
 
@@ -430,29 +430,48 @@ class TestCertifiedPrefix:
 
     def test_huge_twopoint_run_is_warning_free(self, monkeypatch):
         # the centred draws square past the double range; their scaled
-        # powers do not
+        # powers do not, so no step past the cutoff falls back
         spec = make_distribution("twopoint", [1.0, 1e300, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, ns, values = certified_run(monkeypatch, spec, 6000, 0, exact_cutoff=5000)
-        assert report.fallback_count == 1000 and ns.size > 0
+        assert report.fallback_count == 0 and ns.size > 0
         assert np.max(np.abs(values - exact_values(spec, 6000, 0, ns))) <= 1e-13
 
     def test_overflowing_powers_are_not_certified(self):
-        x = np.array([1.0, 1e30, 1e30, 1.0])
+        d = np.array([1.0, 1e30, 1e30, 1.0]) - 1.0
         carries = [NeumaierSum() for _ in range(asclt_module._ORDER)]
+        sums = asclt_module._power_sums(d, carries)
         value, exact = asclt_module._certified_series(
-            x, np.arange(1, 5), 1.0, np.maximum.accumulate(np.abs(x - 1.0)), 1.0, carries, default_grid()
+            np.arange(1, 5), sums, np.maximum.accumulate(np.abs(d)), 1.0, default_grid()
         )
         assert exact.all() and not np.isfinite(carries[-1].value)
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-5, 3.0, 1e300])
+def test_loo_run_does_not_depend_on_the_unit(rate):
+    # t_n is unchanged by scaling every draw, and so are the power sums of
+    # (X - mu)/mu: no step past the cutoff falls back at any scale
+    def run(spec):
+        report = run_asclt_path(spec, "loo", 20_000, 0, exact_cutoff=4000)
+        return report.a_values, (report.mode_switch_n, report.fallback_count, report.exact_steps)
+
+    want, got = run(EXP1), run(make_distribution("exponential", [rate]))
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1] == (4001, 0, 41)
+
+
+def test_tiny_uniform_never_falls_back():
+    report = run_asclt_path(parse_dist("uniform:1e-300:2e-300"), "loo", 20_000, 0, exact_cutoff=4000)
+    assert report.fallback_count == 0
 
 
 def test_only_loo_extends_the_power_sums(monkeypatch):
     # rw, lin and std read S_n or p1 alone; loo alone needs p2, p3 and max|d|
     blocks = []
-    extend = asclt_module.PowerSumState.extend
-    monkeypatch.setattr(asclt_module.PowerSumState, "extend",
-                        lambda self, draws: blocks.append(len(draws)) or extend(self, draws))
+    power_sums = asclt_module._power_sums
+    monkeypatch.setattr(asclt_module, "_power_sums",
+                        lambda d, carries: blocks.append(len(d)) or power_sums(d, carries))
     for kind in ASCLT_KINDS:
         blocks.clear()
         run_asclt_path(EXP1, kind, 10_000, 0)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prodsums import (
-    NeumaierSum,
     init_state,
     loo_log_series,
     loo_log_statistic,
@@ -17,7 +16,7 @@ from prodsums import (
     state_from_path,
 )
 from prodsums.streaming import loo_series, loo_series_from_sums, series_error_bound
-from prodsums.summation import row_sums, running_sums
+from prodsums.summation import NeumaierSum, row_sums, running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
 # value of the third-order series, exact statistic, and their gap bound
@@ -49,16 +48,6 @@ def in_blocks(values, sizes):
         yield values[start : start + sizes[k % len(sizes)]]
         start += sizes[k % len(sizes)]
         k += 1
-
-
-def stepwise(values, mu):
-    """Reference: the state after each draw, one update() at a time."""
-    state = init_state(mu)
-    rows = []
-    for x in values:
-        state.update(float(x))
-        rows.append((state.total, state.p1, state.p2, state.p3, state.max_abs_d))
-    return state, np.array(rows)
 
 
 class TestStateBasics:
@@ -112,6 +101,12 @@ class TestStateBasics:
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
         assert s.max_abs_d == float(np.max(np.abs(d)))
 
+    def test_state_from_path_rejects_nonpositive_and_2d(self):
+        with pytest.raises(ValueError, match="positive"):
+            state_from_path([1.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="1-D"):
+            state_from_path([[1.0, 2.0]], 1.0)
+
     def test_state_from_path_matches_streaming(self):
         spec = make_distribution("gamma", [4.0, 0.5])
         v = sample(spec, 2000, 5, 0).values
@@ -128,51 +123,27 @@ class TestStateBasics:
 class TestBlocks:
     @given(rng_paths, block_sizes)
     @settings(max_examples=60, deadline=None)
-    def test_extend_matches_repeated_update(self, path, sizes):
-        v, mu = path
-        ref, want = stepwise(v, mu)
-        state = init_state(mu)
-        got = np.vstack([np.column_stack(state.extend(b)) for b in in_blocks(v, sizes)])
-        # each sum to 1e-12 of the running sum of its terms' magnitudes
-        d = v - mu
-        scale = np.cumsum(np.column_stack([v, np.abs(d), d * d, np.abs(d) ** 3]), axis=0)
-        assert np.all(np.abs(got[:, :4] - want[:, :4]) <= 1e-12 * (1.0 + scale))
-        assert np.array_equal(got[:, 4], want[:, 4])
-        assert state.n == ref.n and state.max_abs_d == ref.max_abs_d
-        for a, b in ((state.total, ref.total), (state.p1, ref.p1), (state.p3, ref.p3)):
-            assert abs(a - b) <= 1e-12 * (1.0 + np.max(scale))
-
-    def test_extend_rejects_nonpositive_and_2d(self):
-        with pytest.raises(ValueError, match="positive"):
-            init_state(1.0).extend([1.0, 0.0])
-        with pytest.raises(ValueError, match="1-D"):
-            init_state(1.0).extend([[1.0, 2.0]])
-
-    @given(rng_paths, block_sizes)
-    @settings(max_examples=60, deadline=None)
     def test_series_form_matches_loo_log_series(self, path, sizes):
         v, mu = path
         gam = 0.7
-        state = init_state(mu)
-        ref = init_state(mu)
-        n0 = 0
-        for b in in_blocks(v, sizes):
-            s, p1, p2, p3, max_abs_d = state.extend(b)
-            n = np.arange(n0 + 1, n0 + b.size + 1)
-            n0 += b.size
-            keep = n >= 2
-            value, valid = loo_series_from_sums(
-                n[keep], mu, p1[keep], p2[keep], p3[keep], max_abs_d[keep], gam
-            )
-            want = []
-            for x in b:
-                ref.update(float(x))
-                if ref.n >= 2:
-                    want.append(loo_log_series(ref, gam))
-            want_value = np.array([w[0] for w in want])
-            want_valid = np.array([w[1] for w in want], dtype=bool)
-            assert np.array_equal(valid, want_valid)
-            assert np.all(np.abs(value[valid] - want_value[valid]) <= 1e-12)
+        d = v - mu
+        p1, p2, p3 = (
+            np.concatenate([running_sums(b, carry) for b in in_blocks(terms, sizes)])
+            for terms, carry in zip((d, d * d, d * d * d), [NeumaierSum() for _ in range(3)])
+        )
+        n = np.arange(1, v.size + 1)
+        value, valid = loo_series_from_sums(
+            n[1:], mu, p1[1:], p2[1:], p3[1:], np.maximum.accumulate(np.abs(d))[1:], gam
+        )
+        ref, want = init_state(mu), []
+        for x in v:
+            ref.update(float(x))
+            if ref.n >= 2:
+                want.append(loo_log_series(ref, gam))
+        want_value = np.array([w[0] for w in want])
+        want_valid = np.array([w[1] for w in want], dtype=bool)
+        assert np.array_equal(valid, want_valid)
+        assert np.all(np.abs(value[valid] - want_value[valid]) <= 1e-12)
 
     def test_series_form_undefined_is_nan(self):
         value, valid = loo_series_from_sums(
