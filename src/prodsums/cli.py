@@ -25,15 +25,16 @@ from contextlib import nullcontext
 import numpy as np
 
 from .asclt import AscltReport, run_asclt_path
-from .distributions import DistributionSpec, make_distribution, moments, sample_rows
+from .distributions import DistributionSpec, make_distribution, moments
 from .limits import LAW_TAGS, LimitLaw
 from .montecarlo import (
     ConvergenceReport,
     ExperimentConfig,
+    _sample_batches,
     run_clt_experiment,
     run_slln_experiment,
 )
-from .statistics import _BATCH_BYTES, ASCLT_KINDS, STATISTIC_KINDS
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS
 
 __all__ = ["main", "entrypoint", "parse_dist", "emit_plot_script"]
 
@@ -254,13 +255,11 @@ def _cmd_identity(args, parser) -> int:
     # a zero override fails the kernel's positivity check like a negative one
     lin_mu, lin_gam = (mu, gam) if args.mu_override is None else (
         args.mu_override, sigma / args.mu_override if args.mu_override else np.nan)
-    rows = max(1, _BATCH_BYTES // (8 * max(args.n, 1)))
-    gaps = []  # the largest gap of each batch; a NaN gap makes the check fail
-    for r0 in range(0, args.reps, rows):
-        paths = sample_rows(spec, args.n, resolved["baseSeed"], range(r0, min(r0 + rows, args.reps)))
-        lin = STATISTIC_KINDS["lin"].evaluate(paths, lin_mu, sigma, lin_gam)[0]
-        std = STATISTIC_KINDS["std"].evaluate(paths, mu, sigma, gam)[0]
-        gaps.append(np.max(np.abs(lin - std)))
+    lin, std = STATISTIC_KINDS["lin"].evaluate, STATISTIC_KINDS["std"].evaluate
+    # the largest gap of each batch; a NaN gap makes the check fail
+    batches = _sample_batches(spec, args.n, resolved["baseSeed"], range(args.reps))
+    gaps = [np.max(np.abs(lin(paths, lin_mu, sigma, lin_gam, work)[0]
+                          - std(paths, mu, sigma, gam, work)[0])) for paths, work in batches]
     worst = float(np.max(gaps))
     print(f"max |linearized - standardized| = {worst:.3e} over {args.reps} paths")
     return 0 if worst <= IDENTITY_TOLERANCE else 1

@@ -27,7 +27,7 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample, sample_rows
 from .limits import LimitLaw, limit_cdf
 from . import statistics as stats
-from .statistics import _BATCH_BYTES, STATISTIC_KINDS
+from .statistics import _BATCH_BYTES, _SCRATCH, STATISTIC_KINDS
 
 __all__ = [
     "ExperimentConfig",
@@ -114,6 +114,26 @@ def ks_distance(emp: EmpiricalCdf, law: LimitLaw) -> float:
     return float(max(np.max(i / m - f), np.max(f - (i - 1.0) / m)))
 
 
+def _sample_batches(spec: DistributionSpec, n: int, base_seed: int, streams):
+    """Yield ``(paths, work)`` for consecutive batches of the streams.
+
+    ``paths`` is the ``(rows, n)`` :func:`sample_rows` batch of up to
+    about ``_BATCH_BYTES`` of draws, and ``work`` the arrays a
+    ``StatisticKind.evaluate`` call may take for its temporaries.  One
+    buffer holds every batch and its work, so the next batch overwrites
+    both: keep what the kernels return, not the arrays.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    rows = min(len(streams), max(1, _BATCH_BYTES // (8 * n)))
+    buffer = np.empty((1 + _SCRATCH, rows, n))
+    for b0 in range(0, len(streams), rows):
+        batch = streams[b0 : b0 + rows]
+        k = len(batch)
+        yield sample_rows(spec, n, base_seed, batch, out=buffer[0, :k]), buffer[1:, :k]
+
+
 def _replicate_block(args) -> np.ndarray:
     """(values, remainder, maxdev) of replicates r0..r1-1 of one row, each
     drawn from its own stream; top level for pickling."""
@@ -121,11 +141,10 @@ def _replicate_block(args) -> np.ndarray:
     mu, sigma, gam = moments(spec)
     evaluate = STATISTIC_KINDS[kind].evaluate
     out = np.empty((3, r1 - r0))
-    rows = max(1, _BATCH_BYTES // (8 * n))
-    for b0 in range(r0, r1, rows):
-        b1 = min(b0 + rows, r1)
-        batch = sample_rows(spec, n, base_seed, [(row_index << 32) + r for r in range(b0, b1)])
-        out[:, b0 - r0 : b1 - r0] = evaluate(batch, mu, sigma, gam)
+    first, done = row_index << 32, 0
+    for paths, work in _sample_batches(spec, n, base_seed, range(first + r0, first + r1)):
+        out[:, done : done + len(paths)] = evaluate(paths, mu, sigma, gam, work)
+        done += len(paths)
     return out
 
 

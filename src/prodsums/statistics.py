@@ -16,9 +16,12 @@ their normalized logarithms stay O(1).  Each log ratio goes through
 Each kind has one kernel, listed in :data:`STATISTIC_KINDS`.  A kernel
 evaluates a ``(rows, n)`` batch of paths by reductions along each row,
 so a row's value has the same bits in any batch; the public scalar
-functions are one-row calls of the kernels.  :func:`loo_log_prefixes`
-evaluates the leave-one-out statistic of many prefixes of one path with
-the same arithmetic, a batch of prefixes at a time.
+functions are one-row calls of the kernels.  A kernel writes its
+temporaries into new arrays, or with the same bits into the ``work``
+arrays of a caller that reuses them from batch to batch.
+:func:`loo_log_prefixes` evaluates the leave-one-out statistic of many
+prefixes of one path with the same arithmetic, a batch of prefixes at a
+time.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ __all__ = [
 # add about 1 MiB to the peak memory at any n
 _BATCH_BYTES = 256 * 1024
 
+# arrays of a batch's shape that a kernel may take as ``work``
+_SCRATCH = 3
+
 
 def _row(path) -> np.ndarray:
     """One path (a SamplePath or a 1-D sequence) as a one-row batch."""
@@ -64,15 +70,23 @@ def _row(path) -> np.ndarray:
     return v[np.newaxis]
 
 
-def _paths(paths) -> np.ndarray:
-    """The validated ``(rows, n)`` float array every kernel works on."""
+def _paths(paths) -> tuple[np.ndarray, np.ndarray]:
+    """The validated ``(rows, n)`` float array every kernel works on, and
+    the largest draw of each row."""
     x = np.asarray(paths, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("paths must form a nonempty (rows, n) array")
+    top = x.max(axis=1)
     # a NaN fails both comparisons
-    if not (x.min() > 0.0 and x.max() < math.inf):
+    if not (x.min() > 0.0 and top.max() < math.inf):
         raise ValueError("all path values must be finite and strictly positive")
-    return x
+    return x, top
+
+
+def _scratch(x: np.ndarray, work, k: int):
+    """k arrays of x's shape for a kernel's temporaries: the first k of
+    work, or new ones in x's memory order."""
+    return [np.empty_like(x) for _ in range(k)] if work is None else work[:k]
 
 
 def _check_positive(**params) -> None:
@@ -80,18 +94,22 @@ def _check_positive(**params) -> None:
         raise ValueError(f"{' and '.join(params)} must be positive")
 
 
-def _loo_sums(x: np.ndarray) -> np.ndarray:
+def _loo_sums(x: np.ndarray, top=None, out=None, scratch=None) -> np.ndarray:
     """The leave-one-out sums S_n - X_k of every row, each positive.
 
     ``S_n - X_k`` cancels when X_k is most of S_n.  At most one draw of a
     row exceeds S_n/2, and its entry is summed afresh from the other
-    draws; every other entry is at least S_n/2.
+    draws; every other entry is at least S_n/2.  ``top`` is each row's
+    largest draw if the caller has it; ``out`` takes the sums and
+    ``scratch`` the temporaries of :func:`row_sums`.
     """
     if x.shape[1] < 2:
         raise ValueError("leave-one-out statistics need n >= 2; (n-1)*mu vanishes at n = 1")
-    s = row_sums(x)
-    loo = s[:, np.newaxis] - x
-    rows = np.flatnonzero(x.max(axis=1) > 0.5 * s)
+    if top is None:
+        top = x.max(axis=1)
+    s = row_sums(x, top, scratch)
+    loo = np.subtract(s[:, np.newaxis], x, out=out)
+    rows = np.flatnonzero(top > 0.5 * s)
     if rows.size:
         rest = x[rows]
         k = rest.argmax(axis=1)
@@ -100,16 +118,20 @@ def _loo_sums(x: np.ndarray) -> np.ndarray:
     return loo
 
 
-def log_ratio(num, den) -> tuple[np.ndarray, np.ndarray]:
+def log_ratio(num, den, out=None) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise ``(log(num/den), num/den - 1)`` for positive num, den.
 
     The log is ``log1p`` of the centred increment ``d = (num - den)/den``
     while d > -1/2.  Below that it is ``log(num) - log(den)``: there d
     has lost the digits of a small ratio, and rounds to exactly -1 once
     num/den is below about 1e-16, where ``log1p`` would give -inf.
+    ``out``, a pair of arrays of the result's shape, takes the log and d
+    in place of new arrays.
     """
-    d = (num - den) / den
-    logs = np.maximum(d, -0.5)
+    logs, d = (None, None) if out is None else out
+    d = np.subtract(num, den, out=d)
+    d /= den
+    logs = np.maximum(d, -0.5, out=logs)
     np.log1p(logs, out=logs)
     if d.min() <= -0.5:
         low = d <= -0.5
@@ -123,51 +145,64 @@ def _no_diagnostics(values: np.ndarray):
     return values, nan, nan
 
 
-def _loo(paths, mu, sigma, gam):
-    x = _paths(paths)
+def _loo(paths, mu, sigma, gam, work=None):
+    x, top = _paths(paths)
     _check_positive(mu=mu, gamma=gam)
-    logs, c = log_ratio(_loo_sums(x), (x.shape[1] - 1) * mu)
+    w0, w1, w2 = _scratch(x, work, 3)
+    logs, c = log_ratio(_loo_sums(x, top, w0, w1), (x.shape[1] - 1) * mu, out=(w2, w1))
     scale = gam * math.sqrt(x.shape[1])
-    maxdev = np.abs(c).max(axis=1)
+    maxdev = np.abs(c, out=w0).max(axis=1)
     # c * c overflows once |c| passes 1e154: a row whose largest |c| is
     # above 1 is squared at c / 2**e, e that maximum's binary exponent
     e = np.where(maxdev > 1.0, np.frexp(maxdev)[1], 0)
     big = np.nonzero(e)[0]
     c[big] *= np.ldexp(1.0, -e[big])[:, np.newaxis]
     with np.errstate(over="ignore"):  # a remainder past the double range is inf
-        remainder = np.ldexp(row_sums(c * c) / scale, 2 * e)
-    return row_sums(logs) / scale, remainder, maxdev
+        # rounding is monotone, so the largest square of a row is the
+        # square of its scaled maxdev
+        top_square = np.square(np.ldexp(maxdev, -e))
+        remainder = np.ldexp(row_sums(np.multiply(c, c, out=c), top_square, w0) / scale, 2 * e)
+    return row_sums(logs, out=w0) / scale, remainder, maxdev
 
 
-def _rw(paths, mu, sigma, gam):
-    x = _paths(paths)
+def _rw(paths, mu, sigma, gam, work=None):
+    x, _ = _paths(paths)
     _check_positive(mu=mu, gamma=gam)
     n = x.shape[1]
-    logs, _ = log_ratio(np.cumsum(x, axis=1), np.arange(1, n + 1, dtype=float) * mu)
-    return _no_diagnostics(row_sums(logs) / (gam * math.sqrt(n)))
+    w0, w1, w2 = _scratch(x, work, 3)
+    den = np.arange(1, n + 1, dtype=float) * mu
+    logs, _ = log_ratio(np.cumsum(x, axis=1, out=w0), den, out=(w2, w1))
+    return _no_diagnostics(row_sums(logs, out=w0) / (gam * math.sqrt(n)))
 
 
-def _lin(paths, mu, sigma, gam):
-    x = _paths(paths)
+def _lin(paths, mu, sigma, gam, work=None):
+    x, top = _paths(paths)
     _check_positive(mu=mu, gamma=gam)
     m = (x.shape[1] - 1) * mu
-    return _no_diagnostics(row_sums((_loo_sums(x) - m) / m) / (gam * math.sqrt(x.shape[1])))
+    w0, w1 = _scratch(x, work, 2)
+    c = _loo_sums(x, top, w0, w1)
+    c -= m
+    c /= m
+    return _no_diagnostics(row_sums(c, out=w1) / (gam * math.sqrt(x.shape[1])))
 
 
-def _std(paths, mu, sigma, gam):
-    x = _paths(paths)
+def _std(paths, mu, sigma, gam, work=None):
+    x, _ = _paths(paths)
     _check_positive(sigma=sigma)
-    return _no_diagnostics(row_sums((x - mu) / sigma) / math.sqrt(x.shape[1]))
+    w0, w1 = _scratch(x, work, 2)
+    z = np.subtract(x, mu, out=w0)
+    z /= sigma
+    return _no_diagnostics(row_sums(z, out=w1) / math.sqrt(x.shape[1]))
 
 
 # a geometric mean is exp of the log statistic at mu = gamma = 1 over sqrt(n)
-def _gm_prefix(paths, mu, sigma, gam):
-    values, _, _ = _rw(paths, 1.0, None, 1.0)
+def _gm_prefix(paths, mu, sigma, gam, work=None):
+    values, _, _ = _rw(paths, 1.0, None, 1.0, work)
     return _no_diagnostics(np.exp(values / math.sqrt(np.shape(paths)[1])))
 
 
-def _gm_loo(paths, mu, sigma, gam):
-    values, _, _ = _loo(paths, 1.0, None, 1.0)
+def _gm_loo(paths, mu, sigma, gam, work=None):
+    values, _, _ = _loo(paths, 1.0, None, 1.0, work)
     return _no_diagnostics(np.exp(values / math.sqrt(np.shape(paths)[1])))
 
 
@@ -178,7 +213,7 @@ def _one(kernel, path, mu=None, sigma=None, gamma=None, output=0) -> float:
 
 def prefix_sums(path) -> np.ndarray:
     """Prefix sums S_1, ..., S_n of the path."""
-    return np.cumsum(_paths(_row(path))[0])
+    return np.cumsum(_paths(_row(path))[0][0])
 
 
 def loo_log_statistic(path, mu: float, gamma: float) -> float:
@@ -210,7 +245,7 @@ def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
         return out
     if ns[0] < 2 or np.any(np.diff(ns) < 0):
         raise ValueError("ns must be nondecreasing prefix lengths n >= 2")
-    x = _paths(_row(path)[:, : ns[-1]])[0]
+    x = _paths(_row(path)[:, : ns[-1]])[0][0]
     if ns[-1] > x.size:
         raise ValueError(f"prefix length {ns[-1]} exceeds the path length {x.size}")
     _check_positive(mu=mu, gamma=gamma)
@@ -302,10 +337,13 @@ def remainder_magnitude(path, mu: float, gamma: float) -> float:
 class StatisticKind:
     """One statistic kind, keyed by its CLI tag in :data:`STATISTIC_KINDS`.
 
-    ``evaluate(paths, mu, sigma, gamma)`` maps a ``(rows, n)`` array of
-    paths to ``(values, remainder, maxdev)``, one entry per row; the
-    diagnostics are :func:`remainder_magnitude` and
+    ``evaluate(paths, mu, sigma, gamma, work=None)`` maps a ``(rows, n)``
+    array of paths to ``(values, remainder, maxdev)``, one entry per row;
+    the diagnostics are :func:`remainder_magnitude` and
     :func:`max_relative_deviation` for ``loo`` and NaN otherwise.
+    ``work``, a sequence of ``_SCRATCH`` C-ordered float arrays of the
+    paths' shape, takes the kernel's temporaries in place of new arrays;
+    the results are the same bits either way and never alias it.
     ``log_law`` (the default comparison law) and ``product_law`` (the law
     of the exponentiated statistic, if any) are ``limits.LAW_TAGS`` tags.
     ``asclt`` marks the kinds :func:`prodsums.asclt.run_asclt_path` streams.

@@ -42,7 +42,7 @@ from operator import mul
 
 import numpy as np
 
-from .summation import NeumaierSum, running_sums
+from .summation import _ROW, NeumaierSum, running_sums
 
 __all__ = [
     "PowerSumState",
@@ -54,6 +54,11 @@ __all__ = [
     "loo_series_error_bound",
     "state_from_path",
 ]
+
+
+# draws per chunk of :func:`state_from_path`: a multiple of the rows of
+# running_sums, so the carries see the row totals of one whole-path call
+_CHUNK = 64 * _ROW
 
 
 @dataclass
@@ -187,18 +192,24 @@ def state_from_path(path, mu: float) -> PowerSumState:
 
     Equivalent to streaming every draw through :meth:`PowerSumState.update`
     (the reconstruction tests pin the two against each other), but the
-    sums are whole-array work (:func:`~prodsums.summation.running_sums`).
+    sums are whole-array work (:func:`~prodsums.summation.running_sums`)
+    over chunks of the path, so the memory it takes does not grow with
+    the path.
     """
     v = np.asarray(getattr(path, "values", path), dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("path must be a nonempty 1-D sequence")
     state = PowerSumState(mu, n=v.size)
-    if not np.all(v > 0.0):
-        raise ValueError("draws must be positive")
-    d = v - mu
-    state.max_abs_d = float(np.max(np.abs(d)))
-    # d**3 overflows past |d| = 1e102; the series gate rejects such sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms, acc in ((v, state._s), (d, state._p1), (d * d, state._p2), (d * d * d, state._p3)):
-            running_sums(terms, acc)
+    tops = []
+    for start in range(0, v.size, _CHUNK):
+        x = v[start : start + _CHUNK]
+        if not np.all(x > 0.0):
+            raise ValueError("draws must be positive")
+        d = x - mu
+        tops.append(np.max(np.abs(d)))
+        # d**3 overflows past |d| = 1e102; the series gate rejects such sums
+        with np.errstate(over="ignore", invalid="ignore"):
+            for terms, acc in ((x, state._s), (d, state._p1), (d * d, state._p2), (d * d * d, state._p3)):
+                running_sums(terms, acc)
+    state.max_abs_d = float(np.max(tops))
     return state

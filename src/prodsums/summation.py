@@ -26,7 +26,8 @@ __all__ = ["NeumaierSum", "row_sums", "running_sums"]
 _ROW = 256
 
 
-def row_sums(t: np.ndarray) -> np.ndarray:
+def row_sums(t: np.ndarray, top: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Sums of the rows of a 2-D array, each within about one rounding.
 
     Each term splits exactly into a high part on a grid coarse enough
@@ -37,10 +38,16 @@ def row_sums(t: np.ndarray) -> np.ndarray:
     about log(n) * n^2 * eps^2 * max|t|, so the result depends on the
     order of the terms only when that tiny error straddles a rounding
     boundary.
+
+    A caller that already has each row's largest ``|t|`` passes it as
+    ``top``; ``out``, an array of t's shape and order, takes the
+    temporaries in place of new arrays.
     """
-    _, e = np.frexp(np.abs(t).max(axis=1))
+    if top is None:
+        top = np.abs(t, out=out).max(axis=1)
+    _, e = np.frexp(top)
     grid = np.ldexp(1.0, np.minimum(e + t.shape[1].bit_length() + 1, 1023))[:, np.newaxis]
-    high = t + grid
+    high = np.add(t, grid, out=out)
     high -= grid
     total = high.sum(axis=1)
     return total + np.subtract(t, high, out=high).sum(axis=1)
@@ -106,8 +113,16 @@ def running_sums(values, carry: NeumaierSum) -> np.ndarray:
     padded = np.zeros(rows * _ROW)
     padded[: x.size] = x
     local = np.cumsum(padded.reshape(rows, _ROW), axis=1)
-    base = np.empty((rows, 1))
-    for r, row_total in enumerate(local[:, -1].tolist()):
-        base[r, 0] = carry.value
-        carry.add(row_total)
-    return (local + base).reshape(-1)[: x.size]
+    # NeumaierSum.add on local floats, stored back once
+    s, c = carry._s, carry._c
+    base = []
+    for row_total in local[:, -1].tolist():
+        base.append(s + c)
+        t = s + row_total
+        if abs(s) >= abs(row_total):
+            c += (s - t) + row_total
+        else:
+            c += (row_total - t) + s
+        s = t
+    carry._s, carry._c = s, c
+    return (local + np.array(base)[:, np.newaxis]).reshape(-1)[: x.size]

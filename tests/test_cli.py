@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prodsums.asclt as asclt_module
-import prodsums.cli as cli_module
+import prodsums.montecarlo as montecarlo_module
 from prodsums import (
     LogAvgAccumulator,
     linearized_statistic,
@@ -435,11 +435,12 @@ class TestIdentityCommand:
         n, reps = 100, 700
         streams = []
 
-        def recording(spec, n, base_seed, indices):
+        def recording(spec, n, base_seed, indices, out=None):
             streams.append(list(indices))
-            return sample_rows(spec, n, base_seed, indices)
+            return sample_rows(spec, n, base_seed, indices, out)
 
-        monkeypatch.setattr(cli_module, "sample_rows", recording)
+        # identity batches through the clt sampler loop
+        monkeypatch.setattr(montecarlo_module, "sample_rows", recording)
         code = run_cli(["identity", *args, "--n", str(n), "--reps", str(reps)])
         assert len(streams) == 3 and sum(streams, []) == list(range(reps))
         opts = dict(zip(args[::2], args[1::2]))

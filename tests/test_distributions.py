@@ -221,6 +221,24 @@ class TestSample:
             assert np.array_equal(row, want)
             assert np.array_equal(sample(spec, 300, 17, stream).values, want)
 
+    @pytest.mark.parametrize("family,params", [*SHOWCASE, ("gamma", [0.002, 1.0])])
+    def test_out_matches_a_fresh_call(self, family, params):
+        # a dirty view into a larger buffer, as the clt batch loop passes it;
+        # gamma:0.002:1 redraws rows in place
+        spec = make_distribution(family, params)
+        buffer = np.full((2, 8, 300), np.nan)
+        for streams in ([*EDGE_STREAMS, 5], [9, 3]):
+            out = buffer[0, : len(streams)]
+            got = sample_rows(spec, 300, 17, streams, out=out)
+            assert got is out
+            assert got.tobytes() == sample_rows(spec, 300, 17, streams).tobytes()
+
+    def test_out_must_fit(self):
+        spec = make_distribution("exponential", [1.0])
+        for out in (np.empty((2, 4)), np.empty((3, 4), dtype=np.float32), np.empty((4, 3)).T):
+            with pytest.raises(ValueError, match="C-ordered float array of shape"):
+                sample_rows(spec, 4, 0, [0, 1, 2], out=out)
+
     @pytest.mark.parametrize("family,params,digest", [
         ("exponential", [1.0], "94e20ad77696475476fb0f0e3d844e20dc1de451caf4b5314068e958bb7e1e96"),
         ("gamma", [4.0, 0.5], "86c223463906080de3cc026a10de1ea215e6777a9f13618424071d6d71849012"),

@@ -7,6 +7,7 @@ import pytest
 
 import prodsums.montecarlo as montecarlo_module
 from prodsums import (
+    STATISTIC_KINDS,
     ExperimentConfig,
     LimitLaw,
     empirical_cdf,
@@ -19,6 +20,7 @@ from prodsums import (
     run_clt_experiment,
     run_slln_experiment,
     sample,
+    sample_rows,
     standardized_sum,
 )
 
@@ -266,6 +268,26 @@ class TestRunCltExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    @pytest.mark.parametrize("tag", list(STATISTIC_KINDS))
+    def test_batches_reuse_one_workspace(self, tag, monkeypatch):
+        # n = 1000 makes batches of 32 rows, so 70 replicates end in a
+        # partial batch; gamma:0.05:1 has dominant draws
+        spec = make_distribution("gamma", [0.05, 1.0])
+        mu, sigma, gam = moments(spec)
+        outs = []
+
+        def recording(spec, n, base_seed, indices, out=None):
+            outs.append(out)
+            return sample_rows(spec, n, base_seed, indices, out)
+
+        monkeypatch.setattr(montecarlo_module, "sample_rows", recording)
+        got = montecarlo_module._replicate_block((spec, tag, 1000, 3, 1, 5, 75))
+        assert [len(o) for o in outs] == [32, 32, 6]
+        assert all(np.shares_memory(o, outs[0]) for o in outs)
+        paths = sample_rows(spec, 1000, 3, range((1 << 32) + 5, (1 << 32) + 75))
+        want = STATISTIC_KINDS[tag].evaluate(paths, mu, sigma, gam)
+        assert np.asarray(want).tobytes() == got.tobytes()
 
     def test_csv_schema(self):
         cfg = ExperimentConfig(EXP1, "rw", (5, 25), 10, 0)

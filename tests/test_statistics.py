@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 from unittest import mock
@@ -26,6 +27,7 @@ from prodsums import (
     remainder_magnitude,
     rw_log_statistic,
     sample,
+    sample_rows,
     standardized_sum,
 )
 from prodsums.cli import main
@@ -512,3 +514,63 @@ class TestKernels:
                     assert math.isnan(out[i])
                 else:
                     assert abs(out[i] - want) <= 1e-12 * (1.0 + abs(want))
+
+
+def _work_cases():
+    """(tag, batch, mu, sigma, gamma) cases that reach every branch of the kernels."""
+    rng = np.random.default_rng(11)
+    heavy = make_distribution("lognormal", [0.0, 20.0])  # mu ~ 7e86: d <= -1/2
+    dominant = rng.exponential(1.0, (5, 300))
+    dominant[2, 7] = 1e6
+    # ratios far from 1 over many draws: the remainder's rows are scaled
+    spread = rng.lognormal(0.0, 3.0, (8, 300))
+    spread[:, 7] = 10.0 ** np.arange(3, 11)
+    batches = [
+        (rng.gamma(4.0, 0.5, (4, 2)), (2.0, 1.0, 0.5)),
+        (np.array([[1e20, 1e-20]]), (1.0, 1.0, 1.0)),
+        (np.array([[3e154, 1e-154], [1.0, 2.0]]), (1.0, 1.0, 10.0)),
+        (np.array([[1e300, 1e-300]]), (1.0, 1.0, 1.0)),
+        (sample_rows(heavy, 50, 0, range(3)), moments(heavy)),
+        (dominant, (1.0, 1.0, 1.0)),
+        (spread, (1.0, 1.0, 1.0)),
+    ]
+    return [(tag, x, *m) for tag in STATISTIC_KINDS for x, m in batches
+            if x.shape[1] >= STATISTIC_KINDS[tag].min_n]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tag,x,mu,sigma,gam", _work_cases())
+def test_work_arrays_give_the_bits_of_new_ones(tag, x, mu, sigma, gam):
+    # work of a larger batch, dirty from earlier use, as the clt loop passes it
+    rows, n = x.shape
+    work = np.full((statistics_module._SCRATCH, rows + 3, n), np.nan)[:, :rows]
+    evaluate = STATISTIC_KINDS[tag].evaluate
+    want = evaluate(x, mu, sigma, gam)
+    for _ in range(2):
+        got = evaluate(x, mu, sigma, gam, work)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(a, work)
+
+
+# sha256 of every output of every _work_cases batch of a kind, recorded
+# from the kernels that allocated every temporary
+KERNEL_DIGESTS = {
+    "loo": "8cfb844388218d21e24c5799c2a2556977d289c508bfd03ccd24019066216e94",
+    "rw": "cb1260f4ae54e4295ca5769618f2e3a29daeffab2d733aa6723ef0e184034564",
+    "lin": "aca0bdf7a36201c5ded9d3d7c641dc7e6e232acaf0b41123ab5a174db226e6d4",
+    "std": "32c5d8758fbb5f5e498ba766f7274017a816bad1c59b121aef75d69b1e50a290",
+    "gm-prefix": "6d3c0e36ec6dcce35c51b9a3b1466a982d0e9d389c7f998f5e47ad667e9b62a4",
+    "gm-loo": "4b15b942e03d62c831c43fc602a8b43b876d89391e9f85208dc0025319558bd5",
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tag", list(STATISTIC_KINDS))
+def test_kernel_bits_are_pinned(tag):
+    digest = hashlib.sha256()
+    for case_tag, x, mu, sigma, gam in _work_cases():
+        if case_tag == tag:
+            for out in STATISTIC_KINDS[tag].evaluate(x, mu, sigma, gam):
+                digest.update(out.tobytes())
+    assert digest.hexdigest() == KERNEL_DIGESTS[tag]

@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodsums import (
@@ -120,6 +121,34 @@ class TestStateBasics:
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
 
 
+    @pytest.mark.parametrize("family,params,want", [
+        ("exponential", [1.0], ["0x1.867de7389f870p+15", "-0x1.1818c76078fefp+7",
+                                "0x1.86cf47a868ea4p+15", "0x1.8a6671e1d3858p+16",
+                                "0x1.819e241240df8p+3"]),
+        ("lognormal", [0.0, 2.0], ["0x1.5e2cc366eab7cp+18", "-0x1.7034d8741456dp+13",
+                                   "0x1.09b9e7b620901p+26", "0x1.568b8d7c38872p+36",
+                                   "0x1.cf4b8e8a45417p+11"]),
+    ])
+    def test_state_from_path_keeps_its_bits(self, family, params, want):
+        # (total, p1, p2, p3, max|d|) of a path over several chunks that
+        # ends inside a 256-value row, recorded from one whole-path
+        # running_sums call per sum
+        spec = make_distribution(family, params)
+        s = state_from_path(sample(spec, 50_123, 4, 0), moments(spec)[0])
+        assert [x.hex() for x in (s.total, s.p1, s.p2, s.p3, s.max_abs_d)] == want
+
+    def test_state_from_path_memory_does_not_grow_with_the_path(self):
+        v = sample(make_distribution("exponential", [1.0]), 1_000_000, 0, 0).values
+        state_from_path(v[:10], 1.0)
+        tracemalloc.start()
+        try:
+            state_from_path(v, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20  # the path itself is 8 MB
+
+
 class TestBlocks:
     @given(rng_paths, block_sizes)
     @settings(max_examples=60, deadline=None)
@@ -166,6 +195,35 @@ class TestBlocks:
         assert np.all(np.abs(got - np.array(want)) <= 1e-12 * (1.0 + scale))
         assert abs(carry.value - ref.value) <= 1e-12 * (1.0 + sum(map(abs, values)))
 
+
+    @given(
+        st.lists(st.one_of(st.floats(-1e16, 1e16), st.sampled_from([1e16, -1e16, 1.0, -1.0])),
+                 max_size=2000),
+        block_sizes,
+    )
+    @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700])
+    @example([-1e16, 1e16] * 300 + [0.5] * 300, [300])
+    @settings(max_examples=100, deadline=None)
+    def test_running_sums_keep_the_bits_of_the_carry_calls(self, values, sizes):
+        # the row loop on local floats against NeumaierSum.value and .add,
+        # one call per 256-value row; the large terms cancel
+        def reference(x, carry):
+            x = np.asarray(x, dtype=float)
+            rows = -(-x.size // 256)
+            padded = np.zeros(rows * 256)
+            padded[: x.size] = x
+            local = np.cumsum(padded.reshape(rows, 256), axis=1)
+            base = np.empty((rows, 1))
+            for r, row_total in enumerate(local[:, -1].tolist()):
+                base[r, 0] = carry.value
+                carry.add(row_total)
+            return (local + base).reshape(-1)[: x.size]
+
+        got_carry, want_carry = NeumaierSum(), NeumaierSum()
+        for block in in_blocks(values, sizes):
+            got = running_sums(block, got_carry)
+            assert got.tobytes() == reference(block, want_carry).tobytes()
+            assert (got_carry._s, got_carry._c) == (want_carry._s, want_carry._c)
 
     @given(
         st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=3000),
