@@ -14,8 +14,8 @@ N = 20_000
 
 report = run_asclt_path(spec, "loo", N, base_seed=6, exact_cutoff=2000)
 print(f"leave-one-out log product along one Exp(1) path, N = {N}")
-print(f"exact evaluation up to n = {report.exact_cutoff}, power-sum series after")
-print(f"series mode from n = {report.mode_switch_n}, exact fallbacks: {report.fallback_count}")
+print("every step takes the certified series, or the exact value where that is not certified")
+print(f"exact steps: {report.exact_steps}; past n = {report.exact_cutoff}: {report.fallback_count}")
 print(f"\n  {'x':>7} {'A_N(x)':>8} {'Phi(x)':>8} {'gap':>8}")
 for x, a, f, gap in report.rows():
     print(f"  {x:>7.3f} {a:>8.4f} {f:>8.4f} {gap:>+8.4f}")

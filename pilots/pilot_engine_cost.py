@@ -9,13 +9,11 @@ wall time and minor page faults (``getrusage``), in total and for the
 stages the engine calls:
 
 * sample      -- drawing the path,
-* expansion   -- the order-16 series of the leave-one-out steps up to the
-                 cutoff and its certificate (``_certified_series``),
+* expansion   -- the leave-one-out series of every step and its
+                 certificate (``_certified_series``),
 * prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``) on
                  the steps the expansion does not certify,
-* sums        -- the running sums (``running_sums``), the power sums of
-                 the leave-one-out kind included,
-* series      -- the power-sum series of the leave-one-out kind,
+* sums        -- the running sums (``running_sums``) of the other kinds,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
 and ``other`` for the rest of the run.  A stage called inside another
@@ -31,7 +29,7 @@ import sys
 import time
 
 N, CUTOFF, SEED = 200_000, 2000, 0
-STAGES = ("sample", "expansion", "prefix", "sums", "series", "accumulate")
+STAGES = ("sample", "expansion", "prefix", "sums", "accumulate")
 
 
 def _faults() -> int:
@@ -62,7 +60,6 @@ def child(kind: str) -> None:
     asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_prefixes = timed("prefix", asclt.loo_log_prefixes)
     asclt.running_sums = timed("sums", asclt.running_sums)
-    asclt.loo_series_from_sums = timed("series", asclt.loo_series_from_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 
     spec = make_distribution("exponential", [1.0])

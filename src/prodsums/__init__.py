@@ -10,8 +10,8 @@ limit.  The pieces:
   analytic moments and reproducible splittable sampling;
 * :mod:`prodsums.statistics` -- exact log-scale evaluation of every
   statistic involved;
-* :mod:`prodsums.streaming` -- O(1)-per-draw power-sum surrogate for the
-  leave-one-out statistic;
+* :mod:`prodsums.streaming` -- the leave-one-out statistic of every
+  prefix of a path as a series with a certified bound, O(1) per step;
 * :mod:`prodsums.limits` -- self-contained normal CDF/quantile and the
   closed-form limit laws;
 * :mod:`prodsums.asclt` -- logarithmic-average empirical distributions
@@ -46,11 +46,10 @@ from .statistics import (
     standardized_sum,
 )
 from .streaming import (
+    LooSeries,
     PowerSumState,
     init_state,
     loo_log_series,
-    loo_series_error_bound,
-    state_from_path,
 )
 from .limits import (
     LAW_TAGS,
@@ -98,11 +97,10 @@ __all__ = [
     "geometric_mean_loo",
     "max_relative_deviation",
     "remainder_magnitude",
+    "LooSeries",
     "PowerSumState",
     "init_state",
     "loo_log_series",
-    "loo_series_error_bound",
-    "state_from_path",
     "LAW_TAGS",
     "LimitLaw",
     "normal_cdf",

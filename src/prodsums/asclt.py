@@ -19,22 +19,20 @@ single dropped term is irrelevant in the limit.
 
 :func:`run_asclt_path` draws the path with one :func:`sample` call and
 walks it in blocks of 4096 steps.  Per block, a kind forms the running
-sums it reads after every step: S_n (``rw``, ``lin``), S_n - n*mu
-(``std``) or the power sums of d = (X - mu)/mu and the largest |d|
-(``loo``, :func:`_power_sums`).  Each kind's t_n is whole-array
-arithmetic on them, and :meth:`LogAvgAccumulator.accumulate` adds the
-block's indicator mass with one ``searchsorted`` and one ``bincount``.
-Scaling every draw by one constant changes neither t_n nor d, so
-the cost does not depend on the unit of the draws.  The leave-one-out
-kind takes the third-order series of these sums beyond
-``exact_cutoff``, and up to it the order-16 series of
-:func:`_certified_series` where that certifies the exact value's grid
-bin.  Its other steps, and the rare steps where the third-order gate
-fails, take the exact O(n) statistic through one
-:func:`~prodsums.statistics.loo_log_prefixes` call per block.  The cost
-is O(N) numpy work plus O(n) per exact step (41 of the first 2000 steps
-of exponential:1 at seed 0); the memory beyond the path is one block's
-temporaries.
+sums it reads after every step: S_n (``rw``, ``lin``) or S_n - n*mu
+(``std``), and its t_n is whole-array arithmetic on them;
+:meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
+with one ``bincount``.  The leave-one-out kind has one rule at every
+step: it takes the value of the :class:`~prodsums.streaming.LooSeries`
+series where :func:`_certified_series` certifies the exact value's grid
+bin, and the exact statistic through one
+:func:`~prodsums.statistics.loo_log_prefixes` call per block elsewhere.
+So its CSV is the CSV of the exact statistic, and ``exact_cutoff`` only
+sets where the count of fallbacks (steps sent to the exact kernel)
+starts.  The cost is O(N) numpy work plus O(n) per exact step (none of
+the 2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
+lognormal:0:20 or gamma:0.001:1); the memory beyond the path is one
+block's temporaries.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf
 from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
-from .streaming import loo_series, loo_series_from_sums, series_error_bound
+from .streaming import LooSeries
 from .summation import NeumaierSum, running_sums
 
 __all__ = [
@@ -64,36 +62,32 @@ ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 # stay a small fraction of the path itself
 _BLOCK = 4096
 
-_ORDER, _TOL, _SLACK = 16, 1e-14, 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
+_SLACK = 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
 
 
-def _power_sums(d, carries):
-    """The running sums of d, d^2, ..., d^J, J = len(carries), each
-    continuing its carry.  Powers past the double range give sums that
-    are not finite, which neither series accepts."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums, power = [running_sums(d, carries[0])], d
-        for carry in carries[1:]:
-            power = power * d
-            sums.append(running_sums(power, carry))
-    return sums
+def _certified_series(series, n, grid):
+    """The series of t_n at the block's steps n, and where it does not
+    certify the grid bin of the exact kernel's value.
 
-
-def _certified_series(n, sums, max_abs_d, gam, grid):
-    """The series of t_n at steps n, over the power sums of d = (X - mu)/mu
-    and the largest |d|, and where it does not certify the grid bin of the
-    exact kernel's value.
-
-    Certified means finite, a truncation bound of at most _TOL, and no
-    grid point within that bound plus _SLACK*sqrt(n)/gamma.  Both values
-    err by a few roundings in each of the n log terms, so by
-    O(eps*sqrt(n)/gamma), and the slack is 64 such units.
+    Certified means finite, a truncation bound of at most ``series.tol``
+    (1e-14), and no grid point within that bound plus a slack for
+    rounding.  The exact kernel errs by a few roundings in each of its n
+    log terms, and the series by a few roundings of the terms it
+    evaluates exactly, its anchor n*log(S_n/m) and the top draws; the
+    slack is 64 such units of each (the series' ``size``).
     """
-    value, u = loo_series(n, 1.0, sums, max_abs_d, gam)
-    bound = series_error_bound(n, u, gam, len(sums))
-    reach = bound + _SLACK * np.sqrt(n) / gam
-    clear = np.searchsorted(grid, value - reach) == np.searchsorted(grid, value + reach, "right")
-    return value, ~(np.isfinite(value) & (bound <= _TOL) & clear)
+    value, bound, size = series.block(int(n[-1]))
+    reach = _SLACK * size
+    reach += bound
+    clear = bound <= series.tol
+    lo, hi, most = value.min(), value.max(), np.fmax.reduce(reach)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        clear &= np.isfinite(value)
+        lo, hi = np.fmin.reduce(value), np.fmax.reduce(value)
+    # only the grid points within the values' reach can be too near one
+    for g in grid[(grid >= lo - most) & (grid <= hi + most)]:
+        clear &= np.abs(value - g) > reach
+    return value, ~clear
 
 
 # normal_quantile(0.05 * j) for j = 1..19, bit for bit (a test pins them)
@@ -159,8 +153,16 @@ class LogAvgAccumulator:
         if bad.size:
             raise ValueError(f"statistic is {t[bad[0]]} at n = {n + int(bad[0])}; it must be finite")
         w = 1.0 / np.arange(n, n + t.size)
-        # I(t_n <= grid[j]) holds for every j from the first grid point >= t_n
-        first = np.searchsorted(self.grid, t, side="left")
+        # I(t_n <= grid[j]) holds for every j from the first grid point >= t_n;
+        # every step is above the grid points below the block's least value,
+        # so only those up to its largest are compared one by one
+        below, within = np.searchsorted(self.grid, (t.min(), t.max()))
+        if within - below <= 4:
+            first = np.full(t.size, below)
+            for g in self.grid[below:within]:
+                first += t > g
+        else:
+            first = np.searchsorted(self.grid, t, side="left")
         mass = np.bincount(first, weights=w, minlength=self.grid.size + 1)
         y = mass[: self.grid.size].cumsum() - self._wc
         total = self._w + y
@@ -248,8 +250,7 @@ def run_asclt_path(
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    carries = [NeumaierSum() for _ in range(_ORDER)]  # loo: sums of d^j, j <= 3 past the cutoff
-    max_abs_d = np.zeros(1)  # loo: the largest |d| so far is the last entry
+    series = LooSeries(v, mu, gam) if kind == "loo" else None
     total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
@@ -265,26 +266,17 @@ def run_asclt_path(
         elif kind == "lin":
             # reduced form of the leave-one-out linearization
             t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
-        else:  # loo: series, exact where uncertified (n <= exact_cutoff) or gated
-            d = (block - mu) / mu
-            sums = _power_sums(d, carries)
-            max_abs_d = np.maximum(np.maximum.accumulate(np.abs(d)), max_abs_d[-1])
-            c = int(np.searchsorted(n, exact_cutoff, side="right"))
-            t, valid = loo_series_from_sums(n, 1.0, *sums[:3], max_abs_d, gam)
-            exact, valid = ~valid, valid[c:]
-            if c:
-                t[:c], exact[:c] = _certified_series(
-                    n[:c], [p[:c] for p in sums], max_abs_d[:c], gam, acc.grid
-                )
-            if n[-1] >= exact_cutoff:
-                del carries[3:]
-            fallbacks += valid.size - int(np.count_nonzero(valid))
-            if mode_switch is None and valid.any():
-                mode_switch = int(n[c + np.argmax(valid)])
+        else:  # loo: the certified series, else the exact kernel
+            t, exact = _certified_series(series, n, acc.grid)
             exact[0] &= start > 0  # n = 1 is never accumulated
             todo = np.flatnonzero(exact)
-            t[todo] = loo_log_prefixes(v, n[todo], mu, gam)
-            exact_steps += todo.size
+            if todo.size:
+                t[todo] = loo_log_prefixes(v, n[todo], mu, gam)
+                exact_steps += todo.size
+                fallbacks += int(np.count_nonzero(n[todo] > exact_cutoff))
+            if mode_switch is None and n[-1] > exact_cutoff:
+                took = np.flatnonzero(~exact & (n > exact_cutoff))
+                mode_switch = int(n[took[0]]) if took.size else None
         if start == 0:  # accumulation starts at n = 2
             n, t = n[1:], t[1:]
         acc.accumulate(int(n[0]), t)

@@ -229,7 +229,8 @@ def _cmd_asclt(args, parser) -> int:
     _write_report(args, report)
     print(
         f"sup-gap={report.sup_gap:.6f} (logN normalization: {report.sup_gap_logn:.6f}) "
-        f"series from n={report.mode_switch_n} fallbacks={report.fallback_count}",
+        f"series from n={report.mode_switch_n} fallbacks={report.fallback_count} "
+        f"exact={report.exact_steps}",
         file=sys.stderr,
     )
     return 0
@@ -317,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", default=None, choices=ASCLT_KINDS)
     p.add_argument("--N", type=int, default=None, help="trajectory length")
     p.add_argument("--exact-cutoff", type=int, default=None,
-                   help="largest n where loo takes the exact value's grid bin, from "
-                        "a certified order-16 series or the O(n) kernel (default 2000)")
+                   help="the n past which loo counts its steps sent to the exact kernel "
+                        "(fallbacks); no output depends on it (default 2000)")
     p.add_argument("--grid", default=None,
                    help="comma-separated grid points (default: 19 normal quantiles)")
     p.add_argument("--workers", type=int, default=None,

@@ -1,101 +1,266 @@
-"""O(1)-per-draw surrogate for the leave-one-out log statistic.
+"""The leave-one-out log statistic of every prefix of one path, O(1) per step.
 
-Evaluating :func:`~prodsums.statistics.loo_log_statistic` from scratch
-costs O(n), which makes a single-trajectory almost-sure run over
-n = 2..N cost O(N^2).  This module maintains centered power sums
+Evaluating :func:`~prodsums.statistics.loo_log_statistic` afresh costs
+O(n), so a single-trajectory run over n = 2..N costs O(N^2) that way.
+:class:`LooSeries` walks the path in blocks instead and anchors every
+leave-one-out ratio at the prefix sum S_n, with r_k = X_k/S_n:
 
-    p_j = sum_k (X_k - mu)^j   for j = 1, 2, 3
+    log(S_{n,k}/((n-1)*mu)) = log(S_n/((n-1)*mu)) + log(1 - r_k).
 
-alongside the running total S and the largest centered draw seen, which
-is enough to reconstruct a third-order-accurate value of the statistic
-in a constant number of operations per query.
+The anchor and the terms of the k <= 8 largest draws (the top set), whose
+ratios may be near 1, are exact.  The other draws (the bulk) have ratios
+of at most r* < 1 that add up to at most 1, and their terms are the
+series -sum_j R_j/j over R_j = sum_{bulk} r_k^j; cut at order J it errs
+by at most n_B * r*^(J+1) / ((J+1)*(1 - r*)) in all, n_B the bulk's size.
+Once the 8 largest draws are known, each step moves exactly one draw into
+the bulk, the smaller of the new draw and the smallest top draw, so S_n
+and the bulk's power sums are running sums of positive terms.  They are
+kept as sums of (X/S_ref)^j for one S_ref at a time, rescaled by
+(S_ref/S_n)^j <= 2^960, so no power leaves the double range on any law.
+Each block picks from the ratios it sees the number k of exact draws and,
+per stretch of steps, the least order J whose bound meets the tolerance.
 
-Writing D = p1 = S - n*mu and m = (n-1)*mu, each leave-one-out ratio
-factors exactly as
-
-    S_{n,k}/m = (1 + D/m) * (1 - d_k/(m + D)),     d_k = X_k - mu,
-
-so the log sum splits into an anchor ``n*log1p(D/m)`` that is computed
-exactly and a correction ``sum_k log(1 - v_k)`` with v_k = d_k/(m+D).
-The correction is expanded to order J (3 in a state), and its power sums
-collapse to p_1..p_J.  Because the v_k are O(1/n) rather than the
-O(1/sqrt(n)) of the unfactored ratios, the third-order error decays
-like n^(-7/2) and is far below 1e-6 for n >= 1e3; the plain third-order
-expansion of log(S_{n,k}/m) would be noisier than the statistic's own
-convergence.
-
-The series of any order and its bound are written once, in
-:func:`loo_series` and :func:`series_error_bound`, for floats or arrays;
-its gated third-order call is :func:`loo_series_from_sums`.
-:func:`~prodsums.asclt.run_asclt_path` calls them on its own sums of
-(X - mu)/mu.  A :class:`PowerSumState` is the scalar reference: it
-absorbs one draw at a time (:meth:`PowerSumState.update`) or a whole
-path (:func:`state_from_path`), and :func:`loo_log_series` applies the
-gated series to it.
+:class:`PowerSumState` and :func:`loo_log_series` are the older
+third-order series in the centred draws (X - mu)/mu, gated by
+(|S_n - n*mu| + max|X - mu|)/((n-1)*mu) <= 1/2, which fails on heavy
+laws.  The program does not use them; the benchmark's replay does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
-from operator import mul
+import bisect
+import math
 
 import numpy as np
 
-from .summation import _ROW, NeumaierSum, running_sums
+from .summation import NeumaierSum, exact_running_sums
 
-__all__ = [
-    "PowerSumState",
-    "init_state",
-    "loo_log_series",
-    "loo_series",
-    "loo_series_from_sums",
-    "series_error_bound",
-    "loo_series_error_bound",
-    "state_from_path",
-]
+__all__ = ["LooSeries", "PowerSumState", "init_state", "loo_log_series"]
 
-
-# draws per chunk of :func:`state_from_path`: a multiple of the rows of
-# running_sums, so the carries see the row totals of one whole-path call
-_CHUNK = 64 * _ROW
+_TOP = 8  # the largest draws kept apart from the bulk
+_ORDER = 16  # the highest order of the series
+_KEEP = 1  # bulk power sums kept past a block's highest order
+_SPAN = 2.0**60  # the largest S_ref/S_n; its 16th power is a finite double
+_GROWTH = 2.0**0.25  # the largest growth of S_n across one piece of a plan
+_CHUNK = 1 << 16  # draws per chunk when the bulk's power sums are rebuilt
+_J = np.arange(2, _ORDER + 2)
 
 
-@dataclass
-class PowerSumState:
-    """Streaming state: count, running sum, centered power sums, max |d|.
+class LooSeries:
+    """The leave-one-out log statistic of the prefixes of one path.
 
-    All four accumulators are compensated, so p1 = S - n*mu holds to
-    O(eps) after millions of updates.
+    :meth:`block` returns, for the next steps up to a given n, the series
+    value (NaN at n = 1), its truncation bound and a size for the rounding
+    errors.
     """
 
-    mu: float
-    n: int = 0
-    _s: NeumaierSum = field(default_factory=NeumaierSum)
-    _p1: NeumaierSum = field(default_factory=NeumaierSum)
-    _p2: NeumaierSum = field(default_factory=NeumaierSum)
-    _p3: NeumaierSum = field(default_factory=NeumaierSum)
-    max_abs_d: float = 0.0
+    tol = 1e-14  # the truncation bound each step's order aims at
 
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+    def __init__(self, path, mu: float, gamma: float):
+        self.path = np.asarray(getattr(path, "values", path), dtype=float)
+        if self.path.ndim != 1 or not np.all(self.path > 0.0):
+            raise ValueError("path must be a 1-D sequence of positive draws")
+        if not (mu > 0 and gamma > 0):
+            raise ValueError("mu and gamma must be positive")
+        self.mu, self.gamma = float(mu), float(gamma)
+        self.n, self._k = 0, None  # _k: the last block's number of exact draws
+        self._top = []  # (value, index) of the largest draws, largest first
+        self._bulk = NeumaierSum()  # the sum of the other draws
+        self._ref, self._sums = 0.0, []  # the bulk's sums of (X/_ref)^j, j >= 2
 
-    @property
-    def total(self) -> float:
-        return self._s.value
+    def block(self, stop: int):
+        """``(value, bound, size)`` at the steps n = self.n + 1, ..., stop.
 
-    @property
-    def p1(self) -> float:
-        return self._p1.value
+        ``size`` is n plus the exact terms' magnitude over gamma*sqrt(n),
+        the scale of the rounding errors here and in the exact kernel.
+        """
+        start = self.n
+        if not start < stop <= self.path.size:
+            raise ValueError(f"stop must be in ({start}, {self.path.size}]")
+        x = self.path[start:stop]
+        n = np.arange(start + 1, stop + 1, dtype=float)
+        top_before = [i for _, i in self._top]
+        enter, starts, tops = self._enter(x, start)
+        one = starts.size == 1
+        runs = np.zeros(x.size, dtype=np.intp) if one else np.repeat(
+            np.arange(starts.size), np.diff(starts, append=x.size))
+        bulk = exact_running_sums(enter, self._bulk, tops[-1, 0])
+        s = bulk + (tops[0].sum() if one else tops.sum(axis=1)[runs])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k, upto, bound = self._plan(n, s, starts, tops)
+            if len(upto) > len(self._sums):
+                self._rebuild(start, top_before, len(upto) + 1 + _KEEP)
+            series = self._series(s, enter, runs, tops[:, k:], upto)
+            self.n = stop
+            value = np.log(s / ((n - 1) * self.mu))
+            value *= n
+            size = np.abs(value) + n
+            if k:
+                r = tops[runs, :k] / s[:, np.newaxis]
+                series += 1.0 - r.sum(axis=1)  # R_1 of the draws in the series
+                logs = np.log1p(-r)
+                # 1 - r cancels for a draw above S_n/2: the rest of S_n is a
+                # sum of positive terms
+                big = np.flatnonzero(r[:, 0] > 0.5)
+                logs[big, 0] = np.log((bulk[big] + tops[runs[big], 1:].sum(axis=1)) / s[big])
+                exact = logs.sum(axis=1)
+                value += exact
+                size -= exact
+            else:
+                series += 1.0
+            value -= series
+            norm = np.divide(1.0 / self.gamma, np.sqrt(n))
+        if start == 0:
+            value[0] = np.nan  # (n - 1)*mu vanishes
+        return value * norm, bound * norm, size * norm
 
-    @property
-    def p2(self) -> float:
-        return self._p2.value
+    def _enter(self, x, start):
+        """The draw each step moves into the bulk (0 while the top set
+        fills), and the runs of steps with one top set: their first
+        positions and their top draws, largest first and padded with 0."""
+        top, enter = self._top, x.copy()
+        starts, values = [0], [[v for v, _ in top]]
+        theta = top[-1][0] if len(top) == _TOP else 0.0
+        pos = 0
+        while pos < x.size:
+            # theta is fixed per chunk; a chunk as long as the path so far
+            # has about _TOP draws above it
+            end = min(x.size, pos + max(start + pos, _TOP))
+            for i in (pos + np.flatnonzero(x[pos:end] > theta)).tolist():
+                if x[i] > theta:
+                    enter[i] = theta
+                    bisect.insort(top, (float(x[i]), start + i), key=lambda t: -t[0])
+                    del top[_TOP:]
+                    theta = top[-1][0] if len(top) == _TOP else 0.0
+                    if starts[-1] != i:
+                        starts.append(i)
+                    values[len(starts) - 1 :] = [[v for v, _ in top]]
+            pos = end
+        tops = np.zeros((len(starts), _TOP))
+        for row, v in zip(tops, values):
+            row[: len(v)] = v
+        return enter, np.array(starts), tops
 
-    @property
-    def p3(self) -> float:
-        return self._p3.value
+    def _plan(self, n, s, starts, tops):
+        """The number k of exact top draws, the step up to which the block
+        needs each order j = 2, 3, ..., and the bound per step, times
+        gamma*sqrt(n).
+
+        Pieces of the block have S_n grow by at most 2^(1/4).  The k-th
+        largest draw only grows, and no bulk draw exceeds the smallest top
+        draw, so over a piece r* is at most the (k+1)-th largest draw at
+        its end over S_n at its start, and n_B at most its last n - k.
+        Per piece J is the least order up to 16 with a bound of at most
+        tol; k leaves the fewest steps without one, then costs the fewest
+        array passes (about one per exact draw, two per order and step).
+        A block of one piece and one top set keeps the last k if it can.
+        """
+        first = [0]
+        if s[-1] >= s[0] * _GROWTH:
+            lo, hi = math.log2(s[0]), math.log2(s[-1])
+            cut = np.zeros(n.size + 1, dtype=bool)
+            cut[[0, *np.searchsorted(s, np.exp2(lo + np.arange(1, 4 * min(hi - lo, 2100) + 1) / 4))]] = True
+            first = np.flatnonzero(cut[:-1]).tolist()
+        ends = first[1:] + [n.size]
+        starts, tops, pieces = starts.tolist(), tops.tolist(), []
+        for f, end in zip(first, ends):  # size, last n, log of the room, r* per k
+            row = tops[bisect.bisect_right(starts, end - 1) - 1]
+            room = math.log(self.tol * self.gamma * math.sqrt(f + n[0]))
+            pieces.append((end - f, float(n[end - 1]), room, [v / float(s[f]) for v in row + row[-1:]]))
+        best = self._k if len(first) == len(starts) == 1 else None
+        for ks in ([best], range(_TOP + 1)) if best is not None else [range(_TOP + 1)]:
+            orders = {k: [] for k in ks}
+            missed, cost = dict.fromkeys(ks, 0), dict.fromkeys(ks, 0)
+            for m, n1, room, row in pieces:
+                for k in ks:
+                    rk = row[k]
+                    if 0.0 < rk < 1.0 and n1 > k:
+                        j = max(math.ceil((room - math.log((n1 - k) / (1.0 - rk))) / math.log(rk)) - 1, 1)
+                    else:
+                        j = 1 if rk == 0.0 or n1 <= k else _ORDER + 1
+                    orders[k].append(min(j, _ORDER))
+                    missed[k] += m if j > _ORDER else 0
+                    cost[k] += m * min(j, _ORDER)
+            best = min(ks, key=lambda k: (missed[k], k * n.size + 2 * cost[k]))
+            if not missed[best]:
+                break
+        self._k, need, bound = best, orders[best], []
+        for j, (_, n1, _, row) in zip(need, pieces):
+            rk, nb = row[best], max(n1 - best, 0.0)
+            bound.append(nb * rk ** (j + 1) / ((j + 1) * (1.0 - rk)) if rk < 1.0 else math.inf)
+        upto = [0] * (max(need) - 1)  # each order up to the last piece needing it
+        for j, end in zip(need, ends):
+            upto[: j - 1] = [end] * (j - 1)
+        return best, upto, np.repeat(bound, [m for m, *_ in pieces])
+
+    def _rebuild(self, start, top, order):
+        """The bulk's power sums of orders 2 to ``order`` over the first
+        ``start`` draws afresh, in chunks; ``top`` indexes the top set."""
+        sums = np.zeros(order - 1)
+        for lo in range(0, start, _CHUNK):
+            w = self.path[lo : min(lo + _CHUNK, start)] / self._ref
+            w[[i - lo for i in top if lo <= i < lo + w.size]] = 0.0
+            power = w * w
+            for j in range(order - 1):
+                sums[j] += power.sum()
+                power = power * w
+        self._sums = sums.tolist()
+
+    def _series(self, s, enter, runs, rest, upto):
+        """sum_{j >= 2} R_j/j per step over the bulk, whose draws come in
+        ``enter``, and the top draws ``rest`` of each run, order j up to
+        the step ``upto[j - 2]``; the power sums move to the block's end."""
+        series = np.zeros(s.size)
+        lo = 0
+        while lo < s.size:
+            hi = s.size
+            if s[-1] > s[lo] * _SPAN:
+                hi = max(lo + 1, int(np.searchsorted(s, s[lo] * _SPAN, side="right")))
+            ref, old = float(s[hi - 1]), self._ref
+            self._ref = ref
+            sums = [q * (old / ref) ** j for j, q in enumerate(self._sums, 2)]
+            first, final = runs[lo], runs[hi - 1]
+            # the top draws' power sums per run and order
+            extra = np.power((rest[first : final + 1] / ref)[..., np.newaxis], _J).sum(axis=1)
+            extra = extra[0] if first == final else extra[runs[lo:hi] - first]
+            p = enter[lo:hi] * (1.0 / ref)
+            power, terms = p * p, []
+            for j in range(2, len(sums) + 2):
+                if j > 2:
+                    power *= p
+                m = max(min(upto[j - 2], hi) - lo, 0) if j - 2 < len(upto) else 0
+                q = sums[j - 2]
+                sums[j - 2] += float(power[m:].sum()) if m < power.size else 0.0
+                if m:
+                    running = np.cumsum(power[:m])
+                    sums[j - 2] += float(running[-1])
+                    running += q + (extra[j - 2] if first == final else extra[:m, j - 2])
+                    running *= 1.0 / j
+                    terms.append(running)
+            rho = np.divide(ref, s[lo:hi])  # Horner's rule in rho = ref/S_n
+            total = np.zeros(0)
+            for term in reversed(terms):
+                total *= rho[: total.size]
+                term[: total.size] += total
+                total = term
+            total *= rho[: total.size]
+            np.multiply(total, rho[: total.size], out=series[lo : lo + total.size])
+            self._sums = sums[: len(upto) + _KEEP]
+            lo = hi
+        return series
+
+
+class PowerSumState:
+    """Streaming count n, sum S, centred power sums p1, p2, p3 of
+    d = X - mu (compensated, so p1 = S - n*mu to O(eps)) and max |d|."""
+
+    def __init__(self, mu: float):
+        if mu <= 0:
+            raise ValueError(f"mu must be positive, got {mu}")
+        self.mu, self.n, self.max_abs_d = mu, 0, 0.0
+        self._sums = [NeumaierSum() for _ in range(4)]
+
+    total, p1, p2, p3 = (property(lambda self, i=i: self._sums[i].value) for i in range(4))
 
     def update(self, x: float) -> "PowerSumState":
         """Absorb one draw; constant work per call."""
@@ -103,12 +268,9 @@ class PowerSumState:
             raise ValueError(f"draws must be positive, got {x}")
         d = x - self.mu
         self.n += 1
-        self._s.add(x)
-        self._p1.add(d)
-        self._p2.add(d * d)
-        self._p3.add(d * d * d)
-        if abs(d) > self.max_abs_d:
-            self.max_abs_d = abs(d)
+        for total, term in zip(self._sums, (x, d, d * d, d * d * d)):
+            total.add(term)
+        self.max_abs_d = max(self.max_abs_d, abs(d))
         return self
 
 
@@ -117,99 +279,25 @@ def init_state(mu: float) -> PowerSumState:
     return PowerSumState(mu)
 
 
-def loo_series(n, mu, sums, max_abs_d, gamma):
-    """The series of order J = len(sums) and its gate quantity u.
-
-    ``sums`` holds p_1..p_J; every argument but ``mu`` and ``gamma`` may
-    be a float or an array (``n`` >= 2).  Returns ``(value, u)``: value
-    ``(n*log1p(D/m) - sum_j p_j/(j*a^j)) / (gamma*sqrt(n))``, NaN where not
-    finite, and ``u = (|D| + max|d|)/m``, which bounds every |d_k/a| while
-    u < 1, so the value is within :func:`series_error_bound` of the exact.
-    """
-    m = (np.asarray(n) - 1) * mu
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = m + sums[0]  # = S - mu
-        # j*a^j is the product j*a*...*a rounded left to right
-        terms = [p / reduce(mul, [a] * (j - 1), j * a) for j, p in enumerate(sums, 1)]
-        value = (n * np.log1p(sums[0] / m) - sum(terms[1:], terms[0])) / (gamma * np.sqrt(n))
-        u = (np.abs(sums[0]) + max_abs_d) / m
-    return np.where(np.isfinite(value), value, np.nan), u
-
-
-def series_error_bound(n, u, gamma, order: int = 3):
-    """``n * u^(J+1) / ((J+1)*(1-u)) / (gamma*sqrt(n))``, inf where u >= 1:
-    each log(1 - d_k/a) has a tail past order J of at most u^(J+1)/((J+1)*(1-u))."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bound = n * u ** (order + 1) / ((order + 1) * (1.0 - u)) / (gamma * np.sqrt(n))
-    return np.where(u < 1.0, bound, np.inf)
-
-
-def loo_series_from_sums(n, mu, p1, p2, p3, max_abs_d, gamma):
-    """:func:`loo_series` at J = 3 as ``(value, valid)``: valid is the gate
-    ``u <= 1/2`` of :func:`loo_log_series` on a finite value."""
-    value, u = loo_series(n, mu, (p1, p2, p3), max_abs_d, gamma)
-    return value, (u <= 0.5) & np.isfinite(value)
-
-
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
     """Third-order surrogate for the leave-one-out log statistic.
 
-    Returns ``(value, valid)``.  ``valid`` is True iff the value is finite
-    and ``(|D| + max|d|) / m <= 1/2``, the regime in which every
-    leave-one-out ratio is within 1/2 of 1; outside it callers must fall
-    back to the exact O(n) evaluation and the returned value is not
-    meaningful (NaN where it is not finite).
-
-    When valid, ``|value - loo_log_statistic|`` is bounded by
-    :func:`loo_series_error_bound`.
+    With D = p1, m = (n-1)*mu and a = m + D, S_{n,k}/m = (1 + D/m)*(1 - d_k/a)
+    and the value is (n*log1p(D/m) - p1/a - p2/(2a^2) - p3/(3a^3)) / (gamma*sqrt(n)).
+    Returns ``(value, valid)``: valid iff the value is finite and
+    u = (|D| + max|d|)/m <= 1/2, where it errs by at most
+    n*u^4/(4*(1-u)) / (gamma*sqrt(n)).  The value is NaN where not finite.
     """
     n = state.n
     if n < 2:
         raise ValueError("loo_log_series needs a state with n >= 2")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    value, valid = loo_series_from_sums(
-        n, state.mu, state.p1, state.p2, state.p3, state.max_abs_d, gamma
-    )
-    return float(value), bool(valid)
-
-
-def loo_series_error_bound(state: PowerSumState, gamma: float) -> float:
-    """Provable bound on |series - exact| while the series is valid:
-    :func:`series_error_bound` at J = 3, inf when u >= 1."""
-    n = state.n
-    if n < 2:
-        raise ValueError("loo_series_error_bound needs a state with n >= 2")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    u = (abs(state.p1) + state.max_abs_d) / ((n - 1) * state.mu)
-    return float(series_error_bound(n, u, gamma))
-
-
-def state_from_path(path, mu: float) -> PowerSumState:
-    """Build the state of a whole path at once.
-
-    Equivalent to streaming every draw through :meth:`PowerSumState.update`
-    (the reconstruction tests pin the two against each other), but the
-    sums are whole-array work (:func:`~prodsums.summation.running_sums`)
-    over chunks of the path, so the memory it takes does not grow with
-    the path.
-    """
-    v = np.asarray(getattr(path, "values", path), dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("path must be a nonempty 1-D sequence")
-    state = PowerSumState(mu, n=v.size)
-    tops = []
-    for start in range(0, v.size, _CHUNK):
-        x = v[start : start + _CHUNK]
-        if not np.all(x > 0.0):
-            raise ValueError("draws must be positive")
-        d = x - mu
-        tops.append(np.max(np.abs(d)))
-        # d**3 overflows past |d| = 1e102; the series gate rejects such sums
-        with np.errstate(over="ignore", invalid="ignore"):
-            for terms, acc in ((x, state._s), (d, state._p1), (d * d, state._p2), (d * d * d, state._p3)):
-                running_sums(terms, acc)
-    state.max_abs_d = float(np.max(tops))
-    return state
+    m, p1 = np.float64((n - 1) * state.mu), state.p1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = m + p1
+        terms = p1 / a + state.p2 / (2 * a * a) + state.p3 / (3 * a * a * a)
+        value = (n * np.log1p(p1 / m) - terms) / (gamma * np.sqrt(n))
+        u = (abs(p1) + state.max_abs_d) / m
+    finite = bool(np.isfinite(value))
+    return (float(value) if finite else float("nan")), finite and bool(u <= 0.5)

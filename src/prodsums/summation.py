@@ -12,14 +12,17 @@ Running sums that must be updated one value at a time use
 after any number of updates stays O(eps) relative to the exact sum
 instead of growing linearly with the number of terms.
 :func:`running_sums` gives every prefix total of a block of values at
-numpy speed, continuing a :class:`NeumaierSum` from one block to the next.
+numpy speed, continuing a :class:`NeumaierSum` from one block to the next;
+:func:`exact_running_sums` does so within about one rounding each.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["NeumaierSum", "row_sums", "running_sums"]
+__all__ = ["NeumaierSum", "row_sums", "running_sums", "exact_running_sums"]
 
 # plain cumsum error grows with the row length; the Neumaier carry keeps
 # it from growing with the number of rows
@@ -72,6 +75,30 @@ def _prefix_totals(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
         out[lo:hi] = np.cumsum(high)[k] + np.cumsum(t - high)[k]
         lo = hi
     return out
+
+
+def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.ndarray:
+    """Every prefix total ``carry + x[0] + ... + x[k]`` of x >= 0, each
+    within about one rounding, continuing ``carry``; ``top`` is at least
+    the largest x.
+
+    The high parts of :func:`row_sums`' split have an exact cumsum, the
+    low parts' cumsum errs by far less than a rounding of the total, and
+    the carry's pair takes both block totals.
+    """
+    s, c = carry._s, carry._c
+    grid = 2.0 ** min(math.frexp(top)[1] + x.size.bit_length() + 1, 1023)
+    high = (x + grid) - grid
+    low = x - high
+    low[0] += c
+    low = np.cumsum(low)
+    high = np.cumsum(high)
+    carry._c = 0.0  # c is in low's first term
+    carry.add(float(high[-1]))
+    carry._c += float(low[-1])
+    high += s
+    high += low
+    return high
 
 
 class NeumaierSum:

@@ -15,10 +15,9 @@ import numpy as np
 from mpmath import mp, ncdf
 
 from prodsums import (
+    LooSeries,
     linearized_statistic,
     loo_log_statistic,
-    loo_log_series,
-    loo_series_error_bound,
     make_distribution,
     moments,
     normal_cdf,
@@ -29,7 +28,6 @@ from prodsums import (
     run_slln_experiment,
     sample,
     standardized_sum,
-    state_from_path,
     ExperimentConfig,
 )
 from prodsums.cli import main as cli_main
@@ -133,19 +131,17 @@ def test_criterion_5_series_fidelity():
         n = int(rng.integers(1000, 10_001))
         mu, _, gam = moments(spec)
         path = sample(spec, n, base_seed=200, stream_index=i)
-        state = state_from_path(path, mu)
-        value, valid = loo_log_series(state, gam)
-        assert valid
+        series = LooSeries(path, mu, gam)
+        for stop in range(4096, n + 4096, 4096):
+            value, bound, _ = series.block(min(stop, n))
+        value, bound = value[-1], bound[-1]
+        assert bound <= 1e-14
         exact = loo_log_statistic(path, mu, gam)
         err = abs(value - exact)
-        m = (n - 1) * mu
-        u = (abs(state.p1) + state.max_abs_d) / m
-        fourth_order = n * u**4 / 4.0 / (gam * math.sqrt(n))
         # both evaluations carry ~1e-14 of double rounding at n = 1e4,
         # which dominates whenever the true truncation error is smaller
         floor = 1e-13 * (1.0 + abs(exact))
-        assert err <= fourth_order + floor
-        assert err <= loo_series_error_bound(state, gam) + floor
+        assert err <= bound + floor
         worst = max(worst, err)
         checked += 1
     elapsed = time.perf_counter() - t0

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import tracemalloc
@@ -15,9 +16,9 @@ from prodsums import (
     ASCLT_KINDS,
     LogAvgAccumulator,
     default_grid,
+    LooSeries,
     init_state,
     loo_log_prefixes,
-    loo_log_series,
     loo_log_statistic,
     make_distribution,
     moments,
@@ -32,18 +33,27 @@ from prodsums.summation import NeumaierSum
 EXP1 = make_distribution("exponential", [1.0])
 
 
-def reference_path(spec, n_max, base_seed, exact_cutoff=2000):
+@functools.lru_cache(maxsize=None)
+def exact_loo(spec, n_max, base_seed, steps=None):
+    """The exact leave-one-out statistic, one scalar call per step: at
+    n = 2..n_max, or at the given steps."""
+    mu, _, gam = moments(spec)
+    v = sample(spec, n_max, base_seed, 0).values
+    ns = range(2, n_max + 1) if steps is None else steps
+    return np.array([loo_log_statistic(v[:n], mu, gam) for n in ns])
+
+
+def reference_path(spec, n_max, base_seed, loo=True):
     """The trajectory loop, one step at a time, from the scalar public API.
 
-    Returns, per ASCLT kind, ``(t, A_N, mode_switch_n, fallback_count)``
-    with t[i] the statistic at n = i + 2.
+    Returns, per ASCLT kind, ``(t, A_N)`` with t[i] the statistic at
+    n = i + 2; ``loo``, left out if not asked for, is the exact statistic
+    at every step.
     """
     mu, sigma, gam = moments(spec)
     v = sample(spec, n_max, base_seed, 0).values
     state, log_sum = init_state(mu), NeumaierSum()
-    accs = {kind: LogAvgAccumulator(default_grid()) for kind in ("loo", "rw", "lin", "std")}
-    ts = {kind: [] for kind in accs}
-    mode_switch, fallbacks = None, 0
+    ts = {kind: [] for kind in ("rw", "lin", "std")}
     for n in range(1, n_max + 1):
         state.update(float(v[n - 1]))
         # log(S_n/(n mu)) by the documented rule of statistics.log_ratio:
@@ -52,29 +62,15 @@ def reference_path(spec, n_max, base_seed, exact_cutoff=2000):
         log_sum.add(math.log1p(d) if d > -0.5 else math.log(state.total) - math.log(n * mu))
         if n < 2:
             continue
-        if n <= exact_cutoff:
-            loo = loo_log_statistic(v[:n], mu, gam)
-        else:
-            loo, valid = loo_log_series(state, gam)
-            if not valid:
-                fallbacks += 1
-                loo = loo_log_statistic(v[:n], mu, gam)
-            elif mode_switch is None:
-                mode_switch = n
         root_n = math.sqrt(n)
-        step = {
-            "loo": loo,
-            "rw": log_sum.value / (gam * root_n),
-            "lin": (state.total - n * mu) / (sigma * root_n),
-            "std": state.p1 / (sigma * root_n),
-        }
-        for kind, t in step.items():
-            accs[kind].accumulate(n, t)
-            ts[kind].append(t)
+        ts["rw"].append(log_sum.value / (gam * root_n))
+        ts["lin"].append((state.total - n * mu) / (sigma * root_n))
+        ts["std"].append(state.p1 / (sigma * root_n))
+    if loo:
+        ts["loo"] = exact_loo(spec, n_max, base_seed)
     return {
-        kind: (np.array(ts[kind]), accs[kind].evaluate(),
-               mode_switch if kind == "loo" else None, fallbacks if kind == "loo" else 0)
-        for kind in accs
+        kind: (np.array(t), LogAvgAccumulator(default_grid()).accumulate(2, t).evaluate())
+        for kind, t in ts.items()
     }
 
 
@@ -93,13 +89,13 @@ def engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff):
 
 
 def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
-    """run_asclt_path's loo report, the steps n its prefix series certified
-    and their values."""
+    """run_asclt_path's loo report, the steps n its series certified and
+    their values."""
     seen = []
     certify = asclt_module._certified_series
 
-    def spy(n, *args):
-        value, exact = certify(n, *args)
+    def spy(series, n, grid):
+        value, exact = certify(series, n, grid)
         seen.append((n[~exact], value[~exact]))
         return value, exact
 
@@ -107,6 +103,20 @@ def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     report = run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
     ns, values = (np.concatenate(parts) for parts in zip(*seen))
     return report, ns, values
+
+
+def exact_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000):
+    """run_asclt_path's loo report with every step through the exact kernel."""
+    with monkeypatch.context() as patch:
+        patch.setattr(asclt_module, "_certified_series",
+                      lambda series, n, grid: (np.empty(n.size), np.ones(n.size, dtype=bool)))
+        return run_asclt_path(spec, "loo", n_max, seed, exact_cutoff=exact_cutoff)
+
+
+def csv_text(report):
+    buf = io.StringIO()
+    report.to_csv(buf)
+    return buf.getvalue()
 
 
 def exact_values(spec, n_max, seed, ns):
@@ -342,15 +352,15 @@ class TestEngineMatchesStepLoop:
 
     @staticmethod
     def check(monkeypatch, spec, n_max, seed, exact_cutoff=2000):
-        ref = reference_path(spec, n_max, seed, exact_cutoff)
-        for kind, (t_ref, a_ref, switch_ref, fallbacks_ref) in ref.items():
+        ref = reference_path(spec, n_max, seed)
+        for kind, (t_ref, a_ref) in ref.items():
             report, t = engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff)
             assert t.size == n_max - 1
             assert np.max(np.abs(t - t_ref)) <= 1e-12, kind
             assert np.max(np.abs(report.a_values - a_ref)) <= 1e-12, kind
-            assert report.mode_switch_n == switch_ref, kind
-            assert report.fallback_count == fallbacks_ref, kind
-        return ref
+            if kind != "loo":
+                assert (report.mode_switch_n, report.fallback_count, report.exact_steps) == (None, 0, 0)
+        return report
 
     # 20_000 is not a multiple of the block size and 3000 is below it
     @pytest.mark.parametrize("n_max", [3000, 20_000])
@@ -359,14 +369,32 @@ class TestEngineMatchesStepLoop:
         self.check(monkeypatch, self.FAMILIES[family], n_max, 0)
 
     def test_long_path(self, monkeypatch):
-        self.check(monkeypatch, EXP1, 200_000, 0)
+        # rw, lin and std against the step loop at every step, loo against
+        # the exact statistic at a fixed sample of steps
+        n_max = 200_000
+        for kind, (t_ref, a_ref) in reference_path(EXP1, n_max, 0, loo=False).items():
+            report, t = engine_run(monkeypatch, EXP1, kind, n_max, 0, 2000)
+            assert np.max(np.abs(t - t_ref)) <= 1e-12, kind
+            assert np.max(np.abs(report.a_values - a_ref)) <= 1e-12, kind
+        report, t = engine_run(monkeypatch, EXP1, "loo", n_max, 0, 2000)
+        steps = tuple(range(2, n_max + 1, 1999)) + (n_max,)
+        assert np.max(np.abs(t[np.array(steps) - 2] - exact_loo(EXP1, n_max, 0, steps))) <= 1e-12
 
     @pytest.mark.parametrize("family,exact_cutoff", [
         ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
     ])
     def test_gate_fallbacks(self, monkeypatch, family, exact_cutoff):
-        ref = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
-        assert ref["loo"][3] > 0
+        # the third-order gate failed on these steps past the cutoff; the
+        # certified series takes every one of them, and a fallback is a step
+        # past the cutoff sent to the exact kernel
+        sent = []
+        prefixes = asclt_module.loo_log_prefixes
+        monkeypatch.setattr(asclt_module, "loo_log_prefixes",
+                            lambda path, ns, mu, gamma: sent.extend(ns) or prefixes(path, ns, mu, gamma))
+        report = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
+        late = sum(n > exact_cutoff for n in sent)
+        assert report.fallback_count == late == 0
+        assert report.mode_switch_n == exact_cutoff + 1
 
     @pytest.mark.parametrize("family", ["exponential:1", "lognormal:0:2"])
     def test_exact_prefix_crosses_a_block(self, monkeypatch, family):
@@ -378,10 +406,11 @@ class TestEngineMatchesStepLoop:
     ("exponential:1", 2000), ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
 ])
 def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
-    # one prefix-evaluator call per block (the bound allows two), for its
-    # uncertified prefix steps and its gate failures, never one scalar
-    # call per step
+    # one prefix-evaluator call per block at most, for the steps the series
+    # does not certify, never one scalar call per step; the grid holds a
+    # step's value so that some step goes to the exact kernel
     spec = TestEngineMatchesStepLoop.FAMILIES[family]
+    grid = np.sort(np.append(default_grid(), exact_values(spec, 20_000, 0, [3000])))
     scalar, batched = [], []
     prefixes = asclt_module.loo_log_prefixes
 
@@ -392,22 +421,21 @@ def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
     monkeypatch.setattr(asclt_module, "loo_log_statistic",
                         lambda *args: scalar.append(args), raising=False)
     monkeypatch.setattr(asclt_module, "loo_log_prefixes", counting)
-    report, certified, _ = certified_run(monkeypatch, spec, 20_000, 0, exact_cutoff)
-    assert scalar == []
-    assert len(batched) <= 2 * -(-20_000 // asclt_module._BLOCK)
-    uncertified = exact_cutoff - 1 - certified.size
-    assert sum(batched) == uncertified + report.fallback_count == report.exact_steps
+    report, certified, _ = certified_run(monkeypatch, spec, 20_000, 0, exact_cutoff, grid)
+    assert scalar == [] and len(batched) <= -(-20_000 // asclt_module._BLOCK)
+    assert sum(batched) == 20_000 - 1 - certified.size == report.exact_steps >= 1
 
 
 class TestCertifiedPrefix:
-    """The order-16 series of the steps n <= exact_cutoff."""
+    """The certified series and its rule: finite, a bound of at most 1e-14
+    and no grid point within reach, else the exact kernel."""
 
     # the last family's powers of X - mu underflow from order 4
     @pytest.mark.parametrize("family", [*TestEngineMatchesStepLoop.FAMILIES, "uniform:1e-100:2e-100"])
     def test_certified_steps_match_the_exact_kernel(self, monkeypatch, family):
         spec = parse_dist(family)
         report, ns, values = certified_run(monkeypatch, spec, 3000, 0)
-        assert ns.size >= 400 and report.exact_steps == 1999 - ns.size
+        assert ns.size >= 400 and report.exact_steps == 2999 - ns.size
         assert np.max(np.abs(values - exact_values(spec, 3000, 0, ns))) <= 1e-13
 
     def test_certified_steps_at_a_million(self, monkeypatch):
@@ -429,36 +457,40 @@ class TestCertifiedPrefix:
         assert k in exact_ns and report.exact_steps == len(exact_ns)
 
     def test_huge_twopoint_run_is_warning_free(self, monkeypatch):
-        # the centred draws square past the double range; their scaled
-        # powers do not, so no step past the cutoff falls back
+        # the draws' powers would leave the double range; their ratios to
+        # S_n do not, so no step past the cutoff falls back
         spec = make_distribution("twopoint", [1.0, 1e300, 0.5])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             report, ns, values = certified_run(monkeypatch, spec, 6000, 0, exact_cutoff=5000)
         assert report.fallback_count == 0 and ns.size > 0
-        assert np.max(np.abs(values - exact_values(spec, 6000, 0, ns))) <= 1e-13
+        # the first steps' values are near -400, where 1e-13 is two ulps
+        exact = exact_values(spec, 6000, 0, ns)
+        assert np.all(np.abs(values - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
     def test_overflowing_powers_are_not_certified(self):
-        d = np.array([1.0, 1e30, 1e30, 1.0]) - 1.0
-        carries = [NeumaierSum() for _ in range(asclt_module._ORDER)]
-        sums = asclt_module._power_sums(d, carries)
-        value, exact = asclt_module._certified_series(
-            np.arange(1, 5), sums, np.maximum.accumulate(np.abs(d)), 1.0, default_grid()
-        )
-        assert exact.all() and not np.isfinite(carries[-1].value)
+        # the series raises ratios of at most 1 to its powers, so none
+        # overflows; the one value that is not finite, at n = 1 where
+        # (n-1)*mu vanishes, is not certified
+        path = np.array([1.0, 1e300, 1e300, 1.0])
+        series = LooSeries(path, 0.5 + 5e299, 1.0)
+        value, exact = asclt_module._certified_series(series, np.arange(1, 5), default_grid())
+        assert exact[0] and np.isnan(value[0]) and not exact[1:].any()
+        exact = loo_log_prefixes(path, [2, 3, 4], 0.5 + 5e299, 1.0)
+        assert np.all(np.abs(value[1:] - exact) <= 1e-13 * np.maximum(1.0, np.abs(exact)))
 
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-5, 3.0, 1e300])
 def test_loo_run_does_not_depend_on_the_unit(rate):
-    # t_n is unchanged by scaling every draw, and so are the power sums of
-    # (X - mu)/mu: no step past the cutoff falls back at any scale
+    # t_n is unchanged by scaling every draw, and so are the ratios X/S_n
+    # the series reads: it certifies the same steps at any scale
     def run(spec):
         report = run_asclt_path(spec, "loo", 20_000, 0, exact_cutoff=4000)
         return report.a_values, (report.mode_switch_n, report.fallback_count, report.exact_steps)
 
     want, got = run(EXP1), run(make_distribution("exponential", [rate]))
     assert np.array_equal(got[0], want[0])
-    assert got[1] == want[1] == (4001, 0, 41)
+    assert got[1] == want[1] == (4001, 0, 0)
 
 
 def test_tiny_uniform_never_falls_back():
@@ -467,17 +499,43 @@ def test_tiny_uniform_never_falls_back():
 
 
 def test_only_loo_extends_the_power_sums(monkeypatch):
-    # rw, lin and std read S_n or p1 alone; loo alone needs p2, p3 and max|d|
+    # rw, lin and std read S_n or p1 alone; loo alone walks a LooSeries
     blocks = []
-    power_sums = asclt_module._power_sums
-    monkeypatch.setattr(asclt_module, "_power_sums",
-                        lambda d, carries: blocks.append(len(d)) or power_sums(d, carries))
+    block = LooSeries.block
+    monkeypatch.setattr(LooSeries, "block", lambda self, stop: blocks.append(stop - self.n) or block(self, stop))
     for kind in ASCLT_KINDS:
         blocks.clear()
         run_asclt_path(EXP1, kind, 10_000, 0)
         want = [4096, 4096, 1808] if kind == "loo" else []
         assert blocks == want, kind
     assert asclt_module._BLOCK == 4096
+
+
+HEAVY = ["lognormal:0:20", "gamma:0.001:1", "twopoint:1:1e300:0.5",
+         "uniform:1e-300:2e-300", "exponential:1e300"]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("family", [*TestEngineMatchesStepLoop.FAMILIES, *HEAVY])
+def test_loo_csv_is_the_all_exact_csv(monkeypatch, family, seed):
+    # byte for byte: the certified series changes no grid bin of the exact
+    # statistic, on the heavy and extreme laws too
+    spec = parse_dist(family)
+    report = run_asclt_path(spec, "loo", 5000, seed)
+    assert csv_text(report) == csv_text(exact_run(monkeypatch, spec, 5000, seed))
+
+
+@pytest.mark.parametrize("family", HEAVY[:3])
+def test_heavy_laws_take_few_exact_steps(monkeypatch, family):
+    # the third-order gate sent every step of the first two laws to the
+    # exact kernel, 19 999 of them; twopoint may need the first few dozen
+    sent = []
+    prefixes = asclt_module.loo_log_prefixes
+    monkeypatch.setattr(asclt_module, "loo_log_prefixes",
+                        lambda path, ns, mu, gamma: sent.extend(ns) or prefixes(path, ns, mu, gamma))
+    report = run_asclt_path(parse_dist(family), "loo", 20_000, 0, exact_cutoff=4000)
+    assert report.exact_steps == len(sent) <= 36 and max(sent, default=0) <= 48
+    assert report.fallback_count == 0 and report.mode_switch_n == 4001
 
 
 def test_one_law_evaluation(monkeypatch):

@@ -10,6 +10,7 @@ import prodsums.montecarlo as montecarlo_module
 from prodsums import (
     LogAvgAccumulator,
     linearized_statistic,
+    loo_log_statistic,
     moments,
     sample,
     sample_rows,
@@ -314,6 +315,19 @@ class TestAscltCommand:
         assert "sup-gap=0.620078" in err and "fallbacks=0" in err
         assert run_cli([*args, "--exact-cutoff", "3000", "--out", str(b)]) == 0
         assert a.read_text() == b.read_text()
+
+    def test_mode_line_counts_the_exact_steps(self, tmp_path, capsys):
+        # a grid point on the value of step 1500 sends that step to the
+        # exact kernel; the benchmark parses the line up to "fallbacks="
+        on_grid = loo_log_statistic(sample(parse_dist("exponential:1"), 1500, 5, 0), 1.0, 1.0)
+        args = ["asclt", "--dist", "exponential:1", "--N", "3000", "--seed", "5",
+                "--exact-cutoff", "100", f"--grid=-1,{on_grid!r},1", "--out", str(tmp_path / "a.csv")]
+        assert run_cli([*args, "--stat", "loo"]) == 0
+        assert "series from n=101 fallbacks=1 exact=1\n" in capsys.readouterr().err
+        assert run_cli([*args, "--exact-cutoff", "3000", "--stat", "loo"]) == 0
+        assert "series from n=None fallbacks=0 exact=1\n" in capsys.readouterr().err
+        assert run_cli([*args, "--stat", "rw"]) == 0
+        assert "series from n=None fallbacks=0 exact=0\n" in capsys.readouterr().err
 
     def test_nan_grid_is_exit_1(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

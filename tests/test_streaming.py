@@ -7,16 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prodsums import (
+    LooSeries,
     init_state,
+    loo_log_prefixes,
     loo_log_series,
     loo_log_statistic,
-    loo_series_error_bound,
     make_distribution,
-    moments,
     sample,
-    state_from_path,
 )
-from prodsums.streaming import loo_series, loo_series_from_sums, series_error_bound
 from prodsums.summation import NeumaierSum, row_sums, running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
@@ -40,6 +38,34 @@ rng_paths = st.builds(
     st.floats(0.1, 2.0),
 )
 block_sizes = st.lists(st.integers(1, 1200), min_size=1, max_size=6)
+
+
+def state_of(path, mu):
+    """A PowerSumState fed every draw of the path."""
+    state = init_state(mu)
+    for x in np.asarray(getattr(path, "values", path), dtype=float).tolist():
+        state.update(x)
+    return state
+
+
+def third_order_bound(state, gamma):
+    """n*u^4/(4*(1-u)) / (gamma*sqrt(n)) with u = (|p1| + max|d|)/m, the
+    error bound of loo_log_series inside its gate."""
+    n = state.n
+    u = (abs(state.p1) + state.max_abs_d) / ((n - 1) * state.mu)
+    return n * u**4 / (4 * (1 - u)) / (gamma * math.sqrt(n)) if u < 1 else math.inf
+
+
+def series_values(path, mu, gamma, sizes=(4096,), tol=LooSeries.tol):
+    """LooSeries over the whole path in blocks of the given sizes, cycled:
+    value, bound and size at every step."""
+    series = LooSeries(path, mu, gamma)
+    series.tol = tol
+    parts, stop = [], 0
+    for block in in_blocks(range(len(path)), list(sizes)):
+        stop += len(block)
+        parts.append(series.block(stop))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def in_blocks(values, sizes):
@@ -102,85 +128,64 @@ class TestStateBasics:
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
         assert s.max_abs_d == float(np.max(np.abs(d)))
 
-    def test_state_from_path_rejects_nonpositive_and_2d(self):
+class TestBlocks:
+    @given(rng_paths, block_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_series_blocks_match_the_exact_statistic(self, path, sizes):
+        # any split into blocks: each step's value is within its bound plus
+        # its rounding of the exact statistic
+        v, mu = path
+        gam = 0.7
+        value, bound, size = series_values(v, mu, gam, sizes)
+        exact = loo_log_prefixes(v, np.arange(2, v.size + 1), mu, gam)
+        ok = bound[1:] <= 1e-14
+        assert np.all(np.abs(value[1:] - exact)[ok] <= bound[1:][ok] + 64 * 2.0**-52 * size[1:][ok])
+        assert ok.mean() > 0.9
+
+    @given(rng_paths, block_sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_series_form_matches_loo_log_series(self, path, sizes):
+        # the engine's series, in blocks of any sizes, against the scalar
+        # third-order series the benchmark replays, wherever its gate holds
+        v, mu = path
+        gam = 0.7
+        value, bound, size = series_values(v, mu, gam, sizes)
+        ref = init_state(mu)
+        for n, x in enumerate(v.tolist(), 1):
+            ref.update(x)
+            want, valid = loo_log_series(ref, gam) if n >= 2 else (None, False)
+            if valid:
+                reach = third_order_bound(ref, gam) + bound[n - 1] + 64 * 2.0**-52 * size[n - 1]
+                assert abs(value[n - 1] - want) <= reach + 1e-13
+
+    def test_series_form_undefined_is_nan(self):
+        # t_1 divides by (n-1)*mu = 0
+        value, bound, size = LooSeries([2.0, 3.0], 2.0, 1.0).block(2)
+        assert math.isnan(value[0]) and math.isfinite(value[1])
+        assert value[1] == pytest.approx(loo_log_statistic([2.0, 3.0], 2.0, 1.0), abs=1e-15)
+
+    def test_series_rejects_nonpositive_and_2d(self):
         with pytest.raises(ValueError, match="positive"):
-            state_from_path([1.0, 0.0], 1.0)
+            LooSeries([1.0, 0.0], 1.0, 1.0)
         with pytest.raises(ValueError, match="1-D"):
-            state_from_path([[1.0, 2.0]], 1.0)
+            LooSeries([[1.0, 2.0]], 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            LooSeries([1.0, 2.0], 1.0, 0.0)
+        with pytest.raises(ValueError, match="stop"):
+            LooSeries([1.0, 2.0], 1.0, 1.0).block(3)
 
-    def test_state_from_path_matches_streaming(self):
-        spec = make_distribution("gamma", [4.0, 0.5])
-        v = sample(spec, 2000, 5, 0).values
-        a = state_from_path(v, 2.0)
-        b = init_state(2.0)
-        for x in v:
-            b.update(float(x))
-        assert a.n == b.n
-        assert a.max_abs_d == b.max_abs_d
-        for got, want in ((a.p1, b.p1), (a.p2, b.p2), (a.p3, b.p3), (a.total, b.total)):
-            assert abs(got - want) <= 1e-9 * (1.0 + abs(want))
-
-
-    @pytest.mark.parametrize("family,params,want", [
-        ("exponential", [1.0], ["0x1.867de7389f870p+15", "-0x1.1818c76078fefp+7",
-                                "0x1.86cf47a868ea4p+15", "0x1.8a6671e1d3858p+16",
-                                "0x1.819e241240df8p+3"]),
-        ("lognormal", [0.0, 2.0], ["0x1.5e2cc366eab7cp+18", "-0x1.7034d8741456dp+13",
-                                   "0x1.09b9e7b620901p+26", "0x1.568b8d7c38872p+36",
-                                   "0x1.cf4b8e8a45417p+11"]),
-    ])
-    def test_state_from_path_keeps_its_bits(self, family, params, want):
-        # (total, p1, p2, p3, max|d|) of a path over several chunks that
-        # ends inside a 256-value row, recorded from one whole-path
-        # running_sums call per sum
-        spec = make_distribution(family, params)
-        s = state_from_path(sample(spec, 50_123, 4, 0), moments(spec)[0])
-        assert [x.hex() for x in (s.total, s.p1, s.p2, s.p3, s.max_abs_d)] == want
-
-    def test_state_from_path_memory_does_not_grow_with_the_path(self):
+    def test_series_memory_does_not_grow_with_the_path(self):
         v = sample(make_distribution("exponential", [1.0]), 1_000_000, 0, 0).values
-        state_from_path(v[:10], 1.0)
+        series_values(v[:10], 1.0, 1.0)
+        series = LooSeries(v, 1.0, 1.0)
         tracemalloc.start()
         try:
-            state_from_path(v, 1.0)
+            for stop in range(4096, v.size + 4096, 4096):
+                series.block(min(stop, v.size))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20  # the path itself is 8 MB
-
-
-class TestBlocks:
-    @given(rng_paths, block_sizes)
-    @settings(max_examples=60, deadline=None)
-    def test_series_form_matches_loo_log_series(self, path, sizes):
-        v, mu = path
-        gam = 0.7
-        d = v - mu
-        p1, p2, p3 = (
-            np.concatenate([running_sums(b, carry) for b in in_blocks(terms, sizes)])
-            for terms, carry in zip((d, d * d, d * d * d), [NeumaierSum() for _ in range(3)])
-        )
-        n = np.arange(1, v.size + 1)
-        value, valid = loo_series_from_sums(
-            n[1:], mu, p1[1:], p2[1:], p3[1:], np.maximum.accumulate(np.abs(d))[1:], gam
-        )
-        ref, want = init_state(mu), []
-        for x in v:
-            ref.update(float(x))
-            if ref.n >= 2:
-                want.append(loo_log_series(ref, gam))
-        want_value = np.array([w[0] for w in want])
-        want_valid = np.array([w[1] for w in want], dtype=bool)
-        assert np.array_equal(valid, want_valid)
-        assert np.all(np.abs(value[valid] - want_value[valid]) <= 1e-12)
-
-    def test_series_form_undefined_is_nan(self):
-        value, valid = loo_series_from_sums(
-            np.array([2, 3]), 2.0, np.array([-2.5, 0.0]), np.zeros(2), np.zeros(2),
-            np.array([1.5, 0.0]), 1.0,
-        )
-        assert math.isnan(value[0]) and not valid[0]
-        assert value[1] == 0.0 and valid[1]
 
     @given(st.lists(st.floats(-1e6, 1e6), max_size=700), block_sizes)
     @settings(max_examples=100, deadline=None)
@@ -254,88 +259,83 @@ class TestSeries:
         assert value == 0.0 and valid
 
     def test_worked_example(self):
-        s = state_from_path([1.0, 2.0, 3.0], 2.0)
+        s = state_of([1.0, 2.0, 3.0], 2.0)
         value, valid = loo_log_series(s, gamma=0.5)
         assert valid
         assert value == pytest.approx(SERIES_123, abs=1e-14)
         assert abs(value - EXACT_123) <= BOUND_123
+        # the anchored series takes every draw of so short a path exactly
+        assert series_values([1.0, 2.0, 3.0], 2.0, 0.5)[0][-1] == pytest.approx(EXACT_123, abs=1e-15)
 
     def test_needs_two(self):
         s = init_state(1.0)
         s.update(1.0)
         with pytest.raises(ValueError, match="n >= 2"):
             loo_log_series(s, 1.0)
-        with pytest.raises(ValueError, match="n >= 2"):
-            loo_series_error_bound(s, 1.0)
 
     def test_invalid_gate_extreme_path(self):
         # both draws far below mu: the ratios leave the [1/2, 3/2] band
-        s = state_from_path([0.01, 0.01], 2.0)
+        s = state_of([0.01, 0.01], 2.0)
         _, valid = loo_log_series(s, 1.0)
         assert not valid
 
     def test_overflowing_power_sums_fail_the_gate(self):
         # d**2 overflows for these centred draws, so p2 and p3 are not
         # finite, while (|D| + max|d|) / m = 1/3 alone would pass
-        s = state_from_path([1.0, 1e300, 1.0, 1e300], 0.5 + 5e299)
+        s = state_of([1.0, 1e300, 1.0, 1e300], 0.5 + 5e299)
         assert not math.isfinite(s.p2)
         value, valid = loo_log_series(s, 1.0)
         assert not math.isfinite(value) and not valid
 
     def test_gate_boundary(self):
         # (|D| + max|d|) / m is exactly 1/2 here; any larger draw fails
-        assert loo_log_series(state_from_path([1.0, 1.0, 1.5], 1.0), 1.0)[1]
-        assert not loo_log_series(state_from_path([1.0, 1.0, 1.5 + 1e-12], 1.0), 1.0)[1]
+        assert loo_log_series(state_of([1.0, 1.0, 1.5], 1.0), 1.0)[1]
+        assert not loo_log_series(state_of([1.0, 1.0, 1.5 + 1e-12], 1.0), 1.0)[1]
 
     def test_bound_monotone_in_deviation(self):
-        near = state_from_path([0.99, 1.01], 1.0)
-        far = state_from_path([0.7, 1.3], 1.0)
-        assert loo_series_error_bound(near, 1.0) < loo_series_error_bound(far, 1.0)
+        near = state_of([0.99, 1.01], 1.0)
+        far = state_of([0.7, 1.3], 1.0)
+        assert third_order_bound(near, 1.0) < third_order_bound(far, 1.0)
 
     def test_large_n_agreement_exp(self):
         spec = make_distribution("exponential", [1.0])
         for r in range(50):
             v = sample(spec, 10_000, base_seed=2, stream_index=r).values
-            s = state_from_path(v, 1.0)
+            s = state_of(v, 1.0)
             value, valid = loo_log_series(s, 1.0)
             assert valid
             exact = loo_log_statistic(v, 1.0, 1.0)
             assert abs(value - exact) <= 1e-6
-            assert abs(value - exact) <= loo_series_error_bound(s, 1.0)
+            assert abs(value - exact) <= third_order_bound(s, 1.0)
 
     @given(draws, st.floats(min_value=0.2, max_value=5.0))
     @settings(max_examples=200, deadline=None)
     def test_agreement_within_bound_when_valid(self, vals, gam):
         mu = float(np.mean(vals))
-        s = state_from_path(vals, mu)
+        s = state_of(vals, mu)
         value, valid = loo_log_series(s, gam)
         if not valid:
             return
         exact = loo_log_statistic(vals, mu, gam)
-        bound = loo_series_error_bound(s, gam)
-        assert abs(value - exact) <= bound + 1e-13
+        assert abs(value - exact) <= third_order_bound(s, gam) + 1e-13
 
     def test_third_order_is_the_gated_series(self):
-        s = state_from_path([1.0, 2.0, 3.0], 2.0)
-        value, u = loo_series(3, 2.0, (s.p1, s.p2, s.p3), s.max_abs_d, 0.5)
-        assert value == loo_log_series(s, 0.5)[0]
-        assert series_error_bound(3, u, 0.5) == loo_series_error_bound(s, 0.5)
+        # (n*log1p(D/m) - p1/a - p2/(2a^2) - p3/(3a^3)) / (gamma*sqrt(n))
+        s = state_of([1.0, 2.0, 3.0], 2.0)
+        m, a = 4.0, 4.0 + s.p1
+        want = (3 * math.log1p(s.p1 / m) - s.p1 / a - s.p2 / (2 * a * a) - s.p3 / (3 * a**3)) / (0.5 * math.sqrt(3))
+        assert loo_log_series(s, 0.5)[0] == pytest.approx(want, abs=1e-16)
 
-    @given(draws, st.floats(min_value=0.2, max_value=5.0), st.integers(1, 16))
+    @given(draws, st.floats(min_value=0.2, max_value=5.0), st.sampled_from([1e-2, 1e-5, 1e-9, 1e-14]))
     @settings(max_examples=200, deadline=None)
-    def test_any_order_within_its_bound(self, vals, gam, order):
+    def test_any_order_within_its_bound(self, vals, gam, tol):
+        # a looser tol picks lower orders; each is within its own bound
         v = np.array(vals)
         mu = float(np.mean(v))
-        d = v - mu
-        sums = [math.fsum(d**j) for j in range(1, order + 1)]
-        value, u = loo_series(v.size, mu, sums, float(np.max(np.abs(d))), gam)
-        exact = loo_log_statistic(v, mu, gam)
-        assert abs(value - exact) <= series_error_bound(v.size, u, gam, order) + 1e-13
-
-    def test_bound_is_inf_from_u_one(self):
-        bound = series_error_bound(np.array([4, 4, 4]), np.array([0.5, 1.0, 1e300]), 1.0, 16)
-        assert bound[0] == 4 * 0.5**17 / (17 * 0.5) / 2 and np.all(np.isinf(bound[1:]))
-
+        value, bound, size = series_values(v, mu, gam, tol=tol)
+        exact = loo_log_prefixes(v, np.arange(2, v.size + 1), mu, gam)
+        err, bound, size = np.abs(value[1:] - exact), bound[1:], size[1:]
+        assert np.all(err <= bound + 64 * 2.0**-52 * size + 1e-14)
 
 class TestCost:
     def test_update_is_constant_work(self):
@@ -352,8 +352,8 @@ class TestCost:
     def test_series_cost_independent_of_n(self):
         import time
 
-        small = state_from_path(sample(make_distribution("exponential", [1.0]), 10, 0, 0), 1.0)
-        big = state_from_path(sample(make_distribution("exponential", [1.0]), 1_000_000, 0, 1), 1.0)
+        small = state_of(sample(make_distribution("exponential", [1.0]), 10, 0, 0), 1.0)
+        big = state_of(sample(make_distribution("exponential", [1.0]), 1_000_000, 0, 1), 1.0)
 
         def clock(state):
             t0 = time.perf_counter()
