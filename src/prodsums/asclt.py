@@ -22,17 +22,18 @@ walks it in blocks of 4096 steps.  Per block, a kind forms the running
 sums it reads after every step: S_n (``rw``, ``lin``) or S_n - n*mu
 (``std``), and its t_n is whole-array arithmetic on them;
 :meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
-with one ``bincount``.  The leave-one-out kind has one rule at every
-step: it takes the value of the :class:`~prodsums.streaming.LooSeries`
-series where :func:`_certified_series` certifies the exact value's grid
-bin, and the exact statistic through one
-:func:`~prodsums.statistics.loo_log_prefixes` call per block elsewhere.
-So its CSV is the CSV of the exact statistic, and ``exact_cutoff`` only
-sets where the count of fallbacks (steps sent to the exact kernel)
-starts.  The cost is O(N) numpy work plus O(n) per exact step (none of
-the 2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
-lognormal:0:20 or gamma:0.001:1); the memory beyond the path is one
-block's temporaries.
+with one ``searchsorted`` and one ``bincount``.  The leave-one-out kind
+has one rule at every step: it takes the value of the
+:class:`~prodsums.streaming.LooSeries` series where
+:func:`_certified_series` certifies the exact value's grid bin, and the
+exact statistic through one :func:`~prodsums.statistics.loo_log_prefixes`
+call per block elsewhere; the certificate hands each step's grid bin on
+to the accumulator.  So its CSV is the CSV of the exact statistic, and
+``exact_cutoff`` only sets where the count of fallbacks (steps sent to
+the exact kernel) starts.  The cost is O(N) numpy work plus O(n) per
+exact step (none of the 2e5 steps of exponential:1 at seed 0, nor of
+the 2e4 steps of lognormal:0:20 or gamma:0.001:1); the memory beyond
+the path is one block's temporaries.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .distributions import DistributionSpec, moments, sample
 from .limits import LimitLaw, limit_cdf
 from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
-from .streaming import LooSeries
+from .streaming import TOL, LooSeries
 from .summation import NeumaierSum, running_sums
 
 __all__ = [
@@ -63,31 +64,36 @@ ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 _BLOCK = 4096
 
 _SLACK = 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
+_LARGEST = 1e-13 / 2.0**-51  # about 225, the largest size certified: two roundings of it are 1e-13
 
 
 def _certified_series(series, n, grid):
-    """The series of t_n at the block's steps n, and where it does not
+    """The series of t_n at the block's steps n, the index of the first
+    grid point at or above each value, and where the series does not
     certify the grid bin of the exact kernel's value.
 
-    Certified means finite, a truncation bound of at most ``series.tol``
-    (1e-14), and no grid point within that bound plus a slack for
-    rounding.  The exact kernel errs by a few roundings in each of its n
-    log terms, and the series by a few roundings of the terms it
-    evaluates exactly, its anchor n*log(S_n/m) and the top draws; the
-    slack is 64 such units of each (the series' ``size``).
+    The exact kernel errs by a few roundings in each of its n log terms,
+    so by O(eps*sqrt(n)/gamma), and the series by a few roundings of the
+    terms it evaluates exactly, its anchor and top draws (its ``size``);
+    each slack is 64 such units.  Certified means a truncation bound of
+    at most :data:`~prodsums.streaming.TOL` (1e-14), no grid point within
+    the bound plus both slacks (the exact kernel's taken at the block's
+    last step), and exact terms whose last two roundings stay within
+    1e-13.  The last rule sends the rare steps with |t_n| beyond about
+    225 to the exact kernel too (the first steps of twopoint:1:1e300:0.5,
+    near -490), so a certified value is the exact kernel's within about
+    1e-13.
     """
     value, bound, size = series.block(int(n[-1]))
     reach = _SLACK * size
     reach += bound
-    clear = bound <= series.tol
-    lo, hi, most = value.min(), value.max(), np.fmax.reduce(reach)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        clear &= np.isfinite(value)
-        lo, hi = np.fmin.reduce(value), np.fmax.reduce(value)
-    # only the grid points within the values' reach can be too near one
-    for g in grid[(grid >= lo - most) & (grid <= hi + most)]:
-        clear &= np.abs(value - g) > reach
-    return value, ~clear
+    reach += _SLACK * math.sqrt(n[-1]) / series.gamma
+    first = np.searchsorted(grid, value)
+    # clear of the grid points on either side of each value, with -inf and
+    # inf past the grid's ends
+    clear = value - reach > np.append(-np.inf, grid)[first]
+    clear &= value + reach < np.append(grid, np.inf)[first]
+    return value, first, ~(clear & (bound <= TOL) & (size <= _LARGEST))
 
 
 # normal_quantile(0.05 * j) for j = 1..19, bit for bit (a test pins them)
@@ -135,11 +141,13 @@ class LogAvgAccumulator:
     def weights(self) -> np.ndarray:
         return self._w - self._wc
 
-    def accumulate(self, n: int, t) -> "LogAvgAccumulator":
+    def accumulate(self, n: int, t, first=None) -> "LogAvgAccumulator":
         """Add the indicator rows of t, the statistic at steps n, n+1, ...
 
         ``t`` is one value or a 1-D block of consecutive steps, all
-        finite; n must equal last_n + 1.
+        finite; n must equal last_n + 1.  A caller that already has each
+        t's index of the first grid point at or above it passes them as
+        ``first``.
         """
         if n != self.last_n + 1:
             raise ValueError(
@@ -153,15 +161,8 @@ class LogAvgAccumulator:
         if bad.size:
             raise ValueError(f"statistic is {t[bad[0]]} at n = {n + int(bad[0])}; it must be finite")
         w = 1.0 / np.arange(n, n + t.size)
-        # I(t_n <= grid[j]) holds for every j from the first grid point >= t_n;
-        # every step is above the grid points below the block's least value,
-        # so only those up to its largest are compared one by one
-        below, within = np.searchsorted(self.grid, (t.min(), t.max()))
-        if within - below <= 4:
-            first = np.full(t.size, below)
-            for g in self.grid[below:within]:
-                first += t > g
-        else:
+        # I(t_n <= grid[j]) holds for every j from the first grid point >= t_n
+        if first is None:
             first = np.searchsorted(self.grid, t, side="left")
         mass = np.bincount(first, weights=w, minlength=self.grid.size + 1)
         y = mass[: self.grid.size].cumsum() - self._wc
@@ -267,19 +268,22 @@ def run_asclt_path(
             # reduced form of the leave-one-out linearization
             t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
         else:  # loo: the certified series, else the exact kernel
-            t, exact = _certified_series(series, n, acc.grid)
+            t, first, exact = _certified_series(series, n, acc.grid)
             exact[0] &= start > 0  # n = 1 is never accumulated
             todo = np.flatnonzero(exact)
             if todo.size:
                 t[todo] = loo_log_prefixes(v, n[todo], mu, gam)
+                first[todo] = np.searchsorted(acc.grid, t[todo])
                 exact_steps += todo.size
                 fallbacks += int(np.count_nonzero(n[todo] > exact_cutoff))
             if mode_switch is None and n[-1] > exact_cutoff:
                 took = np.flatnonzero(~exact & (n > exact_cutoff))
                 mode_switch = int(n[took[0]]) if took.size else None
-        if start == 0:  # accumulation starts at n = 2
-            n, t = n[1:], t[1:]
-        acc.accumulate(int(n[0]), t)
+        skip = 1 if start == 0 else 0  # accumulation starts at n = 2
+        if kind == "loo":  # its certificate has found each step's grid bin
+            acc.accumulate(int(n[skip]), t[skip:], first[skip:])
+        else:
+            acc.accumulate(int(n[skip]), t[skip:])
 
     a = acc.evaluate()
     f = limit_cdf(law, acc.grid)

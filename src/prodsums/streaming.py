@@ -14,15 +14,16 @@ series -sum_j R_j/j over R_j = sum_{bulk} r_k^j; cut at order J it errs
 by at most n_B * r*^(J+1) / ((J+1)*(1 - r*)) in all, n_B the bulk's size.
 Once the 8 largest draws are known, each step moves exactly one draw into
 the bulk, the smaller of the new draw and the smallest top draw, so S_n
-and the bulk's power sums are running sums of positive terms.  They are
-kept as sums of (X/S_ref)^j for one S_ref at a time, rescaled by
-(S_ref/S_n)^j <= 2^960, so no power leaves the double range on any law.
-Each block picks from the ratios it sees the number k of exact draws and,
-per stretch of steps, the least order J whose bound meets the tolerance.
+and the bulk's power sums of orders 2 to 16 are running sums of positive
+terms.  They are kept as sums of (X/S_ref)^j for one S_ref at a time,
+rescaled by (S_ref/S_n)^j <= 2^960, so no power leaves the double range
+on any law, and every order is kept whatever order a block uses.  Each
+block takes one k and one J from the ratios at its start and end (see
+:meth:`LooSeries._plan`).
 
-:class:`PowerSumState` and :func:`loo_log_series` are the older
-third-order series in the centred draws (X - mu)/mu, gated by
-(|S_n - n*mu| + max|X - mu|)/((n-1)*mu) <= 1/2, which fails on heavy
+:class:`PowerSumState`, :func:`init_state` and :func:`loo_log_series`
+are the older third-order series in the centred draws (X - mu)/mu, gated
+by (|S_n - n*mu| + max|X - mu|)/((n-1)*mu) <= 1/2, which fails on heavy
 laws.  The program does not use them; the benchmark's replay does.
 """
 
@@ -30,31 +31,29 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .summation import NeumaierSum, exact_running_sums
 
-__all__ = ["LooSeries", "PowerSumState", "init_state", "loo_log_series"]
+__all__ = ["TOL", "LooSeries", "PowerSumState", "init_state", "loo_log_series"]
 
+TOL = 1e-14  # the truncation bound a block's order aims at, per step
 _TOP = 8  # the largest draws kept apart from the bulk
 _ORDER = 16  # the highest order of the series
-_KEEP = 1  # bulk power sums kept past a block's highest order
 _SPAN = 2.0**60  # the largest S_ref/S_n; its 16th power is a finite double
-_GROWTH = 2.0**0.25  # the largest growth of S_n across one piece of a plan
-_CHUNK = 1 << 16  # draws per chunk when the bulk's power sums are rebuilt
-_J = np.arange(2, _ORDER + 2)
+_J = np.arange(2, _ORDER + 1)  # the orders of the bulk's power sums
+_HALF = _ORDER // 2
 
 
 class LooSeries:
     """The leave-one-out log statistic of the prefixes of one path.
 
     :meth:`block` returns, for the next steps up to a given n, the series
-    value (NaN at n = 1), its truncation bound and a size for the rounding
-    errors.
+    value (NaN at n = 1), its truncation bound and the size of the terms
+    it evaluates exactly.
     """
-
-    tol = 1e-14  # the truncation bound each step's order aims at
 
     def __init__(self, path, mu: float, gamma: float):
         self.path = np.asarray(getattr(path, "values", path), dtype=float)
@@ -63,23 +62,23 @@ class LooSeries:
         if not (mu > 0 and gamma > 0):
             raise ValueError("mu and gamma must be positive")
         self.mu, self.gamma = float(mu), float(gamma)
-        self.n, self._k = 0, None  # _k: the last block's number of exact draws
+        self.n = 0
         self._top = []  # (value, index) of the largest draws, largest first
         self._bulk = NeumaierSum()  # the sum of the other draws
-        self._ref, self._sums = 0.0, []  # the bulk's sums of (X/_ref)^j, j >= 2
+        self._ref, self._sums = 0.0, np.zeros(_J.size)  # the bulk's sums of (X/_ref)^j
 
     def block(self, stop: int):
         """``(value, bound, size)`` at the steps n = self.n + 1, ..., stop.
 
-        ``size`` is n plus the exact terms' magnitude over gamma*sqrt(n),
-        the scale of the rounding errors here and in the exact kernel.
+        ``size`` is the magnitude of the anchor n*log(S_n/((n-1)*mu)) and
+        of the exact top terms over gamma*sqrt(n), the scale of the
+        series' own rounding errors.
         """
         start = self.n
         if not start < stop <= self.path.size:
             raise ValueError(f"stop must be in ({start}, {self.path.size}]")
         x = self.path[start:stop]
         n = np.arange(start + 1, stop + 1, dtype=float)
-        top_before = [i for _, i in self._top]
         enter, starts, tops = self._enter(x, start)
         one = starts.size == 1
         runs = np.zeros(x.size, dtype=np.intp) if one else np.repeat(
@@ -87,14 +86,12 @@ class LooSeries:
         bulk = exact_running_sums(enter, self._bulk, tops[-1, 0])
         s = bulk + (tops[0].sum() if one else tops.sum(axis=1)[runs])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            k, upto, bound = self._plan(n, s, starts, tops)
-            if len(upto) > len(self._sums):
-                self._rebuild(start, top_before, len(upto) + 1 + _KEEP)
-            series = self._series(s, enter, runs, tops[:, k:], upto)
+            k, order, bound = self._plan(n, s, tops, runs)
+            series = self._series(s, enter, runs, starts, tops[:, k:], order)
             self.n = stop
             value = np.log(s / ((n - 1) * self.mu))
             value *= n
-            size = np.abs(value) + n
+            size = np.abs(value)
             if k:
                 r = tops[runs, :k] / s[:, np.newaxis]
                 series += 1.0 - r.sum(axis=1)  # R_1 of the draws in the series
@@ -118,7 +115,7 @@ class LooSeries:
         """The draw each step moves into the bulk (0 while the top set
         fills), and the runs of steps with one top set: their first
         positions and their top draws, largest first and padded with 0."""
-        top, enter = self._top, x.copy()
+        top, enter = self._top, x
         starts, values = [0], [[v for v, _ in top]]
         theta = top[-1][0] if len(top) == _TOP else 0.0
         pos = 0
@@ -126,8 +123,10 @@ class LooSeries:
             # theta is fixed per chunk; a chunk as long as the path so far
             # has about _TOP draws above it
             end = min(x.size, pos + max(start + pos, _TOP))
-            for i in (pos + np.flatnonzero(x[pos:end] > theta)).tolist():
+            for i in np.flatnonzero(x[pos:end] > theta).tolist():
+                i += pos
                 if x[i] > theta:
+                    enter = x.copy() if enter is x else enter
                     enter[i] = theta
                     bisect.insort(top, (float(x[i]), start + i), key=lambda t: -t[0])
                     del top[_TOP:]
@@ -136,131 +135,116 @@ class LooSeries:
                         starts.append(i)
                     values[len(starts) - 1 :] = [[v for v, _ in top]]
             pos = end
-        tops = np.zeros((len(starts), _TOP))
-        for row, v in zip(tops, values):
-            row[: len(v)] = v
+        tops = np.array([v + [0.0] * (_TOP - len(v)) for v in values])
         return enter, np.array(starts), tops
 
-    def _plan(self, n, s, starts, tops):
-        """The number k of exact top draws, the step up to which the block
-        needs each order j = 2, 3, ..., and the bound per step, times
-        gamma*sqrt(n).
+    def _plan(self, n, s, tops, runs):
+        """The number k of exact top draws, the order J and the bound at
+        each step (or one for the whole block), times gamma*sqrt(n).
 
-        Pieces of the block have S_n grow by at most 2^(1/4).  The k-th
-        largest draw only grows, and no bulk draw exceeds the smallest top
-        draw, so over a piece r* is at most the (k+1)-th largest draw at
-        its end over S_n at its start, and n_B at most its last n - k.
-        Per piece J is the least order up to 16 with a bound of at most
-        tol; k leaves the fewest steps without one, then costs the fewest
-        array passes (about one per exact draw, two per order and step).
-        A block of one piece and one top set keeps the last k if it can.
+        Across a block S_n and each rank of the top set only grow, and no
+        bulk draw exceeds the smallest top draw, so r* is at most the
+        (k+1)-th largest draw at the block's end over S_n at its start,
+        and n_B at most its last n - k.  The block takes the fewest exact
+        draws for which some J <= 16 meets TOL at all its steps, and the
+        least such J.  Where none does (as in the first block), it keeps
+        all 8 exact at J = 16 and bounds each step by its own ratio.
         """
-        first = [0]
-        if s[-1] >= s[0] * _GROWTH:
-            lo, hi = math.log2(s[0]), math.log2(s[-1])
-            cut = np.zeros(n.size + 1, dtype=bool)
-            cut[[0, *np.searchsorted(s, np.exp2(lo + np.arange(1, 4 * min(hi - lo, 2100) + 1) / 4))]] = True
-            first = np.flatnonzero(cut[:-1]).tolist()
-        ends = first[1:] + [n.size]
-        starts, tops, pieces = starts.tolist(), tops.tolist(), []
-        for f, end in zip(first, ends):  # size, last n, log of the room, r* per k
-            row = tops[bisect.bisect_right(starts, end - 1) - 1]
-            room = math.log(self.tol * self.gamma * math.sqrt(f + n[0]))
-            pieces.append((end - f, float(n[end - 1]), room, [v / float(s[f]) for v in row + row[-1:]]))
-        best = self._k if len(first) == len(starts) == 1 else None
-        for ks in ([best], range(_TOP + 1)) if best is not None else [range(_TOP + 1)]:
-            orders = {k: [] for k in ks}
-            missed, cost = dict.fromkeys(ks, 0), dict.fromkeys(ks, 0)
-            for m, n1, room, row in pieces:
-                for k in ks:
-                    rk = row[k]
-                    if 0.0 < rk < 1.0 and n1 > k:
-                        j = max(math.ceil((room - math.log((n1 - k) / (1.0 - rk))) / math.log(rk)) - 1, 1)
-                    else:
-                        j = 1 if rk == 0.0 or n1 <= k else _ORDER + 1
-                    orders[k].append(min(j, _ORDER))
-                    missed[k] += m if j > _ORDER else 0
-                    cost[k] += m * min(j, _ORDER)
-            best = min(ks, key=lambda k: (missed[k], k * n.size + 2 * cost[k]))
-            if not missed[best]:
-                break
-        self._k, need, bound = best, orders[best], []
-        for j, (_, n1, _, row) in zip(need, pieces):
-            rk, nb = row[best], max(n1 - best, 0.0)
-            bound.append(nb * rk ** (j + 1) / ((j + 1) * (1.0 - rk)) if rk < 1.0 else math.inf)
-        upto = [0] * (max(need) - 1)  # each order up to the last piece needing it
-        for j, end in zip(need, ends):
-            upto[: j - 1] = [end] * (j - 1)
-        return best, upto, np.repeat(bound, [m for m, *_ in pieces])
+        last = [*tops[-1].tolist(), float(tops[-1, -1])]  # the (k+1)-th largest, k = 0..8
+        room = math.log(TOL * self.gamma * math.sqrt(n[0]))
+        for k in range(_TOP + 1):
+            r, nb = last[k] / float(s[0]), max(float(n[-1]) - k, 0.0)
+            if r == 0.0 or nb == 0.0:
+                return k, 1, 0.0
+            if r < 1.0:
+                j = max(math.ceil((room - math.log(nb / (1.0 - r))) / math.log(r)) - 1, 1)
+                if j <= _ORDER:
+                    return k, j, nb * r ** (j + 1) / ((j + 1) * (1.0 - r))
+        r = tops[runs, -1] / s
+        bound = np.maximum(n - _TOP, 0.0) * r ** (_ORDER + 1) / ((_ORDER + 1) * (1.0 - r))
+        return _TOP, _ORDER, np.where(r < 1.0, bound, np.inf)
 
-    def _rebuild(self, start, top, order):
-        """The bulk's power sums of orders 2 to ``order`` over the first
-        ``start`` draws afresh, in chunks; ``top`` indexes the top set."""
-        sums = np.zeros(order - 1)
-        for lo in range(0, start, _CHUNK):
-            w = self.path[lo : min(lo + _CHUNK, start)] / self._ref
-            w[[i - lo for i in top if lo <= i < lo + w.size]] = 0.0
-            power = w * w
-            for j in range(order - 1):
-                sums[j] += power.sum()
-                power = power * w
-        self._sums = sums.tolist()
-
-    def _series(self, s, enter, runs, rest, upto):
-        """sum_{j >= 2} R_j/j per step over the bulk, whose draws come in
-        ``enter``, and the top draws ``rest`` of each run, order j up to
-        the step ``upto[j - 2]``; the power sums move to the block's end."""
+    def _series(self, s, enter, runs, starts, rest, order):
+        """sum_{j=2..order} R_j/j per step over the bulk, whose draws come
+        in ``enter``, and the top draws ``rest`` of the runs (``runs`` per
+        step, beginning at ``starts``); the bulk's power sums of every
+        order move to the block's end."""
         series = np.zeros(s.size)
         lo = 0
         while lo < s.size:
             hi = s.size
             if s[-1] > s[lo] * _SPAN:
                 hi = max(lo + 1, int(np.searchsorted(s, s[lo] * _SPAN, side="right")))
-            ref, old = float(s[hi - 1]), self._ref
+            ref = float(s[hi - 1])
+            sums = self._sums * (self._ref / ref) ** _J
             self._ref = ref
-            sums = [q * (old / ref) ** j for j, q in enumerate(self._sums, 2)]
+            # p^1, p^2, ... of the entering draws' ratios p to ref; the
+            # block total of p^j is the dot product of two of the first 8
+            powers = np.empty((max(order, _HALF), hi - lo))
+            np.multiply(enter[lo:hi], 1.0 / ref, out=powers[0])
+            for i in range(1, len(powers)):
+                np.multiply(powers[i - 1], powers[0], out=powers[i])
+            self._sums = sums + np.concatenate((np.vecdot(powers[:_HALF], powers[0]),
+                                                np.vecdot(powers[1:_HALF], powers[_HALF - 1])))
+            # R_j per step: the carried sums and each run's top draws enter
+            # as one more term at the run's first step
             first, final = runs[lo], runs[hi - 1]
-            # the top draws' power sums per run and order
-            extra = np.power((rest[first : final + 1] / ref)[..., np.newaxis], _J).sum(axis=1)
-            extra = extra[0] if first == final else extra[runs[lo:hi] - first]
-            p = enter[lo:hi] * (1.0 / ref)
-            power, terms = p * p, []
-            for j in range(2, len(sums) + 2):
-                if j > 2:
-                    power *= p
-                m = max(min(upto[j - 2], hi) - lo, 0) if j - 2 < len(upto) else 0
-                q = sums[j - 2]
-                sums[j - 2] += float(power[m:].sum()) if m < power.size else 0.0
-                if m:
-                    running = np.cumsum(power[:m])
-                    sums[j - 2] += float(running[-1])
-                    running += q + (extra[j - 2] if first == final else extra[:m, j - 2])
-                    running *= 1.0 / j
-                    terms.append(running)
-            rho = np.divide(ref, s[lo:hi])  # Horner's rule in rho = ref/S_n
-            total = np.zeros(0)
-            for term in reversed(terms):
-                total *= rho[: total.size]
-                term[: total.size] += total
-                total = term
-            total *= rho[: total.size]
-            np.multiply(total, rho[: total.size], out=series[lo : lo + total.size])
-            self._sums = sums[: len(upto) + _KEEP]
+            extra = np.power((rest[first : final + 1] / ref)[..., np.newaxis], _J[: order - 1])
+            extra = extra.sum(axis=1)
+            extra[1:] -= extra[:-1]
+            extra[0] += sums[: order - 1]
+            terms = powers[1:order]
+            for at, step in zip(starts[first : final + 1].tolist(), extra):
+                terms[:, max(at - lo, 0)] += step
+            for term, j in zip(terms, _J):
+                term *= 1.0 / j
+            np.cumsum(terms, axis=1, out=terms)
+            total = series[lo:hi]  # Horner's rule in rho = ref/S_n
+            rho = np.divide(ref, s[lo:hi])
+            for term in terms[::-1]:
+                total += term
+                total *= rho
+            total *= rho
             lo = hi
         return series
 
 
+@dataclass
 class PowerSumState:
-    """Streaming count n, sum S, centred power sums p1, p2, p3 of
-    d = X - mu (compensated, so p1 = S - n*mu to O(eps)) and max |d|."""
+    """Streaming state: count, running sum, centered power sums, max |d|.
 
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ValueError(f"mu must be positive, got {mu}")
-        self.mu, self.n, self.max_abs_d = mu, 0, 0.0
-        self._sums = [NeumaierSum() for _ in range(4)]
+    All four accumulators are compensated, so p1 = S - n*mu holds to
+    O(eps) after millions of updates.  Only the benchmark's replay keeps
+    this scalar third-order state; the program walks a :class:`LooSeries`.
+    """
 
-    total, p1, p2, p3 = (property(lambda self, i=i: self._sums[i].value) for i in range(4))
+    mu: float
+    n: int = 0
+    _s: NeumaierSum = field(default_factory=NeumaierSum)
+    _p1: NeumaierSum = field(default_factory=NeumaierSum)
+    _p2: NeumaierSum = field(default_factory=NeumaierSum)
+    _p3: NeumaierSum = field(default_factory=NeumaierSum)
+    max_abs_d: float = 0.0
+
+    def __post_init__(self):
+        if self.mu <= 0:
+            raise ValueError(f"mu must be positive, got {self.mu}")
+
+    @property
+    def total(self) -> float:
+        return self._s.value
+
+    @property
+    def p1(self) -> float:
+        return self._p1.value
+
+    @property
+    def p2(self) -> float:
+        return self._p2.value
+
+    @property
+    def p3(self) -> float:
+        return self._p3.value
 
     def update(self, x: float) -> "PowerSumState":
         """Absorb one draw; constant work per call."""
@@ -268,16 +252,18 @@ class PowerSumState:
             raise ValueError(f"draws must be positive, got {x}")
         d = x - self.mu
         self.n += 1
-        for total, term in zip(self._sums, (x, d, d * d, d * d * d)):
-            total.add(term)
-        self.max_abs_d = max(self.max_abs_d, abs(d))
+        self._s.add(x)
+        self._p1.add(d)
+        self._p2.add(d * d)
+        self._p3.add(d * d * d)
+        if abs(d) > self.max_abs_d:
+            self.max_abs_d = abs(d)
         return self
 
 
 def init_state(mu: float) -> PowerSumState:
     """Fresh zero state for a distribution with mean mu > 0."""
     return PowerSumState(mu)
-
 
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
     """Third-order surrogate for the leave-one-out log statistic.

@@ -48,12 +48,19 @@ def row_sums(t: np.ndarray, top: np.ndarray | None = None,
     """
     if top is None:
         top = np.abs(t, out=out).max(axis=1)
-    _, e = np.frexp(top)
-    grid = np.ldexp(1.0, np.minimum(e + t.shape[1].bit_length() + 1, 1023))[:, np.newaxis]
-    high = np.add(t, grid, out=out)
-    high -= grid
+    high = _high_parts(t, np.frexp(top)[1][:, np.newaxis], out)
     total = high.sum(axis=1)
     return total + np.subtract(t, high, out=high).sum(axis=1)
+
+
+def _high_parts(t: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
+    """The high parts of :func:`row_sums`' split of t, whose sums of
+    ``t.shape[-1]`` terms below 2**e are exact: t rounded to the grid of
+    2**(e + 1 + bit length of the count); ``t - high`` is exact too."""
+    grid = np.ldexp(1.0, np.minimum(e + t.shape[-1].bit_length() + 1, 1023))
+    high = np.add(t, grid, out=out)
+    high -= grid
+    return high
 
 
 def _prefix_totals(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -69,8 +76,7 @@ def _prefix_totals(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
     while lo < ns.size:  # e is nondecreasing: one run of ns per exponent
         hi = int(np.searchsorted(e, e[lo], side="right"))
         t = x[: ns[hi - 1]]
-        grid = np.ldexp(1.0, min(e[lo] + t.size.bit_length() + 1, 1023))
-        high = (t + grid) - grid
+        high = _high_parts(t, e[lo])
         k = ns[lo:hi] - 1
         out[lo:hi] = np.cumsum(high)[k] + np.cumsum(t - high)[k]
         lo = hi
@@ -87,18 +93,17 @@ def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.nd
     the carry's pair takes both block totals.
     """
     s, c = carry._s, carry._c
-    grid = 2.0 ** min(math.frexp(top)[1] + x.size.bit_length() + 1, 1023)
-    high = (x + grid) - grid
-    low = x - high
-    low[0] += c
-    low = np.cumsum(low)
-    high = np.cumsum(high)
-    carry._c = 0.0  # c is in low's first term
-    carry.add(float(high[-1]))
-    carry._c += float(low[-1])
-    high += s
-    high += low
-    return high
+    parts = np.empty((2, x.size))  # the high and the low parts
+    _high_parts(x, math.frexp(top)[1], parts[0])
+    np.subtract(x, parts[0], out=parts[1])
+    parts[1, 0] += c
+    np.cumsum(parts, axis=1, out=parts)
+    carry._c = 0.0  # c is in the low parts' first term
+    carry.add(float(parts[0, -1]))
+    carry._c += float(parts[1, -1])
+    total = np.add(parts[0], s, out=parts[0])
+    total += parts[1]
+    return total
 
 
 class NeumaierSum:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from prodsums import (
     make_distribution,
     sample,
 )
+from prodsums import streaming
 from prodsums.summation import NeumaierSum, row_sums, running_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
@@ -56,16 +58,17 @@ def third_order_bound(state, gamma):
     return n * u**4 / (4 * (1 - u)) / (gamma * math.sqrt(n)) if u < 1 else math.inf
 
 
-def series_values(path, mu, gamma, sizes=(4096,), tol=LooSeries.tol):
+def series_values(path, mu, gamma, sizes=(4096,)):
     """LooSeries over the whole path in blocks of the given sizes, cycled:
-    value, bound and size at every step."""
+    value, bound and size at every step, the size with the exact kernel's
+    share sqrt(n)/gamma added."""
     series = LooSeries(path, mu, gamma)
-    series.tol = tol
     parts, stop = [], 0
     for block in in_blocks(range(len(path)), list(sizes)):
         stop += len(block)
         parts.append(series.block(stop))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    value, bound, size = (np.concatenate(part) for part in zip(*parts))
+    return value, bound, size + np.sqrt(np.arange(1, value.size + 1)) / gamma
 
 
 def in_blocks(values, sizes):
@@ -332,7 +335,8 @@ class TestSeries:
         # a looser tol picks lower orders; each is within its own bound
         v = np.array(vals)
         mu = float(np.mean(v))
-        value, bound, size = series_values(v, mu, gam, tol=tol)
+        with mock.patch.object(streaming, "TOL", tol):
+            value, bound, size = series_values(v, mu, gam)
         exact = loo_log_prefixes(v, np.arange(2, v.size + 1), mu, gam)
         err, bound, size = np.abs(value[1:] - exact), bound[1:], size[1:]
         assert np.all(err <= bound + 64 * 2.0**-52 * size + 1e-14)
