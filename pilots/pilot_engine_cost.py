@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Where the time of one asclt run goes, stage by stage.
+"""Where the time of one asclt run goes, stage by stage, and its peak memory.
 
 For each ASCLT kind, a fresh interpreter runs ``run_asclt_path`` on
 exponential:1 with N = 2e5 and exact cutoff 2000 twice: cold (the
@@ -8,17 +8,24 @@ first page faults of its temporaries) and warm.  Each run prints its
 wall time and minor page faults (``getrusage``), in total and for the
 stages the engine calls:
 
-* sample      -- drawing the path,
+* sample      -- drawing the path, chunk by chunk (``sample_chunks``),
 * expansion   -- the leave-one-out series of every step and its
                  certificate (``_certified_series``),
-* prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``) on
-                 the steps the expansion does not certify,
+* prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``, or
+                 ``loo_log_chunked`` past the first block) on the steps
+                 the expansion does not certify,
 * sums        -- the running sums (``running_sums``) of the other kinds,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
 and ``other`` for the rest of the run.  A stage called inside another
-counts towards the outer one.  Timings depend on the machine
-and its load; compare two checkouts by alternating runs.
+counts towards the outer one.
+
+Then, for each kind and N = 2e5, 2e6 and 2e7, a fresh interpreter makes
+one run and prints its peak resident set (``ru_maxrss``), which should
+not grow with N, since the walk holds one chunk of the path; and one
+``loo`` run at N = 1e8 prints its wall time and peak resident set.
+Timings depend on the machine and its load; compare two checkouts by
+alternating runs.
 
 Run:  python3 pilots/pilot_engine_cost.py
 """
@@ -30,6 +37,9 @@ import time
 
 N, CUTOFF, SEED = 200_000, 2000, 0
 STAGES = ("sample", "expansion", "prefix", "sums", "accumulate")
+KINDS = ("loo", "rw", "lin", "std")
+RSS_N = (200_000, 2_000_000, 20_000_000)
+LONG_N = 100_000_000
 
 
 def _faults() -> int:
@@ -56,9 +66,18 @@ def child(kind: str) -> None:
                 active.pop()
         return wrapper
 
-    asclt.sample = timed("sample", asclt.sample)
+    def timed_chunks(fn):
+        def wrapper(*args, **kwargs):
+            chunks = fn(*args, **kwargs)
+            draw = timed("sample", lambda: next(chunks, None))
+            while (x := draw()) is not None:
+                yield x
+        return wrapper
+
+    asclt.sample_chunks = timed_chunks(asclt.sample_chunks)
     asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_prefixes = timed("prefix", asclt.loo_log_prefixes)
+    asclt.loo_log_chunked = timed("prefix", asclt.loo_log_chunked)
     asclt.running_sums = timed("sums", asclt.running_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 
@@ -74,15 +93,39 @@ def child(kind: str) -> None:
         print(f"{kind:4s} {label} {wall * 1e3:7.1f}ms/{faults:<5d} {cells}", flush=True)
 
 
+def peak(kind: str, n: int) -> None:
+    """One run in this interpreter: its wall time and the peak resident set."""
+    from prodsums import make_distribution, run_asclt_path
+
+    t0 = time.perf_counter()
+    run_asclt_path(make_distribution("exponential", [1.0]), kind, n, SEED, exact_cutoff=CUTOFF)
+    wall = time.perf_counter() - t0
+    print(f"{wall:.2f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
+
+
+def _peak(kind: str, n: int) -> tuple[float, float]:
+    out = subprocess.run([sys.executable, __file__, "peak", kind, str(n)],
+                         check=True, capture_output=True, text=True).stdout.split()
+    return float(out[0]), float(out[1])
+
+
 def main() -> None:
     print(f"exponential:1, N = {N}, exact cutoff {CUTOFF}, seed {SEED}; each cell is ms/minor faults")
     print("kind run     total       " + " ".join(f"{s:14s}" for s in (*STAGES, "other")))
-    for kind in ("loo", "rw", "lin", "std"):
-        subprocess.run([sys.executable, __file__, kind], check=True)
+    for kind in KINDS:
+        subprocess.run([sys.executable, __file__, "stages", kind], check=True)
+    print("\npeak RSS (ru_maxrss, MB) of one run in a fresh interpreter")
+    print("kind " + " ".join(f"{f'N = {n:.0e}':>11s}" for n in RSS_N))
+    for kind in KINDS:
+        print(f"{kind:4s} " + " ".join(f"{_peak(kind, n)[1]:11.1f}" for n in RSS_N), flush=True)
+    wall, rss = _peak("loo", LONG_N)
+    print(f"\nloo at N = {LONG_N:.0e}: {wall:.1f} s, peak RSS {rss:.1f} MB")
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        child(sys.argv[1])
-    else:
+    if len(sys.argv) == 1:
         main()
+    elif sys.argv[1] == "peak":
+        peak(sys.argv[2], int(sys.argv[3]))
+    else:
+        child(sys.argv[2])

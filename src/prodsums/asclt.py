@@ -17,23 +17,30 @@ Accumulation starts at n = 2 because the leave-one-out statistic is
 undefined on a single draw (its normalizer (n-1)*mu vanishes); the
 single dropped term is irrelevant in the limit.
 
-:func:`run_asclt_path` draws the path with one :func:`sample` call and
-walks it in blocks of 4096 steps.  Per block, a kind forms the running
-sums it reads after every step: S_n (``rw``, ``lin``) or S_n - n*mu
-(``std``), and its t_n is whole-array arithmetic on them;
-:meth:`LogAvgAccumulator.accumulate` adds the block's indicator mass
-with one ``searchsorted`` and one ``bincount``.  The leave-one-out kind
-has one rule at every step: it takes the value of the
-:class:`~prodsums.streaming.LooSeries` series where
+:func:`run_asclt_path` walks the path in blocks of 4096 steps, each
+drawn as it comes by :func:`~prodsums.distributions.sample_chunks`, bit
+for bit the draws of one :func:`~prodsums.distributions.sample` call.
+Per block, a kind forms the running sums it reads after every step: S_n
+(``rw``, ``lin``) or S_n - n*mu (``std``), and its t_n is whole-array
+arithmetic on them; :meth:`LogAvgAccumulator.accumulate` adds the
+block's indicator mass with one ``searchsorted`` and one ``bincount``.
+The leave-one-out kind has one rule at every step: it takes the value of
+the :class:`~prodsums.streaming.LooSeries` series where
 :func:`_certified_series` certifies the exact value's grid bin, and the
-exact statistic through one :func:`~prodsums.statistics.loo_log_prefixes`
-call per block elsewhere; the certificate hands each step's grid bin on
-to the accumulator.  So its CSV is the CSV of the exact statistic, and
-``exact_cutoff`` only sets where the count of fallbacks (steps sent to
-the exact kernel) starts.  The cost is O(N) numpy work plus O(n) per
-exact step (none of the 2e5 steps of exponential:1 at seed 0, nor of
-the 2e4 steps of lognormal:0:20 or gamma:0.001:1); the memory beyond
-the path is one block's temporaries.
+exact statistic elsewhere: through one
+:func:`~prodsums.statistics.loo_log_prefixes` call on the first block,
+which holds its steps' whole prefixes, and through one
+:func:`~prodsums.statistics.loo_log_chunked` call per later block, which
+reads the path again from its start; the certificate hands each step's
+grid bin on to the accumulator.  So its CSV is the CSV of the exact
+statistic, and ``exact_cutoff`` only sets where the count of fallbacks
+(steps sent to the exact kernel) starts.  The cost is O(N) numpy work
+plus O(n) per exact step (none of the 2e5 steps of exponential:1 at
+seed 0, nor of the 2e4 steps of lognormal:0:20 or gamma:0.001:1).  The
+memory is one block's draws and temporaries, whatever N: the peak
+resident set of a process making one run, interpreter and numpy
+included, stays about 38 MB from N = 2e4 to 1e8, where ``loo`` takes
+about 14 s on a 2-core machine.  N is at most :data:`MAX_N`.
 """
 
 from __future__ import annotations
@@ -43,9 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample
+from .distributions import DistributionSpec, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_prefixes
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_chunked, loo_log_prefixes
 from .streaming import TOL, LooSeries
 from .summation import NeumaierSum, running_sums
 
@@ -53,24 +60,30 @@ __all__ = [
     "LogAvgAccumulator",
     "default_grid",
     "AscltReport",
+    "MAX_N",
     "run_asclt_path",
 ]
 
 ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
 
-# steps per block of whole-array work in run_asclt_path: large enough to
-# amortize the per-block Python, small enough that the block's temporaries
-# stay a small fraction of the path itself
+# steps per block of whole-array work in run_asclt_path, and draws per
+# chunk of its path: large enough to amortize the per-block Python, small
+# enough that a run's memory, one block's draws and temporaries, stays
+# about 1 MB whatever N
 _BLOCK = 4096
+
+# the longest path run_asclt_path walks: about 17 minutes of loo at its
+# ~100 ns per step; a longer one would run for hours or more
+MAX_N = 10**10
 
 _SLACK = 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
 _LARGEST = 1e-13 / 2.0**-51  # about 225, the largest size certified: two roundings of it are 1e-13
 
 
-def _certified_series(series, n, grid):
-    """The series of t_n at the block's steps n, the index of the first
-    grid point at or above each value, and where the series does not
-    certify the grid bin of the exact kernel's value.
+def _certified_series(series, x, n, grid):
+    """The series of t_n at the block's steps n, whose draws are x, the
+    index of the first grid point at or above each value, and where the
+    series does not certify the grid bin of the exact kernel's value.
 
     The exact kernel errs by a few roundings in each of its n log terms,
     so by O(eps*sqrt(n)/gamma), and the series by a few roundings of the
@@ -84,7 +97,7 @@ def _certified_series(series, n, grid):
     near -490), so a certified value is the exact kernel's within about
     1e-13.
     """
-    value, bound, size = series.block(int(n[-1]))
+    value, bound, size = series.block(x)
     reach = _SLACK * size
     reach += bound
     reach += _SLACK * math.sqrt(n[-1]) / series.gamma
@@ -231,33 +244,36 @@ def run_asclt_path(
     accumulated against the grid, then compared to the law the ASCLT
     predicts for that statistic (on the log scale for the product
     kinds).  Returns the report with both normalizations and the sup
-    gap against the limit CDF.
+    gap against the limit CDF.  The path is the one of
+    ``sample(spec, n_max, base_seed, stream_index)``, drawn block by
+    block; n_max is from 2 to :data:`MAX_N`.
     """
     if kind not in ASCLT_KINDS:
         raise ValueError(
             f"unknown ASCLT statistic {kind!r}; expected one of {', '.join(ASCLT_KINDS)}"
         )
     n_max = int(n_max)
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+    if not 2 <= n_max <= MAX_N:
+        raise ValueError(f"n_max must be from 2 to {MAX_N}, got {n_max}")
     exact_cutoff = int(exact_cutoff)
     if exact_cutoff < 2:
         raise ValueError("exact_cutoff must be >= 2")
 
     mu, sigma, gam = moments(spec)
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
-    v = sample(spec, n_max, base_seed, stream_index).values
     # the product statistics are accumulated as their logs, so they are
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    series = LooSeries(v, mu, gam) if kind == "loo" else None
+    def chunks():
+        return sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
+
+    series = LooSeries(mu, gam) if kind == "loo" else None
     total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
     fallbacks = exact_steps = 0
-    for start in range(0, n_max, _BLOCK):
-        block = v[start : start + _BLOCK]
+    for start, block in zip(range(0, n_max, _BLOCK), chunks()):
         n = np.arange(start + 1, start + block.size + 1)
         if kind == "rw":
             logs = log_ratio(running_sums(block, total), n * mu)[0]
@@ -268,11 +284,14 @@ def run_asclt_path(
             # reduced form of the leave-one-out linearization
             t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
         else:  # loo: the certified series, else the exact kernel
-            t, first, exact = _certified_series(series, n, acc.grid)
+            t, first, exact = _certified_series(series, block, n, acc.grid)
             exact[0] &= start > 0  # n = 1 is never accumulated
             todo = np.flatnonzero(exact)
             if todo.size:
-                t[todo] = loo_log_prefixes(v, n[todo], mu, gam)
+                # the first block holds its whole prefix; a later step's
+                # prefix is read again from the start of the path
+                t[todo] = (loo_log_prefixes(block, n[todo], mu, gam) if start == 0
+                           else loo_log_chunked(chunks, n[todo], mu, gam))
                 first[todo] = np.searchsorted(acc.grid, t[todo])
                 exact_steps += todo.size
                 fallbacks += int(np.count_nonzero(n[todo] > exact_cutoff))

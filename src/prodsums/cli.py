@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .asclt import AscltReport, run_asclt_path
+from .asclt import MAX_N, AscltReport, run_asclt_path
 from .distributions import DistributionSpec, make_distribution, moments
 from .limits import LAW_TAGS, LimitLaw
 from .montecarlo import (
@@ -316,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asclt", help="single-trajectory logarithmic average")
     p.add_argument("--dist", default=None)
     p.add_argument("--stat", default=None, choices=ASCLT_KINDS)
-    p.add_argument("--N", type=int, default=None, help="trajectory length")
+    p.add_argument("--N", type=int, default=None, help=f"trajectory length, 2 to {MAX_N:,}")
     p.add_argument("--exact-cutoff", type=int, default=None,
                    help="the n past which loo counts its steps sent to the exact kernel "
                         "(fallbacks); no output depends on it (default 2000)")

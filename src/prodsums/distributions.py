@@ -22,11 +22,16 @@ of an experiment can simply use ``stream_index = r`` and the draws never
 depend on evaluation order or worker count.  :func:`sample_rows` is the
 one sampler: it keys a batch of streams in one pass, re-keys one
 generator to the start of each stream and draws each row in place.
-:func:`sample` is its one-row call.
+:func:`sample` is its one-row call.  :func:`sample_chunks` yields the
+draws of one :func:`sample` call in consecutive chunks, bit for bit, in
+the memory of one chunk; it is also the one place of the zero-redraw
+rule, which :func:`sample_rows` applies to a row holding a zero by
+drawing that row again as one chunk.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -40,6 +45,7 @@ __all__ = [
     "make_distribution",
     "moments",
     "sample",
+    "sample_chunks",
     "sample_rows",
     "derive_stream_seed",
 ]
@@ -242,19 +248,82 @@ def _draw(spec: DistributionSpec, gen: np.random.Generator, out: np.ndarray) -> 
     return _transform(spec, out)
 
 
-def _path_values(spec: DistributionSpec, gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill out with one stream, zero draws redrawn from the end of the stream."""
-    bad = _draw(spec, gen, out) <= 0.0
-    for _ in range(_MAX_REDRAW_ROUNDS):
-        if not bad.any():
-            break
-        out[bad] = _draw(spec, gen, np.empty(int(bad.sum())))
-        bad = out <= 0.0
-    if bad.any():
-        raise ValueError(
-            f"{spec}: {int(bad.sum())} of {out.size} draws still underflow to 0 "
-            f"after {_MAX_REDRAW_ROUNDS} redraw rounds"
-        )
+def _zeros(spec: DistributionSpec, gen: np.random.Generator, count: int, chunk: int) -> int:
+    """The number of zeros among gen's next count draws, drawn chunk at a time."""
+    return sum(int(np.count_nonzero(_draw(spec, gen, np.empty(min(chunk, count - lo))) <= 0.0))
+               for lo in range(0, count, chunk))
+
+
+def _unfixed(spec: DistributionSpec, zeros: int, n: int) -> ValueError:
+    return ValueError(f"{spec}: {zeros} of {n} draws still underflow to 0 "
+                      f"after {_MAX_REDRAW_ROUNDS} redraw rounds")
+
+
+def _redraw_rounds(spec: DistributionSpec, key: int, n: int, chunk: int) -> list:
+    """Generators at the start of each redraw round of the path of n
+    draws of the stream keyed by key.
+
+    Round r draws one value for each zero left after round r - 1, from
+    the stream after the path and the earlier rounds, so a round starts
+    where the count of the zeros before it says.
+    """
+    gen = np.random.Generator(np.random.Philox(key=key))
+    zeros, rounds = _zeros(spec, gen, n, chunk), []
+    while zeros:
+        if len(rounds) == _MAX_REDRAW_ROUNDS:
+            raise _unfixed(spec, zeros, n)
+        rounds.append(copy.deepcopy(gen))
+        zeros = _zeros(spec, gen, zeros, chunk)
+    return rounds
+
+
+def _chunks(spec: DistributionSpec, n: int, key: int, chunk: int, gen=None):
+    """The draws of the stream keyed by key as :func:`sample_chunks` yields
+    them, drawn by gen, re-keyed, if one is given."""
+    gen = np.random.Generator(np.random.Philox(key=key)) if gen is None else _rekey(
+        gen, _fresh_state(), key)
+    rounds = None
+    for lo in range(0, n, chunk):
+        x = _draw(spec, gen, np.empty(min(chunk, n - lo)))
+        bad = np.flatnonzero(x <= 0.0)
+        if bad.size and rounds is None:
+            # a path drawn whole has its rounds next on gen; else a second
+            # generator finds where each round starts
+            whole = x.size == n
+            rounds = [gen] * _MAX_REDRAW_ROUNDS if whole else _redraw_rounds(spec, key, n, chunk)
+        # the zeros left after each round take the next draws of the next
+        # round's stream, in index order
+        for g in rounds or ():
+            if not bad.size:
+                break
+            x[bad] = _draw(spec, g, np.empty(bad.size))
+            bad = bad[x[bad] <= 0.0]
+        if bad.size:
+            raise _unfixed(spec, bad.size, n)
+        yield x
+
+
+def sample_chunks(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0,
+                  chunk: int = 4096):
+    """Yield the draws of ``sample(spec, n, base_seed, stream_index)`` in
+    consecutive arrays of ``chunk`` (the last one shorter), bit for bit.
+
+    Consecutive fills of one generator draw what one fill would, so the
+    memory is one chunk, whatever n.  A zero draw is replaced by the
+    redraw rule of :func:`sample`, whose redraws come from the stream
+    after draw n: at the first zero a second generator runs once through
+    the n draws and the redraw rounds, and keeps a generator at the start
+    of each round, from which the zeros take their redraws in index
+    order.  That costs one more pass over the stream, and O(chunk +
+    rounds) memory.  A spec whose zeros outlast 100 rounds raises the
+    ``ValueError`` of :func:`sample` at its first zero.
+    """
+    n, chunk = int(n), int(chunk)
+    if n < 1:
+        raise ValueError(f"path length must be >= 1, got {n}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
+    return _chunks(spec, n, int(_stream_keys(base_seed, [stream_index])[0]), chunk)
 
 
 def sample(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0) -> SamplePath:
@@ -280,8 +349,9 @@ def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices,
     Row i has the bits of ``sample(spec, n, base_seed,
     stream_indices[i]).values``.  One generator, re-keyed to the start of
     each stream, draws every row in place; the family's transform then
-    runs once over the whole batch, and the rows holding a zero draw are
-    drawn again with the redraw rule of :func:`sample`.  Pass a C-ordered
+    runs once over the whole batch, and a row holding a zero draw is
+    drawn again as one chunk of :func:`sample_chunks`, whose redraw rule
+    is the one of :func:`sample`.  Pass a C-ordered
     float array of that shape as ``out`` to fill and return it instead
     of a new array.
     """
@@ -300,5 +370,5 @@ def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices,
         fill(out=row)
     _transform(spec, out)
     for i in np.nonzero(out.min(axis=1) <= 0.0)[0]:
-        _path_values(spec, _rekey(gen, state, keys[i]), out[i])
+        out[i] = next(_chunks(spec, n, keys[i], n, gen))
     return out

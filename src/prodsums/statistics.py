@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SamplePath
-from .summation import _prefix_totals, row_sums
+from .summation import NeumaierSum, _prefix_totals, exact_running_sums, row_sums
 
 __all__ = [
     "StatisticKind",
@@ -43,6 +43,7 @@ __all__ = [
     "prefix_sums",
     "loo_log_statistic",
     "loo_log_prefixes",
+    "loo_log_chunked",
     "rw_log_statistic",
     "linearized_statistic",
     "standardized_sum",
@@ -269,6 +270,76 @@ def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
         out[i:j] = row_sums(log_ratio(loo, m)[0]) / (gamma * np.sqrt(n[:, 0]))
         i = j
     return out
+
+
+def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
+    """:func:`loo_log_prefixes` at the steps ns of a path read in chunks.
+
+    ``chunks()`` yields the path's draws in consecutive 1-D chunks,
+    afresh at each call; it is read twice, up to the last step.  The
+    first pass takes every S_n and the sum of the draws other than the
+    largest as running sums within about one rounding (the sum of the
+    others is what a largest draw above S_n/2 leaves, as in
+    :func:`loo_log_prefixes`).  The second forms the exact kernel's log
+    ratios chunk by chunk, a few steps at a time, sums each chunk's
+    with :func:`~prodsums.summation.row_sums` and carries each step's
+    chunk sums as an exact pair.  So a value errs by about one rounding
+    per chunk of terms of the size of t_n*gamma*sqrt(n)/n, and agrees
+    with :func:`loo_log_prefixes` far within 1e-13 at n = 1e4; the
+    memory is a few steps times a chunk.
+    """
+    ns = np.asarray(ns)
+    if ns.ndim != 1 or not ns.size or ns.dtype.kind not in "iu":
+        raise ValueError("ns must be a nonempty 1-D sequence of integers")
+    if ns[0] < 2 or np.any(np.diff(ns) < 0):
+        raise ValueError("ns must be nondecreasing prefix lengths n >= 2")
+    _check_positive(mu=mu, gamma=gamma)
+    s, rest, top = np.empty((3, ns.size))
+    total, others, largest = NeumaierSum(), NeumaierSum(), 0.0
+    done = lo = 0
+    for x in chunks():
+        peak = float(x.max())
+        if not (x.min() > 0.0 and peak < math.inf):
+            raise ValueError("all path values must be finite and strictly positive")
+        # the largest draw before each draw: the smaller of the two joins
+        # the others
+        before = np.maximum.accumulate(np.append(largest, x[:-1]))
+        largest = max(largest, peak)
+        hi = int(np.searchsorted(ns, lo + x.size, side="right"))
+        k = ns[done:hi] - lo - 1
+        s[done:hi] = exact_running_sums(x, total, peak)[k]
+        rest[done:hi] = exact_running_sums(np.minimum(x, before), others, peak)[k]
+        top[done:hi] = np.maximum(before, x)[k]
+        done, lo = hi, lo + x.size
+        if done == ns.size:
+            break
+    if done < ns.size:
+        raise ValueError(f"prefix length {ns[-1]} exceeds the path length {lo}")
+    dominant = top > 0.5 * s
+    m = (ns - 1.0) * mu
+    value, carry = np.zeros((2, ns.size))
+    lo = 0
+    for x in chunks():
+        at = np.arange(lo, lo + x.size)
+        rows = max(1, _BATCH_BYTES // 8 // x.size)  # steps per batch of log ratios
+        for i in range(int(np.searchsorted(ns, lo, side="right")), ns.size, rows):
+            j = slice(i, i + rows)
+            loo = s[j, np.newaxis] - x
+            big = np.flatnonzero(dominant[j])
+            loo[big] = np.where(x == top[j][big, np.newaxis], rest[j][big, np.newaxis], loo[big])
+            # past its step a row holds (n-1)*mu, whose log ratio is exactly 0
+            np.copyto(loo, m[j, np.newaxis], where=at >= ns[j, np.newaxis])
+            part = row_sums(log_ratio(loo, m[j, np.newaxis])[0])
+            # value + part as an exact pair (Knuth's TwoSum)
+            total_j = value[j] + part
+            back = total_j - value[j]
+            carry[j] += (value[j] - (total_j - back)) + (part - back)
+            value[j] = total_j
+        lo += x.size
+        if lo >= ns[-1]:
+            break
+    value += carry
+    return value / (gamma * np.sqrt(ns))
 
 
 def rw_log_statistic(path, mu: float, gamma: float) -> float:

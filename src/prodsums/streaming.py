@@ -2,8 +2,10 @@
 
 Evaluating :func:`~prodsums.statistics.loo_log_statistic` afresh costs
 O(n), so a single-trajectory run over n = 2..N costs O(N^2) that way.
-:class:`LooSeries` walks the path in blocks instead and anchors every
-leave-one-out ratio at the prefix sum S_n, with r_k = X_k/S_n:
+:class:`LooSeries` takes the path in blocks instead, each block's draws as
+they come, so it holds no more of the path than the block it is given.
+It anchors every leave-one-out ratio at the prefix sum S_n, with
+r_k = X_k/S_n:
 
     log(S_{n,k}/((n-1)*mu)) = log(S_n/((n-1)*mu)) + log(1 - r_k).
 
@@ -50,15 +52,13 @@ _HALF = _ORDER // 2
 class LooSeries:
     """The leave-one-out log statistic of the prefixes of one path.
 
-    :meth:`block` returns, for the next steps up to a given n, the series
-    value (NaN at n = 1), its truncation bound and the size of the terms
-    it evaluates exactly.
+    :meth:`block` takes the next draws of the path and returns, at each
+    of their steps, the series value (NaN at n = 1), its truncation
+    bound and the size of the terms it evaluates exactly.  Its state is
+    the top set, S_n and the bulk's power sums, whatever the path's length.
     """
 
-    def __init__(self, path, mu: float, gamma: float):
-        self.path = np.asarray(getattr(path, "values", path), dtype=float)
-        if self.path.ndim != 1 or not np.all(self.path > 0.0):
-            raise ValueError("path must be a 1-D sequence of positive draws")
+    def __init__(self, mu: float, gamma: float):
         if not (mu > 0 and gamma > 0):
             raise ValueError("mu and gamma must be positive")
         self.mu, self.gamma = float(mu), float(gamma)
@@ -67,17 +67,19 @@ class LooSeries:
         self._bulk = NeumaierSum()  # the sum of the other draws
         self._ref, self._sums = 0.0, np.zeros(_J.size)  # the bulk's sums of (X/_ref)^j
 
-    def block(self, stop: int):
-        """``(value, bound, size)`` at the steps n = self.n + 1, ..., stop.
+    def block(self, x):
+        """``(value, bound, size)`` at the steps n = self.n + 1, ...,
+        self.n + len(x), whose draws are x.
 
         ``size`` is the magnitude of the anchor n*log(S_n/((n-1)*mu)) and
         of the exact top terms over gamma*sqrt(n), the scale of the
         series' own rounding errors.
         """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or not x.size or not np.all(x > 0.0):
+            raise ValueError("x must be a nonempty 1-D sequence of positive draws")
         start = self.n
-        if not start < stop <= self.path.size:
-            raise ValueError(f"stop must be in ({start}, {self.path.size}]")
-        x = self.path[start:stop]
+        stop = start + x.size
         n = np.arange(start + 1, stop + 1, dtype=float)
         enter, starts, tops = self._enter(x, start)
         one = starts.size == 1

@@ -94,8 +94,8 @@ def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     seen = []
     certify = asclt_module._certified_series
 
-    def spy(series, n, grid):
-        value, first, exact = certify(series, n, grid)
+    def spy(series, x, n, grid):
+        value, first, exact = certify(series, x, n, grid)
         seen.append((n[~exact], value[~exact]))
         return value, first, exact
 
@@ -105,13 +105,13 @@ def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     return report, ns, values
 
 
-def exact_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000):
+def exact_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     """run_asclt_path's loo report with every step through the exact kernel."""
     with monkeypatch.context() as patch:
         patch.setattr(asclt_module, "_certified_series",
-                      lambda series, n, grid: (np.empty(n.size), np.empty(n.size, dtype=np.intp),
-                                               np.ones(n.size, dtype=bool)))
-        return run_asclt_path(spec, "loo", n_max, seed, exact_cutoff=exact_cutoff)
+                      lambda series, x, n, grid: (np.empty(n.size), np.empty(n.size, dtype=np.intp),
+                                                  np.ones(n.size, dtype=bool)))
+        return run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
 
 
 def csv_text(report):
@@ -316,6 +316,8 @@ class TestRunAscltPath:
     def test_rejects_tiny_run(self):
         with pytest.raises(ValueError, match="n_max"):
             run_asclt_path(EXP1, "std", 1, 0)
+        with pytest.raises(ValueError, match=f"n_max must be from 2 to {asclt_module.MAX_N}"):
+            run_asclt_path(EXP1, "std", asclt_module.MAX_N + 1, 0)
         with pytest.raises(ValueError, match="exact_cutoff"):
             run_asclt_path(EXP1, "loo", 100, 0, exact_cutoff=1)
 
@@ -473,12 +475,28 @@ class TestCertifiedPrefix:
         # are near 490, where their roundings could pass 1e-13, and n = 1's
         # value is NaN, so both go to the exact kernel
         path = np.array([1.0, 1e300, 1e300, 1.0])
-        series = LooSeries(path, 0.5 + 5e299, 1.0)
+        series = LooSeries(0.5 + 5e299, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _, exact = asclt_module._certified_series(series, np.arange(1, 5), default_grid())
+            value, _, exact = asclt_module._certified_series(series, path, np.arange(1, 5), default_grid())
         assert exact.tolist() == [True, True, False, False] and np.isnan(value[0])
         assert np.max(np.abs(value[2:] - loo_log_prefixes(path, [3, 4], 0.5 + 5e299, 1.0))) <= 1e-13
+
+
+def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
+    # a grid point on the value of step 10 000 sends it to the exact kernel
+    # past the first block, which reads its prefix again from the stream
+    on_grid = exact_values(EXP1, 20_000, 0, [10_000])[0]
+    grid = np.sort(np.append(default_grid(), on_grid))
+    late = []
+    chunked = asclt_module.loo_log_chunked
+    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                        lambda chunks, ns, mu, gamma: late.extend(ns) or chunked(chunks, ns, mu, gamma))
+    report = run_asclt_path(EXP1, "loo", 20_000, 0, grid=grid)
+    assert 10_000 in late and report.exact_steps == len(late)
+    exact = exact_run(monkeypatch, EXP1, 20_000, 0, grid=grid)
+    assert exact.exact_steps == 19_999
+    assert csv_text(report) == csv_text(exact)
 
 
 @pytest.mark.parametrize("rate", [1e-300, 1e-5, 3.0, 1e300])
@@ -503,7 +521,7 @@ def test_only_loo_extends_the_power_sums(monkeypatch):
     # rw, lin and std read S_n or p1 alone; loo alone walks a LooSeries
     blocks = []
     block = LooSeries.block
-    monkeypatch.setattr(LooSeries, "block", lambda self, stop: blocks.append(stop - self.n) or block(self, stop))
+    monkeypatch.setattr(LooSeries, "block", lambda self, x: blocks.append(len(x)) or block(self, x))
     for kind in ASCLT_KINDS:
         blocks.clear()
         run_asclt_path(EXP1, kind, 10_000, 0)
@@ -561,8 +579,8 @@ def test_one_law_evaluation(monkeypatch):
 
 
 def test_traced_memory_stays_near_the_path():
-    # the path itself is 8 bytes a step; one more N-length float array in
-    # the engine would exceed this bound
+    # two N-length float arrays would exceed this bound; the walk holds
+    # one chunk of the path (see the next test)
     n_max = 200_000
     tracemalloc.start()
     try:
@@ -571,3 +589,18 @@ def test_traced_memory_stays_near_the_path():
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n_max + 2**20
+
+
+@pytest.mark.parametrize("kind", ASCLT_KINDS)
+def test_traced_memory_does_not_grow_with_the_path(kind):
+    # the walk holds one chunk of the path and one block's temporaries
+    run_asclt_path(EXP1, kind, 5000, 0)
+    peaks = []
+    for n_max in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_asclt_path(EXP1, kind, n_max, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**14, peaks

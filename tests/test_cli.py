@@ -342,15 +342,24 @@ class TestAscltCommand:
         (MemoryError(), "error: MemoryError"),
     ])
     def test_memory_error_is_exit_1(self, monkeypatch, capsys, exc, message):
-        def sample(*args):
+        # the walk holds one chunk at a time, so the chunk source raises
+        def sample_chunks(*args):
             raise exc
 
-        monkeypatch.setattr(asclt_module, "sample", sample)
-        args = ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "100000000000000"]
+        monkeypatch.setattr(asclt_module, "sample_chunks", sample_chunks)
+        args = ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "100"]
         assert run_cli(args) == 1
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_absurd_n_is_exit_1(self, capsys):
+        # with bounded memory such a run would not fail: it would run for months
+        args = ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "100000000000000"]
+        assert run_cli(args) == 1
+        captured = capsys.readouterr()
+        assert f"error: n_max must be from 2 to {asclt_module.MAX_N}, got 100000000000000" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
 
     def test_plot_script(self, tmp_path):
         out, gp = tmp_path / "a.csv", tmp_path / "a.gp"

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from prodsums import (
     make_distribution,
     moments,
     sample,
+    sample_chunks,
     sample_rows,
 )
 
@@ -314,6 +316,64 @@ class TestSample:
         b = sample(spec, 100_000, 42, 1).values
         r = np.corrcoef(a, b)[0, 1]
         assert abs(r) < 0.01
+
+
+class TestSampleChunks:
+    """The chunk source against sample(), which draws the path at once."""
+
+    # the last two draw about 23% and 28% zeros, redrawn over several rounds
+    SPECS = [*SHOWCASE, ("gamma", [0.002, 1.0]), ("gamma", [0.001, 1.0])]
+
+    @pytest.mark.parametrize("chunk", [1, 4095, 4096, 9000])
+    @pytest.mark.parametrize("family,params", SPECS)
+    def test_chunks_concatenate_to_sample(self, family, params, chunk):
+        spec = make_distribution(family, params)
+        for stream in (0, 2**64 - 1):
+            chunks = list(sample_chunks(spec, 9000, 11, stream, chunk))
+            assert [c.size for c in chunks] == [min(chunk, 9000 - lo) for lo in range(0, 9000, chunk)]
+            want = sample(spec, 9000, 11, stream).values
+            assert np.concatenate(chunks).tobytes() == want.tobytes()
+
+    def test_a_zero_in_a_later_chunk(self):
+        # the first zero lies past the first chunk, so the redraw rounds are
+        # counted by a second pass while the first chunk is already out
+        spec = make_distribution("gamma", [0.01, 1.0])
+        gen = np.random.Generator(np.random.Philox(key=derive_stream_seed(0, 1)))
+        zeros = np.flatnonzero(reference_draw(spec, gen, 20_000) <= 0.0)
+        assert 512 < zeros[0] and zeros.size > 1
+        chunks = sample_chunks(spec, 20_000, 0, 1, 512)
+        got = np.concatenate(list(chunks))
+        assert got.tobytes() == sample(spec, 20_000, 0, 1).values.tobytes()
+
+    @pytest.mark.parametrize("chunk", [3, 10])
+    def test_underflowing_spec_raises_at_its_first_zero(self, chunk):
+        spec = make_distribution("gamma", [1e-9, 1.0])
+        with pytest.raises(ValueError) as raised:
+            next(sample_chunks(spec, 10, 0, 0, chunk))
+        with pytest.raises(ValueError) as whole:
+            sample(spec, 10, 0, 0)
+        assert str(raised.value) == str(whole.value) == (
+            "gamma:1e-09:1.0: 10 of 10 draws still underflow to 0 after 100 redraw rounds")
+
+    def test_memory_is_one_chunk(self):
+        # 2e5 draws are 1.6 MB; the zeros' redraws read the stream again
+        spec = make_distribution("gamma", [0.002, 1.0])
+        tracemalloc.start()
+        try:
+            zeros = sum(int(np.count_nonzero(x <= 0.0)) for x in sample_chunks(spec, 200_000, 0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zeros == 0 and peak <= 2**18
+
+    def test_rejects_bad_arguments(self):
+        spec = make_distribution("exponential", [1.0])
+        with pytest.raises(ValueError, match="path length must be >= 1"):
+            sample_chunks(spec, 0, 0)
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            sample_chunks(spec, 10, 0, 0, 0)
+        with pytest.raises(ValueError, match="64 unsigned bits"):
+            sample_chunks(spec, 10, 0, 2**64)
 
 
 class TestStreamSeedMixing:

@@ -18,6 +18,7 @@ from prodsums import (
     geometric_mean_loo,
     geometric_mean_prefix,
     linearized_statistic,
+    loo_log_chunked,
     loo_log_prefixes,
     loo_log_statistic,
     make_distribution,
@@ -27,10 +28,11 @@ from prodsums import (
     remainder_magnitude,
     rw_log_statistic,
     sample,
+    sample_chunks,
     sample_rows,
     standardized_sum,
 )
-from prodsums.cli import main
+from prodsums.cli import main, parse_dist
 
 # frozen against a 60-digit evaluation of the closed forms
 LOO_123 = -0.07452266510375413676601919  # (2/sqrt(3)) * ln(15/16)
@@ -187,6 +189,77 @@ class TestLooLogPrefixes:
             loo_log_prefixes([1.0, -2.0, 3.0], [3], 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             loo_log_prefixes([1.0, 2.0], [2], 1.0, 0.0)
+
+
+def in_chunks(values, size):
+    """A chunk source over values: consecutive slices of the given size."""
+    v = np.asarray(values, dtype=float)
+    return lambda: (v[lo : lo + size] for lo in range(0, v.size, size))
+
+
+class TestLooLogChunked:
+    @given(
+        st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=600),
+        st.data(),
+        st.integers(1, 700),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_row_calls(self, vals, data, size):
+        ns = sorted(data.draw(st.lists(st.integers(2, len(vals)), min_size=1, max_size=40)))
+        got = loo_log_chunked(in_chunks(vals, size), ns, 1.3, 0.7)
+        want = [loo_log_statistic(vals[:n], 1.3, 0.7) for n in ns]
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+    @pytest.mark.parametrize("family", [
+        "exponential:1", "gamma:0.002:1", "lognormal:0:20", "twopoint:1:1e300:0.5",
+        "uniform:1e-300:2e-300",
+    ])
+    def test_matches_the_prefix_evaluator(self, family):
+        # on the chunk source of a path of 2e4, with the first draw of the
+        # second chunk and the last draw of each chunk among the steps
+        spec = parse_dist(family)
+        mu, _, gam = moments(spec)
+        ns = np.array([2, 4096, 4097, 4098, 8192, 9999, 10_000, 10_001, 19_999, 20_000])
+        got = loo_log_chunked(lambda: sample_chunks(spec, 20_000, 0, 0), ns, mu, gam)
+        want = loo_log_prefixes(sample(spec, 20_000, 0, 0).values, ns, mu, gam)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_dominant_and_other_rows_across_chunks(self):
+        # the first draw dominates the rows up to n = 667 or so
+        v = np.concatenate([[1e3], sample(make_distribution("uniform", [1.0, 2.0]),
+                                          1499, 0, 0).values])
+        ns = np.arange(2, 1501, 7)
+        dominant = v[0] > 0.5 * np.cumsum(v)[ns - 1]
+        assert dominant.any() and not dominant.all()
+        got = loo_log_chunked(in_chunks(v, 97), ns, 1.0, 1.0)
+        want = [loo_log_statistic(v[:n], 1.0, 1.0) for n in ns]
+        assert np.all(np.abs(got - want) <= 1e-12)
+
+    def test_reads_only_up_to_the_last_step(self):
+        read = []
+
+        def chunks():
+            for lo in range(0, 100, 10):
+                read.append(lo)
+                yield np.full(10, 1.0 + lo)
+
+        assert loo_log_chunked(chunks, [15], 1.0, 1.0)[0] == loo_log_statistic(
+            [1.0] * 10 + [11.0] * 5, 1.0, 1.0)
+        assert read == [0, 10, 0, 10]
+
+    @pytest.mark.parametrize("ns,match", [
+        ([3, 2], "nondecreasing"), ([1, 2], "n >= 2"), ([2, 4], "exceeds the path length"),
+        ([2.0], "integers"), ([[2]], "integers"), ([], "nonempty"),
+    ])
+    def test_bad_prefix_lengths(self, ns, match):
+        with pytest.raises(ValueError, match=match):
+            loo_log_chunked(in_chunks([1.0, 2.0, 3.0], 2), ns, 1.0, 1.0)
+
+    def test_bad_path_and_moments(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            loo_log_chunked(in_chunks([1.0, -2.0, 3.0], 2), [3], 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            loo_log_chunked(in_chunks([1.0, 2.0], 2), [2], 1.0, 0.0)
 
 
 class TestRwLogStatistic:

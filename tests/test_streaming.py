@@ -15,6 +15,7 @@ from prodsums import (
     loo_log_statistic,
     make_distribution,
     sample,
+    sample_chunks,
 )
 from prodsums import streaming
 from prodsums.summation import NeumaierSum, row_sums, running_sums
@@ -62,11 +63,9 @@ def series_values(path, mu, gamma, sizes=(4096,)):
     """LooSeries over the whole path in blocks of the given sizes, cycled:
     value, bound and size at every step, the size with the exact kernel's
     share sqrt(n)/gamma added."""
-    series = LooSeries(path, mu, gamma)
-    parts, stop = [], 0
-    for block in in_blocks(range(len(path)), list(sizes)):
-        stop += len(block)
-        parts.append(series.block(stop))
+    series = LooSeries(mu, gamma)
+    path = np.asarray(getattr(path, "values", path), dtype=float)
+    parts = [series.block(block) for block in in_blocks(path, list(sizes))]
     value, bound, size = (np.concatenate(part) for part in zip(*parts))
     return value, bound, size + np.sqrt(np.arange(1, value.size + 1)) / gamma
 
@@ -163,32 +162,32 @@ class TestBlocks:
 
     def test_series_form_undefined_is_nan(self):
         # t_1 divides by (n-1)*mu = 0
-        value, bound, size = LooSeries([2.0, 3.0], 2.0, 1.0).block(2)
+        value, bound, size = LooSeries(2.0, 1.0).block([2.0, 3.0])
         assert math.isnan(value[0]) and math.isfinite(value[1])
         assert value[1] == pytest.approx(loo_log_statistic([2.0, 3.0], 2.0, 1.0), abs=1e-15)
 
     def test_series_rejects_nonpositive_and_2d(self):
         with pytest.raises(ValueError, match="positive"):
-            LooSeries([1.0, 0.0], 1.0, 1.0)
+            LooSeries(1.0, 1.0).block([1.0, 0.0])
         with pytest.raises(ValueError, match="1-D"):
-            LooSeries([[1.0, 2.0]], 1.0, 1.0)
+            LooSeries(1.0, 1.0).block([[1.0, 2.0]])
         with pytest.raises(ValueError, match="positive"):
-            LooSeries([1.0, 2.0], 1.0, 0.0)
-        with pytest.raises(ValueError, match="stop"):
-            LooSeries([1.0, 2.0], 1.0, 1.0).block(3)
+            LooSeries(1.0, 0.0)
+        with pytest.raises(ValueError, match="nonempty"):
+            LooSeries(1.0, 1.0).block([])
 
     def test_series_memory_does_not_grow_with_the_path(self):
-        v = sample(make_distribution("exponential", [1.0]), 1_000_000, 0, 0).values
-        series_values(v[:10], 1.0, 1.0)
-        series = LooSeries(v, 1.0, 1.0)
+        spec = make_distribution("exponential", [1.0])
+        series_values(sample(spec, 10, 0, 0), 1.0, 1.0)
+        series = LooSeries(1.0, 1.0)
         tracemalloc.start()
         try:
-            for stop in range(4096, v.size + 4096, 4096):
-                series.block(min(stop, v.size))
+            for x in sample_chunks(spec, 1_000_000, 0, 0, 4096):
+                series.block(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20  # the path itself is 8 MB
+        assert peak <= 2 * 2**20  # the path itself would be 8 MB
 
     @given(st.lists(st.floats(-1e6, 1e6), max_size=700), block_sizes)
     @settings(max_examples=100, deadline=None)
