@@ -8,12 +8,13 @@ first page faults of its temporaries) and warm.  Each run prints its
 wall time and minor page faults (``getrusage``), in total and for the
 stages the engine calls:
 
-* sample      -- drawing the path, chunk by chunk (``sample_chunks``),
+* sample      -- drawing the path, chunk by chunk, on each pass over the
+                 re-readable ``sample_chunks`` path,
 * expansion   -- the leave-one-out series of every step and its
                  certificate (``_certified_series``),
-* prefix      -- the exact leave-one-out kernel (``loo_log_prefixes``, or
-                 ``loo_log_chunked`` past the first block) on the steps
-                 the expansion does not certify,
+* prefix      -- the exact leave-one-out kernel (``loo_log_chunked``,
+                 which reads the path again) on the steps the expansion
+                 does not certify,
 * sums        -- the running sums (``running_sums``) of the other kinds,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
@@ -24,6 +25,15 @@ Then, for each kind and N = 2e5, 2e6 and 2e7, a fresh interpreter makes
 one run and prints its peak resident set (``ru_maxrss``), which should
 not grow with N, since the walk holds one chunk of the path; and one
 ``loo`` run at N = 1e8 prints its wall time and peak resident set.
+
+Last, the cost of an exact step on a law that draws zeros: for
+gamma:0.002:1 (about 23% of its draws underflow to 0 and are redrawn)
+at N = 2e5 and 2e6, a fresh interpreter prints the best of 3 ``loo``
+wall times with the default grid, with a grid point added on step 50's
+value and with one on step 5000's, each from ``sample(spec, N, 0, 0)``
+since the redraws depend on N.  Such a grid point sends its step to the
+exact kernel, which should cost O(n), not O(N).
+
 Timings depend on the machine and its load; compare two checkouts by
 alternating runs.
 
@@ -40,6 +50,7 @@ STAGES = ("sample", "expansion", "prefix", "sums", "accumulate")
 KINDS = ("loo", "rw", "lin", "std")
 RSS_N = (200_000, 2_000_000, 20_000_000)
 LONG_N = 100_000_000
+ZEROS, ZEROS_N, ZEROS_STEPS = "gamma:0.002:1", (200_000, 2_000_000), (50, 5000)
 
 
 def _faults() -> int:
@@ -66,17 +77,20 @@ def child(kind: str) -> None:
                 active.pop()
         return wrapper
 
-    def timed_chunks(fn):
-        def wrapper(*args, **kwargs):
-            chunks = fn(*args, **kwargs)
+    sample_chunks = asclt.sample_chunks
+
+    class TimedPath:  # sample_chunks' path, each pass timed
+        def __init__(self, *args, **kwargs):
+            self.path = sample_chunks(*args, **kwargs)
+
+        def __iter__(self):
+            chunks = iter(self.path)
             draw = timed("sample", lambda: next(chunks, None))
             while (x := draw()) is not None:
                 yield x
-        return wrapper
 
-    asclt.sample_chunks = timed_chunks(asclt.sample_chunks)
+    asclt.sample_chunks = TimedPath
     asclt._certified_series = timed("expansion", asclt._certified_series)
-    asclt.loo_log_prefixes = timed("prefix", asclt.loo_log_prefixes)
     asclt.loo_log_chunked = timed("prefix", asclt.loo_log_chunked)
     asclt.running_sums = timed("sums", asclt.running_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
@@ -103,6 +117,31 @@ def peak(kind: str, n: int) -> None:
     print(f"{wall:.2f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
 
 
+def zeros(n: int) -> None:
+    """Best-of-3 loo wall times on ZEROS at N = n: no grid point added,
+    then one on the value of each of ZEROS_STEPS."""
+    import numpy as np
+    from prodsums import default_grid, loo_log_statistic, moments, run_asclt_path, sample
+    from prodsums.cli import parse_dist
+
+    spec = parse_dist(ZEROS)
+    mu, _, gam = moments(spec)
+    v = sample(spec, n, SEED, 0).values
+    grids = [default_grid()] + [np.sort(np.append(default_grid(), loo_log_statistic(v[:k], mu, gam)))
+                                for k in ZEROS_STEPS]
+    del v
+    run_asclt_path(spec, "loo", n, SEED)  # warm-up
+    walls = []
+    for grid in grids:
+        best = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            run_asclt_path(spec, "loo", n, SEED, grid=grid)
+            best = min(best, time.perf_counter() - t0)
+        walls.append(best)
+    print(" ".join(f"{w:10.3f}" for w in walls))
+
+
 def _peak(kind: str, n: int) -> tuple[float, float]:
     out = subprocess.run([sys.executable, __file__, "peak", kind, str(n)],
                          check=True, capture_output=True, text=True).stdout.split()
@@ -120,6 +159,13 @@ def main() -> None:
         print(f"{kind:4s} " + " ".join(f"{_peak(kind, n)[1]:11.1f}" for n in RSS_N), flush=True)
     wall, rss = _peak("loo", LONG_N)
     print(f"\nloo at N = {LONG_N:.0e}: {wall:.1f} s, peak RSS {rss:.1f} MB")
+    print(f"\n{ZEROS}, seed {SEED}: best-of-3 loo wall time (s), by the grid point added")
+    print("N         " + " ".join(f"{label:>10s}" for label in
+                                   ("none", *(f"step {k}" for k in ZEROS_STEPS))))
+    for n in ZEROS_N:
+        out = subprocess.run([sys.executable, __file__, "zeros", str(n)],
+                             check=True, capture_output=True, text=True).stdout
+        print(f"{n:<9.0e} {out.rstrip()}", flush=True)
 
 
 if __name__ == "__main__":
@@ -127,5 +173,7 @@ if __name__ == "__main__":
         main()
     elif sys.argv[1] == "peak":
         peak(sys.argv[2], int(sys.argv[3]))
+    elif sys.argv[1] == "zeros":
+        zeros(int(sys.argv[2]))
     else:
         child(sys.argv[2])

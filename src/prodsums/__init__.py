@@ -7,7 +7,8 @@ asymptotically lognormal, together with their almost-sure
 limit.  The pieces:
 
 * :mod:`prodsums.distributions` -- positive-support families with exact
-  analytic moments and reproducible splittable sampling;
+  analytic moments and reproducible splittable sampling, whole or in
+  re-readable chunks;
 * :mod:`prodsums.statistics` -- exact log-scale evaluation of every
   statistic involved;
 * :mod:`prodsums.streaming` -- the leave-one-out statistic of every
@@ -39,7 +40,6 @@ from .statistics import (
     geometric_mean_prefix,
     linearized_statistic,
     loo_log_chunked,
-    loo_log_prefixes,
     loo_log_statistic,
     max_relative_deviation,
     prefix_sums,
@@ -93,7 +93,6 @@ __all__ = [
     "prefix_sums",
     "loo_log_statistic",
     "loo_log_chunked",
-    "loo_log_prefixes",
     "rw_log_statistic",
     "linearized_statistic",
     "standardized_sum",

@@ -27,20 +27,21 @@ block's indicator mass with one ``searchsorted`` and one ``bincount``.
 The leave-one-out kind has one rule at every step: it takes the value of
 the :class:`~prodsums.streaming.LooSeries` series where
 :func:`_certified_series` certifies the exact value's grid bin, and the
-exact statistic elsewhere: through one
-:func:`~prodsums.statistics.loo_log_prefixes` call on the first block,
-which holds its steps' whole prefixes, and through one
-:func:`~prodsums.statistics.loo_log_chunked` call per later block, which
-reads the path again from its start; the certificate hands each step's
-grid bin on to the accumulator.  So its CSV is the CSV of the exact
-statistic, and ``exact_cutoff`` only sets where the count of fallbacks
-(steps sent to the exact kernel) starts.  The cost is O(N) numpy work
-plus O(n) per exact step (none of the 2e5 steps of exponential:1 at
-seed 0, nor of the 2e4 steps of lognormal:0:20 or gamma:0.001:1).  The
-memory is one block's draws and temporaries, whatever N: the peak
-resident set of a process making one run, interpreter and numpy
-included, stays about 38 MB from N = 2e4 to 1e8, where ``loo`` takes
-about 14 s on a 2-core machine.  N is at most :data:`MAX_N`.
+exact statistic elsewhere, through one
+:func:`~prodsums.statistics.loo_log_chunked` call per block, which reads
+the same re-readable path again from its start, up to the block's last
+such step; the certificate hands each step's grid bin on to the
+accumulator.  So its CSV is the CSV of the exact statistic, and
+``exact_cutoff`` only sets where the count of fallbacks (steps sent to
+the exact kernel) starts.  The cost is O(N) numpy work plus O(n) per
+exact step on every law, since a path that draws zeros finds its redraw
+rounds once however often it is read; and exact steps are few (none of
+the 2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
+lognormal:0:20 or gamma:0.001:1).  The memory is one block's draws and
+temporaries, whatever N: the peak resident set of a process making one
+run, interpreter and numpy included, stays about 38 MB from N = 2e4 to
+1e8, where ``loo`` takes about 14 s on a 2-core machine.  N is at most
+:data:`MAX_N`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import numpy as np
 
 from .distributions import DistributionSpec, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_chunked, loo_log_prefixes
+from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_chunked
 from .streaming import TOL, LooSeries
 from .summation import NeumaierSum, running_sums
 
@@ -265,15 +266,13 @@ def run_asclt_path(
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
 
-    def chunks():
-        return sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
-
+    path = sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
     series = LooSeries(mu, gam) if kind == "loo" else None
     total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
     log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
     fallbacks = exact_steps = 0
-    for start, block in zip(range(0, n_max, _BLOCK), chunks()):
+    for start, block in zip(range(0, n_max, _BLOCK), path):
         n = np.arange(start + 1, start + block.size + 1)
         if kind == "rw":
             logs = log_ratio(running_sums(block, total), n * mu)[0]
@@ -287,11 +286,8 @@ def run_asclt_path(
             t, first, exact = _certified_series(series, block, n, acc.grid)
             exact[0] &= start > 0  # n = 1 is never accumulated
             todo = np.flatnonzero(exact)
-            if todo.size:
-                # the first block holds its whole prefix; a later step's
-                # prefix is read again from the start of the path
-                t[todo] = (loo_log_prefixes(block, n[todo], mu, gam) if start == 0
-                           else loo_log_chunked(chunks, n[todo], mu, gam))
+            if todo.size:  # their prefixes are read again from the start of the path
+                t[todo] = loo_log_chunked(path, n[todo], mu, gam)
                 first[todo] = np.searchsorted(acc.grid, t[todo])
                 exact_steps += todo.size
                 fallbacks += int(np.count_nonzero(n[todo] > exact_cutoff))

@@ -22,11 +22,11 @@ of an experiment can simply use ``stream_index = r`` and the draws never
 depend on evaluation order or worker count.  :func:`sample_rows` is the
 one sampler: it keys a batch of streams in one pass, re-keys one
 generator to the start of each stream and draws each row in place.
-:func:`sample` is its one-row call.  :func:`sample_chunks` yields the
+:func:`sample` is its one-row call.  :func:`sample_chunks` gives the
 draws of one :func:`sample` call in consecutive chunks, bit for bit, in
-the memory of one chunk; it is also the one place of the zero-redraw
-rule, which :func:`sample_rows` applies to a row holding a zero by
-drawing that row again as one chunk.
+the memory of one chunk, as often as it is read; it is also the one
+place of the zero-redraw rule, which :func:`sample_rows` applies to a
+row holding a zero by drawing that row again as one chunk.
 """
 
 from __future__ import annotations
@@ -277,53 +277,68 @@ def _redraw_rounds(spec: DistributionSpec, key: int, n: int, chunk: int) -> list
     return rounds
 
 
-def _chunks(spec: DistributionSpec, n: int, key: int, chunk: int, gen=None):
-    """The draws of the stream keyed by key as :func:`sample_chunks` yields
-    them, drawn by gen, re-keyed, if one is given."""
-    gen = np.random.Generator(np.random.Philox(key=key)) if gen is None else _rekey(
-        gen, _fresh_state(), key)
-    rounds = None
-    for lo in range(0, n, chunk):
-        x = _draw(spec, gen, np.empty(min(chunk, n - lo)))
-        bad = np.flatnonzero(x <= 0.0)
-        if bad.size and rounds is None:
-            # a path drawn whole has its rounds next on gen; else a second
-            # generator finds where each round starts
-            whole = x.size == n
-            rounds = [gen] * _MAX_REDRAW_ROUNDS if whole else _redraw_rounds(spec, key, n, chunk)
-        # the zeros left after each round take the next draws of the next
-        # round's stream, in index order
-        for g in rounds or ():
-            if not bad.size:
-                break
-            x[bad] = _draw(spec, g, np.empty(bad.size))
-            bad = bad[x[bad] <= 0.0]
-        if bad.size:
-            raise _unfixed(spec, bad.size, n)
-        yield x
+class _ChunkedPath:
+    """The re-readable path of :func:`sample_chunks`."""
+
+    def __init__(self, spec: DistributionSpec, n: int, key: int, chunk: int):
+        self._path = (spec, n, key, chunk)
+        self._starts = None  # the redraw rounds' starts, once a pass meets a zero
+
+    def draws(self, gen=None):
+        """One pass over the chunks, drawn by gen, re-keyed, if one is given."""
+        spec, n, key, chunk = self._path
+        gen = np.random.Generator(np.random.Philox(key=key)) if gen is None else _rekey(
+            gen, _fresh_state(), key)
+        rounds = None
+        for lo in range(0, n, chunk):
+            x = _draw(spec, gen, np.empty(min(chunk, n - lo)))
+            bad = np.flatnonzero(x <= 0.0)
+            if bad.size and rounds is None:
+                # a path drawn whole has its rounds next on gen; else a second
+                # generator finds where each round starts, once per path
+                if x.size == n:
+                    rounds = [gen] * _MAX_REDRAW_ROUNDS
+                else:
+                    if self._starts is None:
+                        self._starts = _redraw_rounds(spec, key, n, chunk)
+                    rounds = copy.deepcopy(self._starts)
+            # the zeros left after each round take the next draws of the
+            # next round's stream, in index order
+            for g in rounds or ():
+                if not bad.size:
+                    break
+                x[bad] = _draw(spec, g, np.empty(bad.size))
+                bad = bad[x[bad] <= 0.0]
+            if bad.size:
+                raise _unfixed(spec, bad.size, n)
+            yield x
+
+    __iter__ = draws
 
 
 def sample_chunks(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0,
                   chunk: int = 4096):
-    """Yield the draws of ``sample(spec, n, base_seed, stream_index)`` in
-    consecutive arrays of ``chunk`` (the last one shorter), bit for bit.
+    """The draws of ``sample(spec, n, base_seed, stream_index)`` in
+    consecutive arrays of ``chunk`` (the last one shorter), bit for bit,
+    the same on every pass over the result.
 
-    Consecutive fills of one generator draw what one fill would, so the
-    memory is one chunk, whatever n.  A zero draw is replaced by the
+    Consecutive fills of one generator draw what one fill would, so a
+    pass holds one chunk, whatever n.  A zero draw is replaced by the
     redraw rule of :func:`sample`, whose redraws come from the stream
-    after draw n: at the first zero a second generator runs once through
-    the n draws and the redraw rounds, and keeps a generator at the start
-    of each round, from which the zeros take their redraws in index
-    order.  That costs one more pass over the stream, and O(chunk +
-    rounds) memory.  A spec whose zeros outlast 100 rounds raises the
-    ``ValueError`` of :func:`sample` at its first zero.
+    after draw n: at the path's first zero a second generator runs once
+    through the n draws and the redraw rounds, and keeps a generator at
+    the start of each round; each pass takes its zeros' redraws from
+    copies of them, in index order.  That costs one more pass over the
+    stream per path, and O(chunk + rounds) memory.  A spec whose zeros
+    outlast 100 rounds raises the ``ValueError`` of :func:`sample` at its
+    first zero.
     """
     n, chunk = int(n), int(chunk)
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    return _chunks(spec, n, int(_stream_keys(base_seed, [stream_index])[0]), chunk)
+    return _ChunkedPath(spec, n, int(_stream_keys(base_seed, [stream_index])[0]), chunk)
 
 
 def sample(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0) -> SamplePath:
@@ -370,5 +385,5 @@ def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices,
         fill(out=row)
     _transform(spec, out)
     for i in np.nonzero(out.min(axis=1) <= 0.0)[0]:
-        out[i] = next(_chunks(spec, n, keys[i], n, gen))
+        out[i] = next(_ChunkedPath(spec, n, keys[i], n).draws(gen))
     return out

@@ -19,9 +19,8 @@ so a row's value has the same bits in any batch; the public scalar
 functions are one-row calls of the kernels.  A kernel writes its
 temporaries into new arrays, or with the same bits into the ``work``
 arrays of a caller that reuses them from batch to batch.
-:func:`loo_log_prefixes` evaluates the leave-one-out statistic of many
-prefixes of one path with the same arithmetic, a batch of prefixes at a
-time.
+:func:`loo_log_chunked` evaluates the leave-one-out statistic of many
+prefixes of one path, read in chunks, with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SamplePath
-from .summation import NeumaierSum, _prefix_totals, exact_running_sums, row_sums
+from .summation import NeumaierSum, exact_running_sums, row_sums
 
 __all__ = [
     "StatisticKind",
@@ -42,7 +41,6 @@ __all__ = [
     "log_ratio",
     "prefix_sums",
     "loo_log_statistic",
-    "loo_log_prefixes",
     "loo_log_chunked",
     "rw_log_statistic",
     "linearized_statistic",
@@ -227,66 +225,22 @@ def loo_log_statistic(path, mu: float, gamma: float) -> float:
     return _one(_loo, path, mu, gamma=gamma)
 
 
-def loo_log_prefixes(path, ns, mu: float, gamma: float) -> np.ndarray:
-    """:func:`loo_log_statistic` of ``path[:n]`` for every n in ns.
-
-    ``ns`` is a nondecreasing sequence of prefix lengths, each from 2 to
-    the path's length; only the draws up to the longest prefix are read.
-    The S_n come from one pass over the path, and the prefixes are
-    stacked into triangular batches of at most about 128 KiB, up to the
-    batch's longest prefix.  A row holds S_n - X_k up to its n and
-    (n-1)*mu past it, whose log ratio is exactly 0; a row whose largest
-    draw exceeds S_n/2 takes the one-row call's cancellation-free sums.
-    """
-    ns = np.asarray(ns)
-    out = np.empty(ns.size)
-    if ns.ndim != 1 or (ns.size and ns.dtype.kind not in "iu"):
-        raise ValueError("ns must be a 1-D sequence of integers")
-    if not ns.size:
-        return out
-    if ns[0] < 2 or np.any(np.diff(ns) < 0):
-        raise ValueError("ns must be nondecreasing prefix lengths n >= 2")
-    x = _paths(_row(path)[:, : ns[-1]])[0][0]
-    if ns[-1] > x.size:
-        raise ValueError(f"prefix length {ns[-1]} exceeds the path length {x.size}")
-    _check_positive(mu=mu, gamma=gamma)
-    s = _prefix_totals(x, ns)
-    dominant = np.maximum.accumulate(x)[ns - 1] > 0.5 * s
-    cap = _BATCH_BYTES // 16
-    i = 0
-    while i < ns.size:
-        # rows i..j-1 hold (j - i) * ns[j - 1] values; at least one row
-        fits = np.arange(1, ns.size - i + 1) * ns[i:] <= cap
-        j = i + max(1, int(np.count_nonzero(fits)))
-        n = ns[i:j, np.newaxis]
-        w = n[-1, 0]
-        m = (n - 1) * mu
-        loo = s[i:j, np.newaxis] - x[:w]
-        np.copyto(loo[:, n[0, 0] :], m, where=np.arange(n[0, 0], w) >= n)
-        big = np.flatnonzero(dominant[i:j])
-        if big.size:
-            inside = np.arange(w) < n[big]
-            loo[big] = np.where(inside, _loo_sums(np.where(inside, x[:w], 0.0)), m[big])
-        out[i:j] = row_sums(log_ratio(loo, m)[0]) / (gamma * np.sqrt(n[:, 0]))
-        i = j
-    return out
-
-
 def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
-    """:func:`loo_log_prefixes` at the steps ns of a path read in chunks.
+    """:func:`loo_log_statistic` of the first n draws of a path, each n in ns.
 
-    ``chunks()`` yields the path's draws in consecutive 1-D chunks,
-    afresh at each call; it is read twice, up to the last step.  The
-    first pass takes every S_n and the sum of the draws other than the
-    largest as running sums within about one rounding (the sum of the
-    others is what a largest draw above S_n/2 leaves, as in
-    :func:`loo_log_prefixes`).  The second forms the exact kernel's log
-    ratios chunk by chunk, a few steps at a time, sums each chunk's
-    with :func:`~prodsums.summation.row_sums` and carries each step's
-    chunk sums as an exact pair.  So a value errs by about one rounding
-    per chunk of terms of the size of t_n*gamma*sqrt(n)/n, and agrees
-    with :func:`loo_log_prefixes` far within 1e-13 at n = 1e4; the
-    memory is a few steps times a chunk.
+    ``chunks`` yields the path's draws in consecutive 1-D chunks, the same
+    on every pass: a list of arrays, or a path of
+    :func:`~prodsums.distributions.sample_chunks`.  It is read twice, up
+    to the last step, so an iterator raises ``ValueError``.  The first
+    pass takes every S_n and the sum of the draws other than the largest
+    as running sums within about one rounding (the sum of the others is
+    what a largest draw above S_n/2 leaves, as in the exact kernel).  The
+    second forms the exact kernel's log ratios chunk by chunk, a few steps
+    at a time, sums each chunk's with :func:`~prodsums.summation.row_sums`
+    and carries each step's chunk sums as an exact pair.  So a value errs
+    by about one rounding per chunk of terms of the size of
+    t_n*gamma*sqrt(n)/n, far within 1e-13 at n = 1e4; the cost is
+    O(ns[-1]) and the memory a few steps times a chunk.
     """
     ns = np.asarray(ns)
     if ns.ndim != 1 or not ns.size or ns.dtype.kind not in "iu":
@@ -294,10 +248,13 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
     if ns[0] < 2 or np.any(np.diff(ns) < 0):
         raise ValueError("ns must be nondecreasing prefix lengths n >= 2")
     _check_positive(mu=mu, gamma=gamma)
+    first = iter(chunks)
+    if first is chunks:
+        raise ValueError("chunks must be re-readable, such as a list, not an iterator")
     s, rest, top = np.empty((3, ns.size))
     total, others, largest = NeumaierSum(), NeumaierSum(), 0.0
     done = lo = 0
-    for x in chunks():
+    for x in first:
         peak = float(x.max())
         if not (x.min() > 0.0 and peak < math.inf):
             raise ValueError("all path values must be finite and strictly positive")
@@ -319,7 +276,7 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
     m = (ns - 1.0) * mu
     value, carry = np.zeros((2, ns.size))
     lo = 0
-    for x in chunks():
+    for x in chunks:
         at = np.arange(lo, lo + x.size)
         rows = max(1, _BATCH_BYTES // 8 // x.size)  # steps per batch of log ratios
         for i in range(int(np.searchsorted(ns, lo, side="right")), ns.size, rows):
@@ -338,6 +295,8 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
         lo += x.size
         if lo >= ns[-1]:
             break
+    if lo < ns[-1]:
+        raise ValueError(f"the second pass over chunks ended at draw {lo}, before step {ns[-1]}")
     value += carry
     return value / (gamma * np.sqrt(ns))
 

@@ -63,26 +63,6 @@ def _high_parts(t: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
     return high
 
 
-def _prefix_totals(x: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """The totals of ``x[:n]``, x positive and n over the nondecreasing ns.
-
-    Prefixes whose largest term has one binary exponent share the split of
-    :func:`row_sums`: the cumsum of their high parts is exact, and that of
-    the low parts errs by far less than a rounding of the total.
-    """
-    _, e = np.frexp(np.maximum.accumulate(x[: ns[-1]])[ns - 1])
-    out = np.empty(ns.size)
-    lo = 0
-    while lo < ns.size:  # e is nondecreasing: one run of ns per exponent
-        hi = int(np.searchsorted(e, e[lo], side="right"))
-        t = x[: ns[hi - 1]]
-        high = _high_parts(t, e[lo])
-        k = ns[lo:hi] - 1
-        out[lo:hi] = np.cumsum(high)[k] + np.cumsum(t - high)[k]
-        lo = hi
-    return out
-
-
 def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.ndarray:
     """Every prefix total ``carry + x[0] + ... + x[k]`` of x >= 0, each
     within about one rounding, continuing ``carry``; ``top`` is at least

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prodsums.asclt as asclt_module
+import prodsums.distributions as distributions_module
 from prodsums.cli import parse_dist
 from prodsums import (
     ASCLT_KINDS,
@@ -18,7 +19,7 @@ from prodsums import (
     default_grid,
     LooSeries,
     init_state,
-    loo_log_prefixes,
+    loo_log_chunked,
     loo_log_statistic,
     make_distribution,
     moments,
@@ -122,7 +123,8 @@ def csv_text(report):
 
 def exact_values(spec, n_max, seed, ns):
     mu, _, gam = moments(spec)
-    return loo_log_prefixes(sample(spec, n_max, seed, 0).values, ns, mu, gam)
+    v = sample(spec, n_max, seed, 0).values
+    return np.array([loo_log_statistic(v[:n], mu, gam) for n in ns])
 
 
 class TestAccumulator:
@@ -391,9 +393,9 @@ class TestEngineMatchesStepLoop:
         # certified series takes every one of them, and a fallback is a step
         # past the cutoff sent to the exact kernel
         sent = []
-        prefixes = asclt_module.loo_log_prefixes
-        monkeypatch.setattr(asclt_module, "loo_log_prefixes",
-                            lambda path, ns, mu, gamma: sent.extend(ns) or prefixes(path, ns, mu, gamma))
+        chunked = asclt_module.loo_log_chunked
+        monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                            lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
         report = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
         late = sum(n > exact_cutoff for n in sent)
         assert report.fallback_count == late == 0
@@ -409,21 +411,21 @@ class TestEngineMatchesStepLoop:
     ("exponential:1", 2000), ("gamma:0.05:1", 50), ("lognormal:0:2", 200),
 ])
 def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
-    # one prefix-evaluator call per block at most, for the steps the series
+    # one exact-kernel call per block at most, for the steps the series
     # does not certify, never one scalar call per step; the grid holds a
     # step's value so that some step goes to the exact kernel
     spec = TestEngineMatchesStepLoop.FAMILIES[family]
     grid = np.sort(np.append(default_grid(), exact_values(spec, 20_000, 0, [3000])))
     scalar, batched = [], []
-    prefixes = asclt_module.loo_log_prefixes
+    chunked = asclt_module.loo_log_chunked
 
     def counting(path, ns, mu, gamma):
         batched.append(len(ns))
-        return prefixes(path, ns, mu, gamma)
+        return chunked(path, ns, mu, gamma)
 
     monkeypatch.setattr(asclt_module, "loo_log_statistic",
                         lambda *args: scalar.append(args), raising=False)
-    monkeypatch.setattr(asclt_module, "loo_log_prefixes", counting)
+    monkeypatch.setattr(asclt_module, "loo_log_chunked", counting)
     report, certified, _ = certified_run(monkeypatch, spec, 20_000, 0, exact_cutoff, grid)
     assert scalar == [] and len(batched) <= -(-20_000 // asclt_module._BLOCK)
     assert sum(batched) == 20_000 - 1 - certified.size == report.exact_steps >= 1
@@ -453,9 +455,9 @@ class TestCertifiedPrefix:
         k = int(ns[ns.size // 2])
         on_grid = exact_values(EXP1, 3000, 0, [k])[0]
         exact_ns = []
-        prefixes = asclt_module.loo_log_prefixes
-        monkeypatch.setattr(asclt_module, "loo_log_prefixes",
-                            lambda path, ns, mu, gamma: exact_ns.extend(ns) or prefixes(path, ns, mu, gamma))
+        chunked = asclt_module.loo_log_chunked
+        monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                            lambda path, ns, mu, gamma: exact_ns.extend(ns) or chunked(path, ns, mu, gamma))
         report = run_asclt_path(EXP1, "loo", 3000, 0, grid=np.sort(np.append(default_grid(), on_grid)))
         assert k in exact_ns and report.exact_steps == len(exact_ns)
 
@@ -480,7 +482,7 @@ class TestCertifiedPrefix:
             warnings.simplefilter("error")
             value, _, exact = asclt_module._certified_series(series, path, np.arange(1, 5), default_grid())
         assert exact.tolist() == [True, True, False, False] and np.isnan(value[0])
-        assert np.max(np.abs(value[2:] - loo_log_prefixes(path, [3, 4], 0.5 + 5e299, 1.0))) <= 1e-13
+        assert np.max(np.abs(value[2:] - loo_log_chunked([path], [3, 4], 0.5 + 5e299, 1.0))) <= 1e-13
 
 
 def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
@@ -491,11 +493,32 @@ def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
     late = []
     chunked = asclt_module.loo_log_chunked
     monkeypatch.setattr(asclt_module, "loo_log_chunked",
-                        lambda chunks, ns, mu, gamma: late.extend(ns) or chunked(chunks, ns, mu, gamma))
+                        lambda path, ns, mu, gamma: late.extend(ns) or chunked(path, ns, mu, gamma))
     report = run_asclt_path(EXP1, "loo", 20_000, 0, grid=grid)
     assert 10_000 in late and report.exact_steps == len(late)
     exact = exact_run(monkeypatch, EXP1, 20_000, 0, grid=grid)
     assert exact.exact_steps == 19_999
+    assert csv_text(report) == csv_text(exact)
+
+
+def test_exact_steps_find_the_redraw_rounds_once(monkeypatch):
+    # gamma:0.002:1 draws zeros; a grid point on the value of step 50 and
+    # one on that of step 10 000 send both to the exact kernel, which reads
+    # the path again, and the redraw rounds are still found once per run
+    spec = parse_dist("gamma:0.002:1")
+    grid = np.sort(np.append(default_grid(), exact_values(spec, 20_000, 0, [50, 10_000])))
+    found, sent = [], []
+    rounds = distributions_module._redraw_rounds
+    monkeypatch.setattr(distributions_module, "_redraw_rounds",
+                        lambda *args: found.append(args) or rounds(*args))
+    chunked = asclt_module.loo_log_chunked
+    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                        lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
+    report = run_asclt_path(spec, "loo", 20_000, 0, grid=grid)
+    assert len(found) == 1 and {50, 10_000} <= set(sent) and report.exact_steps == len(sent)
+    found.clear()
+    exact = exact_run(monkeypatch, spec, 20_000, 0, grid=grid)
+    assert len(found) == 1 and exact.exact_steps == 19_999
     assert csv_text(report) == csv_text(exact)
 
 
@@ -549,9 +572,9 @@ def test_heavy_laws_take_few_exact_steps(monkeypatch, family):
     # the third-order gate sent every step of the first two laws to the
     # exact kernel, 19 999 of them; twopoint may need the first few dozen
     sent = []
-    prefixes = asclt_module.loo_log_prefixes
-    monkeypatch.setattr(asclt_module, "loo_log_prefixes",
-                        lambda path, ns, mu, gamma: sent.extend(ns) or prefixes(path, ns, mu, gamma))
+    chunked = asclt_module.loo_log_chunked
+    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                        lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
     report = run_asclt_path(parse_dist(family), "loo", 20_000, 0, exact_cutoff=4000)
     assert report.exact_steps == len(sent) <= 36 and max(sent, default=0) <= 48
     assert report.fallback_count == 0 and report.mode_switch_n == 4001

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import prodsums.distributions as distributions_module
 from prodsums import (
     FAMILIES,
     derive_stream_seed,
@@ -345,11 +346,25 @@ class TestSampleChunks:
         got = np.concatenate(list(chunks))
         assert got.tobytes() == sample(spec, 20_000, 0, 1).values.tobytes()
 
+    def test_two_passes_give_the_same_bits(self, monkeypatch):
+        # the redraw rounds are found by the first pass and copied by the
+        # second, which draws the same chunks; gamma:0.002:1's first zero
+        # lies in the first chunk
+        found = []
+        rounds = distributions_module._redraw_rounds
+        monkeypatch.setattr(distributions_module, "_redraw_rounds",
+                            lambda *args: found.append(args) or rounds(*args))
+        spec = make_distribution("gamma", [0.002, 1.0])
+        path = sample_chunks(spec, 20_000, 0, 0)
+        first, second = (b"".join(x.tobytes() for x in path) for _ in range(2))
+        assert len(found) == 1
+        assert first == second == sample(spec, 20_000, 0, 0).values.tobytes()
+
     @pytest.mark.parametrize("chunk", [3, 10])
     def test_underflowing_spec_raises_at_its_first_zero(self, chunk):
         spec = make_distribution("gamma", [1e-9, 1.0])
         with pytest.raises(ValueError) as raised:
-            next(sample_chunks(spec, 10, 0, 0, chunk))
+            next(iter(sample_chunks(spec, 10, 0, 0, chunk)))
         with pytest.raises(ValueError) as whole:
             sample(spec, 10, 0, 0)
         assert str(raised.value) == str(whole.value) == (

@@ -19,7 +19,6 @@ from prodsums import (
     geometric_mean_prefix,
     linearized_statistic,
     loo_log_chunked,
-    loo_log_prefixes,
     loo_log_statistic,
     make_distribution,
     max_relative_deviation,
@@ -98,7 +97,7 @@ class TestLooLogStatistic:
                 s, m = mpmath.fsum(x), 49 * mpmath.mpf(mu)
                 want = mpmath.fsum(mpmath.log((s - d) / m) for d in x)
                 want = float(want / (mpmath.mpf(gam) * mpmath.sqrt(50)))
-            for value in (got, loo_log_statistic(v, mu, gam), loo_log_prefixes(v, [50], mu, gam)[0]):
+            for value in (got, loo_log_statistic(v, mu, gam), loo_log_chunked([v], [50], mu, gam)[0]):
                 assert abs(value - want) <= 1e-12 * abs(want)
 
     def test_bad_mu_gamma(self):
@@ -112,89 +111,10 @@ class TestLooLogStatistic:
             loo_log_statistic([1.0, -2.0, 3.0], 1.0, 1.0)
 
 
-class TestLooLogPrefixes:
-    @given(
-        st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=600),
-        st.data(),
-        st.sampled_from([8, 8 * 37, statistics_module._BATCH_BYTES]),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_matches_one_row_calls(self, vals, data, budget):
-        ns = sorted(data.draw(st.lists(st.integers(2, len(vals)), min_size=1, max_size=40)))
-        mu, gam = 1.3, 0.7
-        with mock.patch.object(statistics_module, "_BATCH_BYTES", budget):
-            got = loo_log_prefixes(vals, ns, mu, gam)
-        want = [loo_log_statistic(vals[:n], mu, gam) for n in ns]
-        assert np.all(np.abs(got - want) <= 1e-12)
-
-    def test_batches_are_bounded(self, monkeypatch):
-        # every batch makes one log_ratio call on its (rows, width) sums
-        shapes = []
-        kernel = statistics_module.log_ratio
-        monkeypatch.setattr(statistics_module, "log_ratio",
-                            lambda num, den: shapes.append(num.shape) or kernel(num, den))
-        v = sample(make_distribution("exponential", [1.0]), 3000, 0, 0).values
-        loo_log_prefixes(v, np.arange(2, 3001), 1.0, 1.0)
-        assert sum(rows for rows, _ in shapes) == 2999
-        assert max(rows * width for rows, width in shapes) <= statistics_module._BATCH_BYTES // 8
-        assert len(shapes) < 300
-
-    def test_only_dominant_rows_are_padded(self, monkeypatch):
-        # a row reaches _loo_sums only when its largest draw exceeds S_n/2
-        rows = []
-        kernel = statistics_module._loo_sums
-        monkeypatch.setattr(statistics_module, "_loo_sums",
-                            lambda x: rows.extend(x.sum(axis=1).tolist()) or kernel(x))
-        v = sample(make_distribution("lognormal", [0.0, 2.0]), 400, 3, 0).values
-        ns = np.arange(2, 401)
-        loo_log_prefixes(v, ns, 1.0, 1.0)
-        s = np.cumsum(v)
-        dominant = np.maximum.accumulate(v) > 0.5 * s
-        assert 0 < dominant[1:].sum() < ns.size
-        assert len(rows) == dominant[1:].sum()
-        assert np.allclose(rows, s[1:][dominant[1:]], rtol=1e-12, atol=0)
-        rows.clear()
-        loo_log_prefixes(np.ones(50), np.arange(2, 51), 1.0, 1.0)
-        assert rows == []
-
-    def test_dominant_and_other_rows_in_one_batch(self):
-        # the first draw dominates the rows up to n = 667 or so, and a batch
-        # holds both kinds of row
-        v = np.concatenate([[1e3], sample(make_distribution("uniform", [1.0, 2.0]),
-                                          1499, 0, 0).values])
-        ns = np.arange(2, 1501, 7)
-        dominant = v[0] > 0.5 * np.cumsum(v)[ns - 1]
-        assert dominant.any() and not dominant.all()
-        got = loo_log_prefixes(v, ns, 1.0, 1.0)
-        want = [loo_log_statistic(v[:n], 1.0, 1.0) for n in ns]
-        assert np.all(np.abs(got - want) <= 1e-12)
-
-    def test_empty(self):
-        assert loo_log_prefixes([1.0, 2.0], [], 1.0, 1.0).shape == (0,)
-
-    def test_reads_only_the_prefixes(self):
-        assert loo_log_prefixes([1.0, 2.0, math.inf], [2], 1.0, 1.0)[0] == (
-            loo_log_statistic([1.0, 2.0], 1.0, 1.0))
-
-    @pytest.mark.parametrize("ns,match", [
-        ([3, 2], "nondecreasing"), ([1, 2], "n >= 2"), ([2, 4], "exceeds the path length"),
-        ([2.0], "integers"), ([[2]], "integers"),
-    ])
-    def test_bad_prefix_lengths(self, ns, match):
-        with pytest.raises(ValueError, match=match):
-            loo_log_prefixes([1.0, 2.0, 3.0], ns, 1.0, 1.0)
-
-    def test_bad_path_and_moments(self):
-        with pytest.raises(ValueError, match="strictly positive"):
-            loo_log_prefixes([1.0, -2.0, 3.0], [3], 1.0, 1.0)
-        with pytest.raises(ValueError, match="positive"):
-            loo_log_prefixes([1.0, 2.0], [2], 1.0, 0.0)
-
-
 def in_chunks(values, size):
     """A chunk source over values: consecutive slices of the given size."""
     v = np.asarray(values, dtype=float)
-    return lambda: (v[lo : lo + size] for lo in range(0, v.size, size))
+    return [v[lo : lo + size] for lo in range(0, v.size, size)]
 
 
 class TestLooLogChunked:
@@ -202,13 +122,28 @@ class TestLooLogChunked:
         st.lists(st.floats(1e-3, 1e3, allow_nan=False), min_size=2, max_size=600),
         st.data(),
         st.integers(1, 700),
+        st.sampled_from([8, 8 * 37, statistics_module._BATCH_BYTES]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_one_row_calls(self, vals, data, size):
+    def test_matches_one_row_calls(self, vals, data, size, budget):
         ns = sorted(data.draw(st.lists(st.integers(2, len(vals)), min_size=1, max_size=40)))
-        got = loo_log_chunked(in_chunks(vals, size), ns, 1.3, 0.7)
+        with mock.patch.object(statistics_module, "_BATCH_BYTES", budget):
+            got = loo_log_chunked(in_chunks(vals, size), ns, 1.3, 0.7)
         want = [loo_log_statistic(vals[:n], 1.3, 0.7) for n in ns]
         assert np.all(np.abs(got - want) <= 1e-12)
+
+    def test_batches_are_bounded(self, monkeypatch):
+        # every batch makes one log_ratio call on its (steps, chunk) ratios,
+        # over the chunks up to each step's own
+        shapes = []
+        kernel = statistics_module.log_ratio
+        monkeypatch.setattr(statistics_module, "log_ratio",
+                            lambda num, den: shapes.append(num.shape) or kernel(num, den))
+        v = sample(make_distribution("exponential", [1.0]), 3000, 0, 0).values
+        loo_log_chunked(in_chunks(v, 1000), np.arange(2, 3001), 1.0, 1.0)
+        assert sum(rows for rows, _ in shapes) == 2999 + 2000 + 1000
+        assert max(rows * width for rows, width in shapes) <= statistics_module._BATCH_BYTES // 8
+        assert len(shapes) == 94 + 63 + 32  # 32 steps a batch
 
     @pytest.mark.parametrize("family", [
         "exponential:1", "gamma:0.002:1", "lognormal:0:20", "twopoint:1:1e300:0.5",
@@ -220,8 +155,9 @@ class TestLooLogChunked:
         spec = parse_dist(family)
         mu, _, gam = moments(spec)
         ns = np.array([2, 4096, 4097, 4098, 8192, 9999, 10_000, 10_001, 19_999, 20_000])
-        got = loo_log_chunked(lambda: sample_chunks(spec, 20_000, 0, 0), ns, mu, gam)
-        want = loo_log_prefixes(sample(spec, 20_000, 0, 0).values, ns, mu, gam)
+        got = loo_log_chunked(sample_chunks(spec, 20_000, 0, 0), ns, mu, gam)
+        v = sample(spec, 20_000, 0, 0).values
+        want = [loo_log_statistic(v[:n], mu, gam) for n in ns]
         assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_dominant_and_other_rows_across_chunks(self):
@@ -238,14 +174,34 @@ class TestLooLogChunked:
     def test_reads_only_up_to_the_last_step(self):
         read = []
 
-        def chunks():
-            for lo in range(0, 100, 10):
-                read.append(lo)
-                yield np.full(10, 1.0 + lo)
+        class Chunks:
+            def __iter__(self):
+                for lo in range(0, 100, 10):
+                    read.append(lo)
+                    yield np.full(10, 1.0 + lo)
 
-        assert loo_log_chunked(chunks, [15], 1.0, 1.0)[0] == loo_log_statistic(
+        assert loo_log_chunked(Chunks(), [15], 1.0, 1.0)[0] == loo_log_statistic(
             [1.0] * 10 + [11.0] * 5, 1.0, 1.0)
         assert read == [0, 10, 0, 10]
+
+    @pytest.mark.parametrize("once", [
+        lambda chunks: iter(chunks), lambda chunks: (x for x in chunks),
+    ])
+    def test_rejects_an_iterator(self, once):
+        # its second pass would be empty, and every value 0
+        with pytest.raises(ValueError, match="re-readable"):
+            loo_log_chunked(once(in_chunks([1.0, 2.0, 3.0], 2)), [3], 1.0, 1.0)
+
+    def test_rejects_a_short_second_pass(self):
+        class Shrinking:
+            passes = 0
+
+            def __iter__(self):
+                self.passes += 1
+                return iter(in_chunks([1.0, 2.0, 3.0], 2)[: 3 - self.passes])
+
+        with pytest.raises(ValueError, match="second pass over chunks ended at draw 2, before step 3"):
+            loo_log_chunked(Shrinking(), [3], 1.0, 1.0)
 
     @pytest.mark.parametrize("ns,match", [
         ([3, 2], "nondecreasing"), ([1, 2], "n >= 2"), ([2, 4], "exceeds the path length"),
