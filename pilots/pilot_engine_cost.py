@@ -23,8 +23,11 @@ counts towards the outer one.
 
 Then, for each kind and N = 2e5, 2e6 and 2e7, a fresh interpreter makes
 one run and prints its peak resident set (``ru_maxrss``), which should
-not grow with N, since the walk holds one chunk of the path; and one
-``loo`` run at N = 1e8 prints its wall time and peak resident set.
+not grow with N, since the walk holds one chunk of the path.  The same
+goes for ``run_slln_experiment`` with checkpoints 1000 and N, which reads
+the path three times (the ``rw`` walk and the two passes of
+``loo_log_chunked``); its wall times are printed too.  One ``loo`` run
+at N = 1e8 prints its wall time and peak resident set.
 
 Last, the cost of an exact step on a law that draws zeros: for
 gamma:0.002:1 (about 23% of its draws underflow to 0 and are redrawn)
@@ -108,11 +111,16 @@ def child(kind: str) -> None:
 
 
 def peak(kind: str, n: int) -> None:
-    """One run in this interpreter: its wall time and the peak resident set."""
-    from prodsums import make_distribution, run_asclt_path
+    """One run of a kind, or of slln, in this interpreter: its wall time
+    and the peak resident set."""
+    from prodsums import make_distribution, run_asclt_path, run_slln_experiment
 
+    spec = make_distribution("exponential", [1.0])
     t0 = time.perf_counter()
-    run_asclt_path(make_distribution("exponential", [1.0]), kind, n, SEED, exact_cutoff=CUTOFF)
+    if kind == "slln":
+        run_slln_experiment(spec, (1000, n), SEED)
+    else:
+        run_asclt_path(spec, kind, n, SEED, exact_cutoff=CUTOFF)
     wall = time.perf_counter() - t0
     print(f"{wall:.2f} {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f}")
 
@@ -157,6 +165,10 @@ def main() -> None:
     print("kind " + " ".join(f"{f'N = {n:.0e}':>11s}" for n in RSS_N))
     for kind in KINDS:
         print(f"{kind:4s} " + " ".join(f"{_peak(kind, n)[1]:11.1f}" for n in RSS_N), flush=True)
+    slln = [_peak("slln", n) for n in RSS_N]
+    print("slln " + " ".join(f"{rss:11.1f}" for _, rss in slln))
+    print("\nslln wall time (s), checkpoints 1000 and N, in the same runs")
+    print("     " + " ".join(f"{wall:11.2f}" for wall, _ in slln), flush=True)
     wall, rss = _peak("loo", LONG_N)
     print(f"\nloo at N = {LONG_N:.0e}: {wall:.1f} s, peak RSS {rss:.1f} MB")
     print(f"\n{ZEROS}, seed {SEED}: best-of-3 loo wall time (s), by the grid point added")

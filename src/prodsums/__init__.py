@@ -15,8 +15,8 @@ limit.  The pieces:
   prefix of a path as a series with a certified bound, O(1) per step;
 * :mod:`prodsums.limits` -- self-contained normal CDF/quantile and the
   closed-form limit laws;
-* :mod:`prodsums.asclt` -- logarithmic-average empirical distributions
-  along a single trajectory;
+* :mod:`prodsums.asclt` -- logarithmic averages and geometric means
+  along a single trajectory, walked in bounded memory;
 * :mod:`prodsums.montecarlo` -- many-replication experiments, empirical
   CDFs, KS distances, convergence reports;
 * :mod:`prodsums.cli` -- the ``prodsums`` command.
@@ -34,7 +34,6 @@ from .distributions import (
     sample_rows,
 )
 from .statistics import (
-    ASCLT_KINDS,
     STATISTIC_KINDS,
     geometric_mean_loo,
     geometric_mean_prefix,
@@ -61,20 +60,21 @@ from .limits import (
     normal_quantile,
 )
 from .asclt import (
+    ASCLT_KINDS,
     AscltReport,
     LogAvgAccumulator,
     default_grid,
+    SllnReport,
     run_asclt_path,
+    run_slln_experiment,
 )
 from .montecarlo import (
     ConvergenceReport,
     EmpiricalCdf,
     ExperimentConfig,
-    SllnReport,
     empirical_cdf,
     ks_distance,
     run_clt_experiment,
-    run_slln_experiment,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Logarithmic-average empirical distributions along one trajectory.
+"""Logarithmic averages and geometric means along one trajectory.
 
 The almost-sure central limit theorem says that for a single path the
 log-weighted occupation fractions
@@ -6,42 +6,39 @@ log-weighted occupation fractions
     A_N(x) = (1/W_N) * sum_{n=2..N} (1/n) * I(t_n <= x),
     W_N    = sum_{n=2..N} 1/n,
 
-converge to the limit CDF at x, where t_n is the statistic evaluated on
-the first n draws.  Two normalization conventions differ only by
-O(1/log N): the classical statements divide by log N, while dividing by
-W_N keeps A_N inside [0, 1] at every finite N.  :meth:`evaluate` uses
-W_N; the log N variant is exposed alongside it for fidelity to the
-classical form.
+converge to the limit CDF at x, where t_n is the statistic of the first
+n draws.  Dividing by log N instead, as the classical statements do,
+differs by O(1/log N); W_N keeps A_N inside [0, 1].  Accumulation starts
+at n = 2, since the leave-one-out statistic is undefined on one draw.
+The strong law says that the geometric means of S_k/k and of
+S_{n,k}/(n-1) converge to mu along the path.
 
-Accumulation starts at n = 2 because the leave-one-out statistic is
-undefined on a single draw (its normalizer (n-1)*mu vanishes); the
-single dropped term is irrelevant in the limit.
-
-:func:`run_asclt_path` walks the path in blocks of 4096 steps, each
-drawn as it comes by :func:`~prodsums.distributions.sample_chunks`, bit
-for bit the draws of one :func:`~prodsums.distributions.sample` call.
-Per block, a kind forms the running sums it reads after every step: S_n
+:func:`_walk` is the one evaluator of a path.  It reads the path in
+blocks of 4096 steps, drawn as they come by
+:func:`~prodsums.distributions.sample_chunks` (bit for bit one
+:func:`~prodsums.distributions.sample` call), and yields each block's
+steps n and t_n from the kind's block function, in one table whose keys
+are :data:`ASCLT_KINDS`.  A kind keeps the running sums it reads, S_n
 (``rw``, ``lin``) or S_n - n*mu (``std``), and its t_n is whole-array
-arithmetic on them; :meth:`LogAvgAccumulator.accumulate` adds the
-block's indicator mass with one ``searchsorted`` and one ``bincount``.
-The leave-one-out kind has one rule at every step: it takes the value of
-the :class:`~prodsums.streaming.LooSeries` series where
+arithmetic on them.  ``loo`` takes the value of the
+:class:`~prodsums.streaming.LooSeries` series where
 :func:`_certified_series` certifies the exact value's grid bin, and the
 exact statistic elsewhere, through one
 :func:`~prodsums.statistics.loo_log_chunked` call per block, which reads
-the same re-readable path again from its start, up to the block's last
-such step; the certificate hands each step's grid bin on to the
-accumulator.  So its CSV is the CSV of the exact statistic, and
-``exact_cutoff`` only sets where the count of fallbacks (steps sent to
-the exact kernel) starts.  The cost is O(N) numpy work plus O(n) per
-exact step on every law, since a path that draws zeros finds its redraw
-rounds once however often it is read; and exact steps are few (none of
-the 2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
-lognormal:0:20 or gamma:0.001:1).  The memory is one block's draws and
-temporaries, whatever N: the peak resident set of a process making one
-run, interpreter and numpy included, stays about 38 MB from N = 2e4 to
-1e8, where ``loo`` takes about 14 s on a 2-core machine.  N is at most
-:data:`MAX_N`.
+the same re-readable path again from its start; so its CSV is the exact
+statistic's.  The cost is O(N) numpy work plus O(n) per exact step on
+every law, and exact steps are few (none of the 2e5 steps of
+exponential:1 at seed 0, nor of the 2e4 steps of lognormal:0:20 or
+gamma:0.001:1).
+
+:func:`run_asclt_path` accumulates the walk's blocks; ``exact_cutoff``
+only sets where its count of fallbacks (steps sent to the exact kernel)
+starts.  :func:`run_slln_experiment` reads the ``rw`` blocks at its
+checkpoints, and the leave-one-out values there from one
+``loo_log_chunked`` call on the same path.  Either holds a few blocks
+whatever N, at most :data:`MAX_N`: a process making one run peaks at
+about 38 MB of resident memory (asclt from N = 2e4 to 1e8, where ``loo``
+takes 10-14 s on 2 cores; slln from 2e5 to 2e7).
 """
 
 from __future__ import annotations
@@ -53,27 +50,31 @@ import numpy as np
 
 from .distributions import DistributionSpec, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS, log_ratio, loo_log_chunked
+from .statistics import STATISTIC_KINDS, log_ratio, loo_log_chunked
 from .streaming import TOL, LooSeries
 from .summation import NeumaierSum, running_sums
 
 __all__ = [
+    "ASCLT_KINDS",
     "LogAvgAccumulator",
     "default_grid",
     "AscltReport",
     "MAX_N",
     "run_asclt_path",
+    "SllnReport",
+    "run_slln_experiment",
 ]
 
 ASCLT_CSV_HEADER = "x,A_N,F_limit,gap"
+SLLN_CSV_HEADER = "n,gm_prefix,err_prefix,gm_loo,err_loo"
 
-# steps per block of whole-array work in run_asclt_path, and draws per
-# chunk of its path: large enough to amortize the per-block Python, small
+# steps per block of whole-array work in a walk, and draws per chunk of
+# its path: large enough to amortize the per-block Python, small
 # enough that a run's memory, one block's draws and temporaries, stays
 # about 1 MB whatever N
 _BLOCK = 4096
 
-# the longest path run_asclt_path walks: about 17 minutes of loo at its
+# the longest path a walk reads: about 17 minutes of loo at its
 # ~100 ns per step; a longer one would run for hours or more
 MAX_N = 10**10
 
@@ -110,6 +111,54 @@ def _certified_series(series, x, n, grid):
     return value, first, ~(clear & (bound <= TOL) & (size <= _LARGEST))
 
 
+# A kind's block function, made per walk from the path, the moments and the
+# grid, maps a block's draws x at steps n to (t_n, first, exact), the last
+# two None but for loo; rw also sums log(S_k/(k*mu)) over the blocks.
+def _loo(path, mu, sigma, gam, grid):
+    series = LooSeries(mu, gam)
+
+    def block(x, n):  # the certified series, else the exact kernel
+        t, first, exact = _certified_series(series, x, n, grid)
+        exact[0] &= n[0] > 1  # n = 1 is never accumulated
+        todo = np.flatnonzero(exact)
+        if todo.size:  # their prefixes are read again from the start of the path
+            t[todo] = loo_log_chunked(path, n[todo], mu, gam)
+            first[todo] = np.searchsorted(grid, t[todo])
+        return t, first, exact
+    return block
+
+
+def _rw(path, mu, sigma, gam, grid):
+    total, log_sum = NeumaierSum(), NeumaierSum()
+    return lambda x, n: (running_sums(log_ratio(running_sums(x, total), n * mu)[0], log_sum)
+                         / (gam * np.sqrt(n)), None, None)
+
+
+def _lin(path, mu, sigma, gam, grid):  # reduced form of the leave-one-out linearization
+    total = NeumaierSum()
+    return lambda x, n: ((running_sums(x, total) - n * mu) / (sigma * np.sqrt(n)), None, None)
+
+
+def _std(path, mu, sigma, gam, grid):
+    total = NeumaierSum()
+    return lambda x, n: (running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None)
+
+
+_KINDS = {"loo": _loo, "rw": _rw, "lin": _lin, "std": _std}
+ASCLT_KINDS = tuple(_KINDS)  # the kinds a trajectory walk evaluates
+
+
+def _walk(path, kind, mu, sigma, gam, grid=None):
+    """Yield ``(n, t, first, exact)`` for each block of the re-readable
+    path: its steps n, the kind's t_n there and, for loo, each value's
+    grid index and the steps the exact kernel took (None otherwise)."""
+    block, start = _KINDS[kind](path, mu, sigma, gam, grid), 0
+    for x in path:
+        n = np.arange(start + 1, start + x.size + 1)
+        start += x.size
+        yield (n, *block(x, n))
+
+
 # normal_quantile(0.05 * j) for j = 1..19, bit for bit (a test pins them)
 _DEFAULT_GRID = (
     -1.6448536269514726, -1.2815515655446008, -1.0364333894937896, -0.8416212335729141,
@@ -134,12 +183,11 @@ class LogAvgAccumulator:
     """
 
     def __init__(self, grid):
-        g = np.asarray(grid, dtype=float)
+        g = np.array(grid, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a nonempty 1-D sequence")
         if np.isnan(g).any() or not np.all(np.diff(g) > 0.0):
             raise ValueError("grid must be strictly increasing, with no NaN")
-        g = g.copy()
         g.setflags(write=False)
         self.grid = g
         self._w = np.zeros(g.size)
@@ -164,10 +212,8 @@ class LogAvgAccumulator:
         ``first``.
         """
         if n != self.last_n + 1:
-            raise ValueError(
-                f"accumulation must be strictly sequential: expected "
-                f"n = {self.last_n + 1}, got {n}"
-            )
+            raise ValueError(f"accumulation must be strictly sequential: expected "
+                             f"n = {self.last_n + 1}, got {n}")
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.ndim != 1:
             raise ValueError("t must be one value or a 1-D block")
@@ -230,93 +276,104 @@ class AscltReport:
             fileobj.write(f"{x!r},{a!r},{f!r},{gap!r}\n")
 
 
-def run_asclt_path(
-    spec: DistributionSpec,
-    kind: str,
-    n_max: int,
-    base_seed: int,
-    grid=None,
-    exact_cutoff: int = 2000,
-    stream_index: int = 0,
-) -> AscltReport:
-    """Stream one path of length n_max and log-average its statistic.
+def _path(spec: DistributionSpec, n_max: int, base_seed: int, stream_index: int = 0):
+    """The re-readable path of ``sample(spec, n_max, base_seed, stream_index)``, in blocks."""
+    if not 2 <= n_max <= MAX_N:
+        raise ValueError(f"n_max must be from 2 to {MAX_N}, got {n_max}")
+    return sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
+
+
+def run_asclt_path(spec: DistributionSpec, kind: str, n_max: int, base_seed: int, grid=None,
+                   exact_cutoff: int = 2000, stream_index: int = 0) -> AscltReport:
+    """Walk one path of length n_max and log-average its statistic.
 
     For each n = 2..n_max the statistic t_n of the first n draws is
     accumulated against the grid, then compared to the law the ASCLT
     predicts for that statistic (on the log scale for the product
     kinds).  Returns the report with both normalizations and the sup
     gap against the limit CDF.  The path is the one of
-    ``sample(spec, n_max, base_seed, stream_index)``, drawn block by
-    block; n_max is from 2 to :data:`MAX_N`.
+    ``sample(spec, n_max, base_seed, stream_index)``; n_max is from 2 to
+    :data:`MAX_N`.
     """
     if kind not in ASCLT_KINDS:
-        raise ValueError(
-            f"unknown ASCLT statistic {kind!r}; expected one of {', '.join(ASCLT_KINDS)}"
-        )
+        kinds = ", ".join(ASCLT_KINDS)
+        raise ValueError(f"unknown ASCLT statistic {kind!r}; expected one of {kinds}")
     n_max = int(n_max)
-    if not 2 <= n_max <= MAX_N:
-        raise ValueError(f"n_max must be from 2 to {MAX_N}, got {n_max}")
+    path = _path(spec, n_max, base_seed, stream_index)
     exact_cutoff = int(exact_cutoff)
     if exact_cutoff < 2:
         raise ValueError("exact_cutoff must be >= 2")
-
     mu, sigma, gam = moments(spec)
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
     # the product statistics are accumulated as their logs, so they are
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
-
-    path = sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
-    series = LooSeries(mu, gam) if kind == "loo" else None
-    total = NeumaierSum()  # rw, lin: S_n; std: p1 = S_n - n mu
-    log_sum = NeumaierSum()  # rw: sum of log(S_k/(k mu)) over the blocks so far
     mode_switch = None
     fallbacks = exact_steps = 0
-    for start, block in zip(range(0, n_max, _BLOCK), path):
-        n = np.arange(start + 1, start + block.size + 1)
-        if kind == "rw":
-            logs = log_ratio(running_sums(block, total), n * mu)[0]
-            t = running_sums(logs, log_sum) / (gam * np.sqrt(n))
-        elif kind == "std":
-            t = running_sums(block - mu, total) / (sigma * np.sqrt(n))
-        elif kind == "lin":
-            # reduced form of the leave-one-out linearization
-            t = (running_sums(block, total) - n * mu) / (sigma * np.sqrt(n))
-        else:  # loo: the certified series, else the exact kernel
-            t, first, exact = _certified_series(series, block, n, acc.grid)
-            exact[0] &= start > 0  # n = 1 is never accumulated
-            todo = np.flatnonzero(exact)
-            if todo.size:  # their prefixes are read again from the start of the path
-                t[todo] = loo_log_chunked(path, n[todo], mu, gam)
-                first[todo] = np.searchsorted(acc.grid, t[todo])
-                exact_steps += todo.size
-                fallbacks += int(np.count_nonzero(n[todo] > exact_cutoff))
-            if mode_switch is None and n[-1] > exact_cutoff:
-                took = np.flatnonzero(~exact & (n > exact_cutoff))
-                mode_switch = int(n[took[0]]) if took.size else None
-        skip = 1 if start == 0 else 0  # accumulation starts at n = 2
-        if kind == "loo":  # its certificate has found each step's grid bin
-            acc.accumulate(int(n[skip]), t[skip:], first[skip:])
-        else:
+    for n, t, first, exact in _walk(path, kind, mu, sigma, gam, acc.grid):
+        skip = 1 if n[0] == 1 else 0  # accumulation starts at n = 2
+        if exact is None:
             acc.accumulate(int(n[skip]), t[skip:])
+            continue
+        exact_steps += int(np.count_nonzero(exact))
+        fallbacks += int(np.count_nonzero(exact & (n > exact_cutoff)))
+        if mode_switch is None and n[-1] > exact_cutoff:
+            took = np.flatnonzero(~exact & (n > exact_cutoff))
+            mode_switch = int(n[took[0]]) if took.size else None
+        # loo: its certificate has found each step's grid bin
+        acc.accumulate(int(n[skip]), t[skip:], first[skip:])
 
-    a = acc.evaluate()
-    f = limit_cdf(law, acc.grid)
-    a_logn = acc.evaluate_log_normalized()
+    a, a_logn, f = acc.evaluate(), acc.evaluate_log_normalized(), limit_cdf(law, acc.grid)
     return AscltReport(
-        spec=spec,
-        kind=kind,
-        n_max=n_max,
-        base_seed=int(base_seed),
-        exact_cutoff=exact_cutoff,
-        law=law,
-        grid=acc.grid,
-        a_values=a,
-        limit_values=f,
-        sup_gap=float(np.max(np.abs(a - f))),
-        a_values_logn=a_logn,
-        sup_gap_logn=float(np.max(np.abs(a_logn - f))),
-        mode_switch_n=mode_switch,
-        fallback_count=fallbacks,
-        exact_steps=exact_steps,
+        spec=spec, kind=kind, n_max=n_max, base_seed=int(base_seed), exact_cutoff=exact_cutoff,
+        law=law, grid=acc.grid, a_values=a, limit_values=f, sup_gap=float(np.max(np.abs(a - f))),
+        a_values_logn=a_logn, sup_gap_logn=float(np.max(np.abs(a_logn - f))),
+        mode_switch_n=mode_switch, fallback_count=fallbacks, exact_steps=exact_steps,
     )
+
+
+@dataclass(frozen=True)
+class SllnRow:
+    n: int
+    gm_prefix: float
+    err_prefix: float
+    gm_loo: float
+    err_loo: float
+
+
+@dataclass(frozen=True)
+class SllnReport:
+    spec: DistributionSpec
+    base_seed: int
+    mu: float
+    rows: tuple[SllnRow, ...]
+
+    def to_csv(self, fileobj) -> None:
+        fileobj.write(SLLN_CSV_HEADER + "\n")
+        for r in self.rows:
+            fileobj.write(f"{r.n},{r.gm_prefix!r},{r.err_prefix!r},{r.gm_loo!r},{r.err_loo!r}\n")
+
+
+def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnReport:
+    """Geometric means of one growing path, evaluated at checkpoints.
+
+    Both geometric means converge almost surely to mu, so the report
+    carries |value - mu| alongside each value.  The path is the one of
+    ``sample(spec, n_list[-1], base_seed, 0)``, and the last checkpoint is
+    at most :data:`MAX_N`.  Each mean is mu * exp(gamma * t_n / sqrt(n)),
+    with t_n the walk's ``rw`` statistic or the exact ``loo`` one.
+    """
+    ns = tuple(int(n) for n in n_list)
+    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("n list must be nonempty and strictly increasing")
+    if ns[0] < 2:
+        raise ValueError("geometric means need n >= 2")
+    path = _path(spec, ns[-1], base_seed)
+    mu, sigma, gam = moments(spec)
+    at, t_rw = np.array(ns), np.empty(len(ns))
+    for n, t, _, _ in _walk(path, "rw", mu, sigma, gam):
+        hit = (at >= n[0]) & (at <= n[-1])
+        t_rw[hit] = t[at[hit] - n[0]]
+    gms = mu * np.exp(gam * np.array([t_rw, loo_log_chunked(path, at, mu, gam)]) / np.sqrt(at))
+    rows = (SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)) for n, gp, gl in zip(ns, *gms.tolist()))
+    return SllnReport(spec=spec, base_seed=int(base_seed), mu=mu, rows=tuple(rows))

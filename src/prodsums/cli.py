@@ -24,7 +24,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .asclt import MAX_N, AscltReport, run_asclt_path
+from .asclt import ASCLT_KINDS, MAX_N, AscltReport, run_asclt_path, run_slln_experiment
 from .distributions import DistributionSpec, make_distribution, moments
 from .limits import LAW_TAGS, LimitLaw
 from .montecarlo import (
@@ -32,9 +32,8 @@ from .montecarlo import (
     ExperimentConfig,
     _sample_batches,
     run_clt_experiment,
-    run_slln_experiment,
 )
-from .statistics import ASCLT_KINDS, STATISTIC_KINDS
+from .statistics import STATISTIC_KINDS
 
 __all__ = ["main", "entrypoint", "parse_dist", "emit_plot_script"]
 

@@ -1,4 +1,4 @@
-"""Many-replication experiments: empirical CDFs, KS distances, reports.
+"""Replication experiments over many paths: empirical CDFs, KS, reports.
 
 Replicate r of row i (the i-th entry of the n list) draws its path from
 stream index ``i * 2**32 + r``, so every replicate has its own
@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample, sample_rows
+from .distributions import DistributionSpec, moments, sample_rows
 from .limits import LimitLaw, limit_cdf
-from . import statistics as stats
 from .statistics import _BATCH_BYTES, _SCRATCH, STATISTIC_KINDS
 
 __all__ = [
@@ -34,15 +33,12 @@ __all__ = [
     "EmpiricalCdf",
     "ConvergenceRow",
     "ConvergenceReport",
-    "SllnReport",
     "empirical_cdf",
     "ks_distance",
     "run_clt_experiment",
-    "run_slln_experiment",
 ]
 
 CLT_CSV_HEADER = "n,M,ks,mean,sd,mean_remainder,mean_maxdev,seconds"
-SLLN_CSV_HEADER = "n,gm_prefix,err_prefix,gm_loo,err_loo"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -214,50 +210,3 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
                 float(np.mean(rems)), float(np.mean(devs)), time.perf_counter() - t0,
             ))
     return ConvergenceReport(config=config, law=law, rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class SllnRow:
-    n: int
-    gm_prefix: float
-    err_prefix: float
-    gm_loo: float
-    err_loo: float
-
-
-@dataclass(frozen=True)
-class SllnReport:
-    spec: DistributionSpec
-    base_seed: int
-    mu: float
-    rows: tuple[SllnRow, ...]
-
-    def to_csv(self, fileobj) -> None:
-        fileobj.write(SLLN_CSV_HEADER + "\n")
-        for r in self.rows:
-            fileobj.write(
-                f"{r.n},{r.gm_prefix!r},{r.err_prefix!r},"
-                f"{r.gm_loo!r},{r.err_loo!r}\n"
-            )
-
-
-def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnReport:
-    """Geometric means of one growing path, evaluated at checkpoints.
-
-    Both geometric means converge almost surely to mu, so the report
-    carries |value - mu| alongside each value.
-    """
-    ns = tuple(int(n) for n in n_list)
-    if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("n list must be nonempty and strictly increasing")
-    if ns[0] < 2:
-        raise ValueError("geometric means need n >= 2")
-    mu = moments(spec)[0]
-    path = sample(spec, ns[-1], base_seed, 0)
-    rows = []
-    for n in ns:
-        prefix = path.values[:n]
-        gp = stats.geometric_mean_prefix(prefix)
-        gl = stats.geometric_mean_loo(prefix)
-        rows.append(SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)))
-    return SllnReport(spec=spec, base_seed=int(base_seed), mu=mu, rows=tuple(rows))

@@ -37,7 +37,6 @@ from .summation import NeumaierSum, exact_running_sums, row_sums
 __all__ = [
     "StatisticKind",
     "STATISTIC_KINDS",
-    "ASCLT_KINDS",
     "log_ratio",
     "prefix_sums",
     "loo_log_statistic",
@@ -376,23 +375,19 @@ class StatisticKind:
     the results are the same bits either way and never alias it.
     ``log_law`` (the default comparison law) and ``product_law`` (the law
     of the exponentiated statistic, if any) are ``limits.LAW_TAGS`` tags.
-    ``asclt`` marks the kinds :func:`prodsums.asclt.run_asclt_path` streams.
     """
 
     evaluate: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     log_law: str
     product_law: str | None
     min_n: int
-    asclt: bool
 
 
 STATISTIC_KINDS = {
-    "loo": StatisticKind(_loo, "n01", "expnorm", 2, True),
-    "rw": StatisticKind(_rw, "n02", "expsqrt2", 1, True),
-    "lin": StatisticKind(_lin, "n01", None, 2, True),
-    "std": StatisticKind(_std, "n01", None, 1, True),
-    "gm-prefix": StatisticKind(_gm_prefix, "point", None, 1, False),
-    "gm-loo": StatisticKind(_gm_loo, "point", None, 2, False),
+    "loo": StatisticKind(_loo, "n01", "expnorm", 2),
+    "rw": StatisticKind(_rw, "n02", "expsqrt2", 1),
+    "lin": StatisticKind(_lin, "n01", None, 2),
+    "std": StatisticKind(_std, "n01", None, 1),
+    "gm-prefix": StatisticKind(_gm_prefix, "point", None, 1),
+    "gm-loo": StatisticKind(_gm_loo, "point", None, 2),
 }
-
-ASCLT_KINDS = tuple(tag for tag, kind in STATISTIC_KINDS.items() if kind.asclt)

@@ -1,10 +1,12 @@
 import functools
 import io
+import itertools
 import math
 import tracemalloc
 import warnings
 from math import fsum
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from prodsums import (
     ASCLT_KINDS,
     LogAvgAccumulator,
     default_grid,
+    geometric_mean_loo,
+    geometric_mean_prefix,
     LooSeries,
     init_state,
     loo_log_chunked,
@@ -26,6 +30,7 @@ from prodsums import (
     normal_cdf,
     normal_quantile,
     run_asclt_path,
+    run_slln_experiment,
     sample,
     standardized_sum,
 )
@@ -627,3 +632,67 @@ def test_traced_memory_does_not_grow_with_the_path(kind):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**14, peaks
+
+
+SHOWCASE = ["exponential:1", "gamma:4:0.5", "lognormal:0:0.5", "uniform:0.5:1.5", "twopoint:0.5:2:0.5"]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("family", [*SHOWCASE, "gamma:0.002:1", "lognormal:0:20"])
+def test_slln_matches_the_whole_path_kernels(family, seed):
+    # the walk and loo_log_chunked against the exact kernels on each prefix
+    # of one sample() path, across block boundaries
+    spec = parse_dist(family)
+    ns = (2, 3, 10, 1000, 4096, 4097, 10_000, 100_000)
+    report = run_slln_experiment(spec, ns, seed)
+    v = sample(spec, ns[-1], seed, 0).values
+    mu = moments(spec)[0]
+    assert report.mu == mu and [row.n for row in report.rows] == list(ns)
+    for row in report.rows:
+        for got, err, want in ((row.gm_prefix, row.err_prefix, geometric_mean_prefix(v[:row.n])),
+                               (row.gm_loo, row.err_loo, geometric_mean_loo(v[:row.n]))):
+            assert abs(got - want) <= 1e-12 * want, row
+            assert err == abs(got - mu)
+
+
+@pytest.mark.parametrize("family", ["twopoint:1:1e300:0.5", "exponential:1e300"])
+def test_slln_matches_mpmath(family):
+    # draws 300 orders of magnitude apart, and draws near 1e-300
+    spec = parse_dist(family)
+    ns = (2, 10, 1000, 5000)
+    rows = run_slln_experiment(spec, ns, 0).rows
+    v = sample(spec, ns[-1], 0, 0).values
+    with mpmath.workdps(650):  # every sum below is exact
+        x = [mpmath.mpf(float(d)) for d in v]
+        for row in rows:
+            n = row.n
+            sums = list(itertools.accumulate(x[:n]))
+            prefix = mpmath.fsum(mpmath.log(p / k) for k, p in enumerate(sums, 1))
+            loo = mpmath.fsum(mpmath.log((sums[-1] - d) / (n - 1)) for d in x[:n])
+            for got, want in ((row.gm_prefix, mpmath.exp(prefix / n)), (row.gm_loo, mpmath.exp(loo / n))):
+                assert abs(got - float(want)) <= 2e-13 * float(want), (n, got, want)
+
+
+def test_slln_memory_does_not_grow_with_the_path():
+    # one walk over the path and loo_log_chunked's two passes, each a chunk
+    # at a time
+    run_slln_experiment(EXP1, (1000, 5000), 0)
+    peaks = []
+    for n in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            run_slln_experiment(EXP1, (1000, n), 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**14, peaks
+
+
+def test_slln_rejects_a_path_past_max_n(monkeypatch):
+    # before any sampling: on the chunked path such a run would take hours
+    drawn = []
+    monkeypatch.setattr(asclt_module, "sample_chunks", lambda *args: drawn.append(args))
+    n = asclt_module.MAX_N + 1
+    with pytest.raises(ValueError, match=f"n_max must be from 2 to {asclt_module.MAX_N}, got {n}"):
+        run_slln_experiment(EXP1, (1000, n), 0)
+    assert drawn == []

@@ -381,6 +381,13 @@ class TestSllnCommand:
         assert lines[0] == "n,gm_prefix,err_prefix,gm_loo,err_loo"
         assert len(lines) == 3
 
+    def test_absurd_n_is_exit_1(self, capsys):
+        # with bounded memory such a run would not fail: it would run for hours
+        assert run_cli(["slln", "--dist", "exponential:1", "--n", "1000,20000000000"]) == 1
+        captured = capsys.readouterr()
+        assert f"error: n_max must be from 2 to {asclt_module.MAX_N}, got 20000000000" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+
 
 class TestRunnerSeam:
     def test_commands_call_runners_through_module_globals(self, monkeypatch, tmp_path):
