@@ -15,7 +15,8 @@ stages the engine calls:
 * prefix      -- the exact leave-one-out kernel (``loo_log_chunked``,
                  which reads the path again) on the steps the expansion
                  does not certify,
-* sums        -- the running sums (``running_sums``) of the other kinds,
+* sums        -- the running sums (``running_sums`` and
+                 ``exact_running_sums``) of the other kinds,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
 and ``other`` for the rest of the run.  A stage called inside another
@@ -96,6 +97,7 @@ def child(kind: str) -> None:
     asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_chunked = timed("prefix", asclt.loo_log_chunked)
     asclt.running_sums = timed("sums", asclt.running_sums)
+    asclt.exact_running_sums = timed("sums", asclt.exact_running_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 
     spec = make_distribution("exponential", [1.0])

@@ -52,7 +52,7 @@ from .distributions import DistributionSpec, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
 from .statistics import STATISTIC_KINDS, log_ratio, loo_log_chunked
 from .streaming import TOL, LooSeries
-from .summation import NeumaierSum, running_sums
+from .summation import NeumaierSum, exact_running_sums, running_sums
 
 __all__ = [
     "ASCLT_KINDS",
@@ -113,7 +113,7 @@ def _certified_series(series, x, n, grid):
 
 # A kind's block function, made per walk from the path, the moments and the
 # grid, maps a block's draws x at steps n to (t_n, first, exact), the last
-# two None but for loo; rw also sums log(S_k/(k*mu)) over the blocks.
+# two None but for loo.
 def _loo(path, mu, sigma, gam, grid):
     series = LooSeries(mu, gam)
 
@@ -129,19 +129,31 @@ def _loo(path, mu, sigma, gam, grid):
 
 
 def _rw(path, mu, sigma, gam, grid):
-    total, log_sum = NeumaierSum(), NeumaierSum()
-    return lambda x, n: (running_sums(log_ratio(running_sums(x, total), n * mu)[0], log_sum)
-                         / (gam * np.sqrt(n)), None, None)
+    total = NeumaierSum()  # S_n
+    log_sum = NeumaierSum()  # the sum of log(S_k/(k mu)) over the blocks so far
+
+    def block(x, n):
+        logs = log_ratio(running_sums(x, total), n * mu)[0]
+        # summed within a rounding: the logs may be large and of one sign
+        top = max(-float(logs.min()), float(logs.max()))
+        return exact_running_sums(logs, log_sum, top) / (gam * np.sqrt(n)), None, None
+    return block
 
 
-def _lin(path, mu, sigma, gam, grid):  # reduced form of the leave-one-out linearization
-    total = NeumaierSum()
-    return lambda x, n: ((running_sums(x, total) - n * mu) / (sigma * np.sqrt(n)), None, None)
+def _lin(path, mu, sigma, gam, grid):
+    total = NeumaierSum()  # S_n
+
+    def block(x, n):  # reduced form of the leave-one-out linearization
+        return (running_sums(x, total) - n * mu) / (sigma * np.sqrt(n)), None, None
+    return block
 
 
 def _std(path, mu, sigma, gam, grid):
-    total = NeumaierSum()
-    return lambda x, n: (running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None)
+    total = NeumaierSum()  # S_n - n mu
+
+    def block(x, n):
+        return running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None
+    return block
 
 
 _KINDS = {"loo": _loo, "rw": _rw, "lin": _lin, "std": _std}
@@ -183,11 +195,12 @@ class LogAvgAccumulator:
     """
 
     def __init__(self, grid):
-        g = np.array(grid, dtype=float)
+        g = np.asarray(grid, dtype=float)
         if g.ndim != 1 or g.size == 0:
             raise ValueError("grid must be a nonempty 1-D sequence")
         if np.isnan(g).any() or not np.all(np.diff(g) > 0.0):
             raise ValueError("grid must be strictly increasing, with no NaN")
+        g = g.copy()
         g.setflags(write=False)
         self.grid = g
         self._w = np.zeros(g.size)
@@ -212,8 +225,10 @@ class LogAvgAccumulator:
         ``first``.
         """
         if n != self.last_n + 1:
-            raise ValueError(f"accumulation must be strictly sequential: expected "
-                             f"n = {self.last_n + 1}, got {n}")
+            raise ValueError(
+                f"accumulation must be strictly sequential: expected "
+                f"n = {self.last_n + 1}, got {n}"
+            )
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if t.ndim != 1:
             raise ValueError("t must be one value or a 1-D block")
@@ -283,31 +298,41 @@ def _path(spec: DistributionSpec, n_max: int, base_seed: int, stream_index: int 
     return sample_chunks(spec, n_max, base_seed, stream_index, _BLOCK)
 
 
-def run_asclt_path(spec: DistributionSpec, kind: str, n_max: int, base_seed: int, grid=None,
-                   exact_cutoff: int = 2000, stream_index: int = 0) -> AscltReport:
-    """Walk one path of length n_max and log-average its statistic.
+def run_asclt_path(
+    spec: DistributionSpec,
+    kind: str,
+    n_max: int,
+    base_seed: int,
+    grid=None,
+    exact_cutoff: int = 2000,
+    stream_index: int = 0,
+) -> AscltReport:
+    """Stream one path of length n_max and log-average its statistic.
 
     For each n = 2..n_max the statistic t_n of the first n draws is
     accumulated against the grid, then compared to the law the ASCLT
     predicts for that statistic (on the log scale for the product
     kinds).  Returns the report with both normalizations and the sup
     gap against the limit CDF.  The path is the one of
-    ``sample(spec, n_max, base_seed, stream_index)``; n_max is from 2 to
-    :data:`MAX_N`.
+    ``sample(spec, n_max, base_seed, stream_index)``, drawn block by
+    block; n_max is from 2 to :data:`MAX_N`.
     """
     if kind not in ASCLT_KINDS:
-        kinds = ", ".join(ASCLT_KINDS)
-        raise ValueError(f"unknown ASCLT statistic {kind!r}; expected one of {kinds}")
+        raise ValueError(
+            f"unknown ASCLT statistic {kind!r}; expected one of {', '.join(ASCLT_KINDS)}"
+        )
     n_max = int(n_max)
     path = _path(spec, n_max, base_seed, stream_index)
     exact_cutoff = int(exact_cutoff)
     if exact_cutoff < 2:
         raise ValueError("exact_cutoff must be >= 2")
+
     mu, sigma, gam = moments(spec)
     acc = LogAvgAccumulator(default_grid() if grid is None else grid)
     # the product statistics are accumulated as their logs, so they are
     # compared with the log-scale law
     law = LimitLaw(STATISTIC_KINDS[kind].log_law)
+
     mode_switch = None
     fallbacks = exact_steps = 0
     for n, t, first, exact in _walk(path, kind, mu, sigma, gam, acc.grid):
@@ -323,12 +348,25 @@ def run_asclt_path(spec: DistributionSpec, kind: str, n_max: int, base_seed: int
         # loo: its certificate has found each step's grid bin
         acc.accumulate(int(n[skip]), t[skip:], first[skip:])
 
-    a, a_logn, f = acc.evaluate(), acc.evaluate_log_normalized(), limit_cdf(law, acc.grid)
+    a = acc.evaluate()
+    f = limit_cdf(law, acc.grid)
+    a_logn = acc.evaluate_log_normalized()
     return AscltReport(
-        spec=spec, kind=kind, n_max=n_max, base_seed=int(base_seed), exact_cutoff=exact_cutoff,
-        law=law, grid=acc.grid, a_values=a, limit_values=f, sup_gap=float(np.max(np.abs(a - f))),
-        a_values_logn=a_logn, sup_gap_logn=float(np.max(np.abs(a_logn - f))),
-        mode_switch_n=mode_switch, fallback_count=fallbacks, exact_steps=exact_steps,
+        spec=spec,
+        kind=kind,
+        n_max=n_max,
+        base_seed=int(base_seed),
+        exact_cutoff=exact_cutoff,
+        law=law,
+        grid=acc.grid,
+        a_values=a,
+        limit_values=f,
+        sup_gap=float(np.max(np.abs(a - f))),
+        a_values_logn=a_logn,
+        sup_gap_logn=float(np.max(np.abs(a_logn - f))),
+        mode_switch_n=mode_switch,
+        fallback_count=fallbacks,
+        exact_steps=exact_steps,
     )
 
 
@@ -351,7 +389,10 @@ class SllnReport:
     def to_csv(self, fileobj) -> None:
         fileobj.write(SLLN_CSV_HEADER + "\n")
         for r in self.rows:
-            fileobj.write(f"{r.n},{r.gm_prefix!r},{r.err_prefix!r},{r.gm_loo!r},{r.err_loo!r}\n")
+            fileobj.write(
+                f"{r.n},{r.gm_prefix!r},{r.err_prefix!r},"
+                f"{r.gm_loo!r},{r.err_loo!r}\n"
+            )
 
 
 def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnReport:
@@ -370,10 +411,19 @@ def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnR
         raise ValueError("geometric means need n >= 2")
     path = _path(spec, ns[-1], base_seed)
     mu, sigma, gam = moments(spec)
-    at, t_rw = np.array(ns), np.empty(len(ns))
+    at = np.array(ns)
+    t_rw = np.empty(len(ns))
     for n, t, _, _ in _walk(path, "rw", mu, sigma, gam):
         hit = (at >= n[0]) & (at <= n[-1])
         t_rw[hit] = t[at[hit] - n[0]]
-    gms = mu * np.exp(gam * np.array([t_rw, loo_log_chunked(path, at, mu, gam)]) / np.sqrt(at))
-    rows = (SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)) for n, gp, gl in zip(ns, *gms.tolist()))
+    # log(gm/mu) of each mean; a mean more than about 1e308 below mu is
+    # formed from its own log, as exp of that ratio has lost its digits
+    logs = gam * np.array([t_rw, loo_log_chunked(path, at, mu, gam)]) / np.sqrt(at)
+    ratio = np.exp(logs)
+    low = ratio < np.finfo(float).tiny
+    gms = mu * ratio
+    gms[low] = np.exp(logs[low] + math.log(mu))
+    rows = []
+    for n, gp, gl in zip(ns, *gms.tolist()):
+        rows.append(SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)))
     return SllnReport(spec=spec, base_seed=int(base_seed), mu=mu, rows=tuple(rows))

@@ -231,9 +231,11 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
     on every pass: a list of arrays, or a path of
     :func:`~prodsums.distributions.sample_chunks`.  It is read twice, up
     to the last step, so an iterator raises ``ValueError``.  The first
-    pass takes every S_n and the sum of the draws other than the largest
-    as running sums within about one rounding (the sum of the others is
-    what a largest draw above S_n/2 leaves, as in the exact kernel).  The
+    pass takes each S_n and the sum of the draws other than the largest
+    within about one rounding (the sum of the others is what a largest
+    draw above S_n/2 leaves, as in the exact kernel); a chunk in which no
+    step ends and no draw passes the largest before it only adds its sum
+    to both totals.  The
     second forms the exact kernel's log ratios chunk by chunk, a few steps
     at a time, sums each chunk's with :func:`~prodsums.summation.row_sums`
     and carries each step's chunk sums as an exact pair.  So a value errs
@@ -257,15 +259,21 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
         peak = float(x.max())
         if not (x.min() > 0.0 and peak < math.inf):
             raise ValueError("all path values must be finite and strictly positive")
-        # the largest draw before each draw: the smaller of the two joins
-        # the others
-        before = np.maximum.accumulate(np.append(largest, x[:-1]))
-        largest = max(largest, peak)
         hi = int(np.searchsorted(ns, lo + x.size, side="right"))
-        k = ns[done:hi] - lo - 1
-        s[done:hi] = exact_running_sums(x, total, peak)[k]
-        rest[done:hi] = exact_running_sums(np.minimum(x, before), others, peak)[k]
-        top[done:hi] = np.maximum(before, x)[k]
+        if hi == done and peak <= largest:
+            # no step ends in the chunk, and every draw joins the others
+            part = float(row_sums(x[np.newaxis], np.array([peak]))[0])
+            total.add(part)
+            others.add(part)
+        else:
+            # the largest draw before each draw: the smaller of the two
+            # joins the others
+            before = np.maximum.accumulate(np.append(largest, x[:-1]))
+            k = ns[done:hi] - lo - 1
+            s[done:hi] = exact_running_sums(x, total, peak)[k]
+            rest[done:hi] = exact_running_sums(np.minimum(x, before), others, peak)[k]
+            top[done:hi] = np.maximum(before, x)[k]
+        largest = max(largest, peak)
         done, lo = hi, lo + x.size
         if done == ns.size:
             break
@@ -276,15 +284,16 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
     value, carry = np.zeros((2, ns.size))
     lo = 0
     for x in chunks:
-        at = np.arange(lo, lo + x.size)
+        at = np.arange(lo, lo + x.size)  # the steps before each draw
         rows = max(1, _BATCH_BYTES // 8 // x.size)  # steps per batch of log ratios
         for i in range(int(np.searchsorted(ns, lo, side="right")), ns.size, rows):
             j = slice(i, i + rows)
             loo = s[j, np.newaxis] - x
             big = np.flatnonzero(dominant[j])
             loo[big] = np.where(x == top[j][big, np.newaxis], rest[j][big, np.newaxis], loo[big])
-            # past its step a row holds (n-1)*mu, whose log ratio is exactly 0
-            np.copyto(loo, m[j, np.newaxis], where=at >= ns[j, np.newaxis])
+            if ns[i] < lo + x.size:
+                # past its step a row holds (n-1)*mu, whose log ratio is exactly 0
+                np.copyto(loo, m[j, np.newaxis], where=at >= ns[j, np.newaxis])
             part = row_sums(log_ratio(loo, m[j, np.newaxis])[0])
             # value + part as an exact pair (Knuth's TwoSum)
             total_j = value[j] + part

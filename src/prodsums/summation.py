@@ -64,9 +64,9 @@ def _high_parts(t: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.ndarray:
-    """Every prefix total ``carry + x[0] + ... + x[k]`` of x >= 0, each
-    within about one rounding, continuing ``carry``; ``top`` is at least
-    the largest x.
+    """Every prefix total ``carry + x[0] + ... + x[k]``, each within about
+    one rounding, continuing ``carry``; ``top`` is at least the largest
+    ``|x|``.
 
     The high parts of :func:`row_sums`' split have an exact cumsum, the
     low parts' cumsum errs by far less than a rounding of the total, and

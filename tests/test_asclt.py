@@ -638,12 +638,14 @@ SHOWCASE = ["exponential:1", "gamma:4:0.5", "lognormal:0:0.5", "uniform:0.5:1.5"
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("family", [*SHOWCASE, "gamma:0.002:1", "lognormal:0:20"])
+@pytest.mark.parametrize("family", [*SHOWCASE, "gamma:0.002:1", "lognormal:0:20",
+                                    "twopoint:1e-300:1e30:0.999"])
 def test_slln_matches_the_whole_path_kernels(family, seed):
     # the walk and loo_log_chunked against the exact kernels on each prefix
-    # of one sample() path, across block boundaries
+    # of one sample() path, across block boundaries; the first means of
+    # twopoint:1e-300:1e30:0.999 are about 1e-300, some 1e327 below mu
     spec = parse_dist(family)
-    ns = (2, 3, 10, 1000, 4096, 4097, 10_000, 100_000)
+    ns = (2, 3, 10, 100, 1000, 4096, 4097, 10_000, 100_000)
     report = run_slln_experiment(spec, ns, seed)
     v = sample(spec, ns[-1], seed, 0).values
     mu = moments(spec)[0]
