@@ -41,7 +41,6 @@ from .statistics import (
     loo_log_chunked,
     loo_log_statistic,
     max_relative_deviation,
-    prefix_sums,
     remainder_magnitude,
     rw_log_statistic,
     standardized_sum,
@@ -90,7 +89,6 @@ __all__ = [
     "sample_chunks",
     "sample_rows",
     "STATISTIC_KINDS",
-    "prefix_sums",
     "loo_log_statistic",
     "loo_log_chunked",
     "rw_log_statistic",

@@ -19,13 +19,15 @@ blocks of 4096 steps, drawn as they come by
 :func:`~prodsums.distributions.sample` call), and yields each block's
 steps n and t_n from the kind's block function, in one table whose keys
 are :data:`ASCLT_KINDS`.  A kind keeps the running sums it reads, S_n
-(``rw``, ``lin``) or S_n - n*mu (``std``), and its t_n is whole-array
-arithmetic on them.  ``loo`` takes the value of the
+(``rw``, ``lin``) or the sum of the X_k - mu (``std``), each from
+:func:`~prodsums.summation.exact_running_sums`, and its t_n is
+whole-array arithmetic on them.  ``loo`` takes the value of the
 :class:`~prodsums.streaming.LooSeries` series where
 :func:`_certified_series` certifies the exact value's grid bin, and the
 exact statistic elsewhere, through one
 :func:`~prodsums.statistics.loo_log_chunked` call per block, which reads
-the same re-readable path again from its start; so its CSV is the exact
+the first block's steps from the block in hand and a later block's from
+the start of the same re-readable path; so its CSV is the exact
 statistic's.  The cost is O(N) numpy work plus O(n) per exact step on
 every law, and exact steps are few (none of the 2e5 steps of
 exponential:1 at seed 0, nor of the 2e4 steps of lognormal:0:20 or
@@ -52,7 +54,7 @@ from .distributions import DistributionSpec, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
 from .statistics import STATISTIC_KINDS, log_ratio, loo_log_chunked
 from .streaming import TOL, LooSeries
-from .summation import NeumaierSum, exact_running_sums, running_sums
+from .summation import NeumaierSum, exact_running_sums
 
 __all__ = [
     "ASCLT_KINDS",
@@ -121,8 +123,8 @@ def _loo(path, mu, sigma, gam, grid):
         t, first, exact = _certified_series(series, x, n, grid)
         exact[0] &= n[0] > 1  # n = 1 is never accumulated
         todo = np.flatnonzero(exact)
-        if todo.size:  # their prefixes are read again from the start of the path
-            t[todo] = loo_log_chunked(path, n[todo], mu, gam)
+        if todo.size:  # prefixes in the first block lie in x, later ones in the path
+            t[todo] = loo_log_chunked([x] if n[0] == 1 else path, n[todo], mu, gam)
             first[todo] = np.searchsorted(grid, t[todo])
         return t, first, exact
     return block
@@ -133,7 +135,7 @@ def _rw(path, mu, sigma, gam, grid):
     log_sum = NeumaierSum()  # the sum of log(S_k/(k mu)) over the blocks so far
 
     def block(x, n):
-        logs = log_ratio(running_sums(x, total), n * mu)[0]
+        logs = log_ratio(exact_running_sums(x, total, float(x.max())), n * mu)[0]
         # summed within a rounding: the logs may be large and of one sign
         top = max(-float(logs.min()), float(logs.max()))
         return exact_running_sums(logs, log_sum, top) / (gam * np.sqrt(n)), None, None
@@ -144,15 +146,18 @@ def _lin(path, mu, sigma, gam, grid):
     total = NeumaierSum()  # S_n
 
     def block(x, n):  # reduced form of the leave-one-out linearization
-        return (running_sums(x, total) - n * mu) / (sigma * np.sqrt(n)), None, None
+        s = exact_running_sums(x, total, float(x.max()))
+        return (s - n * mu) / (sigma * np.sqrt(n)), None, None
     return block
 
 
 def _std(path, mu, sigma, gam, grid):
-    total = NeumaierSum()  # S_n - n mu
+    total = NeumaierSum()  # the sum of X_k - mu
 
     def block(x, n):
-        return running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None
+        d = x - mu
+        s = exact_running_sums(d, total, float(np.abs(d).max()))
+        return s / (sigma * np.sqrt(n)), None, None
     return block
 
 

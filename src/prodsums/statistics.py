@@ -38,7 +38,6 @@ __all__ = [
     "StatisticKind",
     "STATISTIC_KINDS",
     "log_ratio",
-    "prefix_sums",
     "loo_log_statistic",
     "loo_log_chunked",
     "rw_log_statistic",
@@ -207,11 +206,6 @@ def _gm_loo(paths, mu, sigma, gam, work=None):
 def _one(kernel, path, mu=None, sigma=None, gamma=None, output=0) -> float:
     """Output 0 (the value), 1 (remainder) or 2 (maxdev) of a one-row call."""
     return float(kernel(_row(path), mu, sigma, gamma)[output][0])
-
-
-def prefix_sums(path) -> np.ndarray:
-    """Prefix sums S_1, ..., S_n of the path."""
-    return np.cumsum(_paths(_row(path))[0][0])
 
 
 def loo_log_statistic(path, mu: float, gamma: float) -> float:

@@ -11,9 +11,9 @@ Running sums that must be updated one value at a time use
 :class:`NeumaierSum`, Neumaier's variant of Kahan summation, whose error
 after any number of updates stays O(eps) relative to the exact sum
 instead of growing linearly with the number of terms.
-:func:`running_sums` gives every prefix total of a block of values at
-numpy speed, continuing a :class:`NeumaierSum` from one block to the next;
-:func:`exact_running_sums` does so within about one rounding each.
+:func:`exact_running_sums`, the one running-sum form, gives every
+prefix total of a block of values at numpy speed, each within about one
+rounding, continuing a :class:`NeumaierSum` from one block to the next.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["NeumaierSum", "row_sums", "running_sums", "exact_running_sums"]
-
-# plain cumsum error grows with the row length; the Neumaier carry keeps
-# it from growing with the number of rows
-_ROW = 256
+__all__ = ["NeumaierSum", "row_sums", "exact_running_sums"]
 
 
 def row_sums(t: np.ndarray, top: np.ndarray | None = None,
@@ -64,24 +60,27 @@ def _high_parts(t: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.ndarray:
-    """Every prefix total ``carry + x[0] + ... + x[k]``, each within about
-    one rounding, continuing ``carry``; ``top`` is at least the largest
-    ``|x|``.
+    """Every prefix total ``carry + x[0] + ... + x[k]``, each within one
+    rounding and a far smaller error, continuing ``carry``; ``top`` is at
+    least the largest ``|x|``.
 
-    The high parts of :func:`row_sums`' split have an exact cumsum, the
-    low parts' cumsum errs by far less than a rounding of the total, and
-    the carry's pair takes both block totals.
+    The high parts of :func:`row_sums`' split have an exact cumsum, and
+    the low parts' cumsum errs by far less than a rounding of the total.
+    The carry and each high prefix add as an exact pair (Knuth's
+    TwoSum), whose error joins the low prefix: each total is rounded once.
     """
-    s, c = carry._s, carry._c
+    s = carry._s
     parts = np.empty((2, x.size))  # the high and the low parts
     _high_parts(x, math.frexp(top)[1], parts[0])
     np.subtract(x, parts[0], out=parts[1])
-    parts[1, 0] += c
+    parts[1, 0] += carry._c
     np.cumsum(parts, axis=1, out=parts)
-    carry._c = 0.0  # c is in the low parts' first term
-    carry.add(float(parts[0, -1]))
-    carry._c += float(parts[1, -1])
-    total = np.add(parts[0], s, out=parts[0])
+    total = parts[0] + s
+    back = total - parts[0]
+    parts[0] -= total - back
+    parts[0] += s - back
+    parts[1] += parts[0]
+    carry._s, carry._c = float(total[-1]), float(parts[1, -1])
     total += parts[1]
     return total
 
@@ -110,31 +109,3 @@ class NeumaierSum:
 
     def __repr__(self) -> str:
         return f"NeumaierSum({self.value!r})"
-
-
-def running_sums(values, carry: NeumaierSum) -> np.ndarray:
-    """Every prefix total ``carry + values[0] + ... + values[k]``.
-
-    The values are cut into rows of 256 and summed by ``np.cumsum``
-    within each row; the row totals are added to ``carry`` one by one,
-    so the carry ends holding the total of everything it has seen and
-    the error stays that of one row, however long the run.
-    """
-    x = np.asarray(values, dtype=float)
-    rows = -(-x.size // _ROW)
-    padded = np.zeros(rows * _ROW)
-    padded[: x.size] = x
-    local = np.cumsum(padded.reshape(rows, _ROW), axis=1)
-    # NeumaierSum.add on local floats, stored back once
-    s, c = carry._s, carry._c
-    base = []
-    for row_total in local[:, -1].tolist():
-        base.append(s + c)
-        t = s + row_total
-        if abs(s) >= abs(row_total):
-            c += (s - t) + row_total
-        else:
-            c += (row_total - t) + s
-        s = t
-    carry._s, carry._c = s, c
-    return (local + np.array(base)[:, np.newaxis]).reshape(-1)[: x.size]

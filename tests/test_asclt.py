@@ -4,6 +4,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from math import fsum
 
 import mpmath
@@ -506,6 +507,20 @@ def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
     assert csv_text(report) == csv_text(exact)
 
 
+def test_first_block_exact_steps_read_the_block_in_hand(monkeypatch):
+    # twopoint:1:1e300:0.5 sends a few of its first steps to the exact
+    # kernel, which takes them from the block the walk holds, so the path is
+    # read once, by the walk itself
+    spec = parse_dist("twopoint:1:1e300:0.5")
+    passes = []
+    draws = distributions_module._ChunkedPath.draws
+    monkeypatch.setattr(distributions_module._ChunkedPath, "__iter__",
+                        lambda self: passes.append(self) or draws(self))
+    report = run_asclt_path(spec, "loo", 20_000, 0)
+    assert len(passes) == 1 and report.exact_steps >= 1
+    assert csv_text(report) == csv_text(exact_run(monkeypatch, spec, 20_000, 0))
+
+
 def test_exact_steps_find_the_redraw_rounds_once(monkeypatch):
     # gamma:0.002:1 draws zeros; a grid point on the value of step 50 and
     # one on that of step 10 000 send both to the exact kernel, which reads
@@ -570,6 +585,40 @@ def test_loo_csv_is_the_all_exact_csv(monkeypatch, family, seed):
     spec = parse_dist(family)
     report = run_asclt_path(spec, "loo", 5000, seed)
     assert csv_text(report) == csv_text(exact_run(monkeypatch, spec, 5000, seed))
+
+
+def above(num, r, n):
+    """num > r * sqrt(n), exactly, for rationals num and r and an integer n."""
+    if num >= 0 > r or r >= 0 >= num:
+        return num > r
+    return num * num > r * r * n if num > 0 else num * num < r * r * n
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("kind", ["lin", "std"])
+def test_heavy_law_bins_match_the_rational_oracle(kind, seed):
+    # the path takes two values, so sigma * sqrt(n) * t_n, that is S_n - n*mu
+    # (lin) or the sum of the rounded x - mu (std), is an exact rational
+    # combination of them; each step's grid bin must be that of the exact
+    # value, with grid[bin - 1] < t_n <= grid[bin]
+    spec = parse_dist("twopoint:1:1e300:0.5")
+    mu, sigma, gam = moments(spec)
+    grid = default_grid()
+    walk = asclt_module._walk(asclt_module._path(spec, 20_000, seed), kind, mu, sigma, gam, grid)
+    n, t = (np.concatenate(parts) for parts in zip(*((n, t) for n, t, _, _ in walk)))
+    bins = np.searchsorted(grid, t)
+    v = sample(spec, 20_000, seed, 0).values
+    lo, hi = np.unique(v)
+    terms = (lo, hi, mu) if kind == "lin" else (lo - mu, hi - mu, 0.0)
+    lo, hi, shift = map(Fraction, terms)
+    r = [Fraction(float(g)) * Fraction(sigma) for g in grid]
+    wrong = []
+    highs = np.cumsum(v == v.max())  # b of the first k draws are the larger value
+    for k, b, j in zip(n.tolist(), highs.tolist(), bins.tolist()):
+        num = (k - b) * lo + b * hi - k * shift
+        if not ((j == 0 or above(num, r[j - 1], k)) and (j == grid.size or not above(num, r[j], k))):
+            wrong.append(k)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("family", HEAVY[:3])

@@ -23,7 +23,6 @@ from prodsums import (
     make_distribution,
     max_relative_deviation,
     moments,
-    prefix_sums,
     remainder_magnitude,
     rw_log_statistic,
     sample,
@@ -40,25 +39,6 @@ RW_22 = 0.9802581434685471917139017     # sqrt(2) * ln(2)
 paths = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=2, max_size=400
 )
-
-
-class TestPrefixSums:
-    def test_direct(self):
-        assert np.allclose(prefix_sums([1.0, 2.0, 3.0]), [1.0, 3.0, 6.0])
-
-    def test_constant(self):
-        out = prefix_sums([2.5] * 4)
-        assert np.allclose(out, [2.5, 5.0, 7.5, 10.0])
-
-    @given(paths)
-    @settings(max_examples=100, deadline=None)
-    def test_strictly_increasing(self, vals):
-        out = prefix_sums(vals)
-        assert np.all(np.diff(out) > 0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            prefix_sums([])
 
 
 class TestLooLogStatistic:
@@ -478,6 +458,12 @@ def test_nonfinite_draws_rejected(tag, bad):
         batch = np.array([[1.0, 3.0, 2.0], [1.0, bad, 2.0]])
         with pytest.raises(ValueError, match="finite and strictly positive"):
             STATISTIC_KINDS[tag].evaluate(batch, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("tag", list(SCALAR))
+def test_empty_path_rejected(tag):
+    with pytest.raises(ValueError, match="nonempty"):
+        SCALAR[tag]([], 1.0, 1.0, 1.0)
 
 
 def fsum_oracle(tag, v, mu, sigma, gam):

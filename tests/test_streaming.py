@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,7 +19,7 @@ from prodsums import (
     sample_chunks,
 )
 from prodsums import streaming
-from prodsums.summation import NeumaierSum, row_sums, running_sums
+from prodsums.summation import NeumaierSum, exact_running_sums, row_sums
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
 # value of the third-order series, exact statistic, and their gap bound
@@ -29,8 +31,7 @@ draws = st.lists(
     st.floats(min_value=1e-2, max_value=1e2, allow_nan=False), min_size=2, max_size=300
 )
 
-# random paths long enough to cross several 256-value rows of running_sums,
-# as (path, mu), and random splits of them into blocks
+# random paths, as (path, mu), and random splits of them into blocks
 rng_paths = st.builds(
     lambda seed, size, log_sd: (
         np.random.default_rng(seed).lognormal(0.0, log_sd, size), math.exp(log_sd**2 / 2)
@@ -188,48 +189,30 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak <= 2 * 2**20  # the path itself would be 8 MB
 
-    @given(st.lists(st.floats(-1e6, 1e6), max_size=700), block_sizes)
-    @settings(max_examples=100, deadline=None)
-    def test_running_sums_match_neumaier(self, values, sizes):
-        ref, want = NeumaierSum(), []
-        for x in values:
-            want.append(ref.add(x).value)
-        carry = NeumaierSum()
-        parts = [running_sums(b, carry) for b in in_blocks(values, sizes)]
-        got = np.concatenate(parts) if parts else np.empty(0)
-        scale = np.cumsum(np.abs(values)) if values else np.empty(0)
-        assert np.all(np.abs(got - np.array(want)) <= 1e-12 * (1.0 + scale))
-        assert abs(carry.value - ref.value) <= 1e-12 * (1.0 + sum(map(abs, values)))
-
-
     @given(
         st.lists(st.one_of(st.floats(-1e16, 1e16), st.sampled_from([1e16, -1e16, 1.0, -1.0])),
-                 max_size=2000),
+                 min_size=1, max_size=2000),
         block_sizes,
+        st.booleans(),
     )
-    @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700])
-    @example([-1e16, 1e16] * 300 + [0.5] * 300, [300])
+    @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700], False)
+    @example([-1e16, 1e16] * 300 + [0.5] * 300, [300], True)
     @settings(max_examples=100, deadline=None)
-    def test_running_sums_keep_the_bits_of_the_carry_calls(self, values, sizes):
-        # the row loop on local floats against NeumaierSum.value and .add,
-        # one call per 256-value row; the large terms cancel
-        def reference(x, carry):
-            x = np.asarray(x, dtype=float)
-            rows = -(-x.size // 256)
-            padded = np.zeros(rows * 256)
-            padded[: x.size] = x
-            local = np.cumsum(padded.reshape(rows, 256), axis=1)
-            base = np.empty((rows, 1))
-            for r, row_total in enumerate(local[:, -1].tolist()):
-                base[r, 0] = carry.value
-                carry.add(row_total)
-            return (local + base).reshape(-1)[: x.size]
-
-        got_carry, want_carry = NeumaierSum(), NeumaierSum()
+    def test_exact_running_sums_are_accurate_in_any_split(self, values, sizes, above):
+        # each prefix within one rounding of its exact value, plus the
+        # low-part allowance of row_sums; top is each block's largest |x|
+        # or a power of two above it, and the large terms cancel
+        carry, got = NeumaierSum(), []
         for block in in_blocks(values, sizes):
-            got = running_sums(block, got_carry)
-            assert got.tobytes() == reference(block, want_carry).tobytes()
-            assert (got_carry._s, got_carry._c) == (want_carry._s, want_carry._c)
+            top = float(np.abs(block).max())
+            top = 2.0 ** math.frexp(top)[1] if above else top
+            got.append(exact_running_sums(np.array(block), carry, top))
+        exact = list(itertools.accumulate(map(Fraction, values)))
+        # a rounding is at most 2**-53 relative
+        bound = 1.12e-16 * np.abs(np.array(exact, dtype=float)) + 1e-20 * np.cumsum(np.abs(values))
+        err = [abs(Fraction(g) - e) for g, e in zip(np.concatenate(got).tolist(), exact)]
+        assert np.all(np.array(err, dtype=float) <= bound)
+        assert abs(Fraction(carry.value) - exact[-1]) <= bound[-1]
 
     @given(
         st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=3000),
@@ -244,11 +227,15 @@ class TestBlocks:
         bound = 2.3e-16 * abs(exact) + 1e-20 * sum(map(abs, values))
         assert np.all(np.abs(row_sums(np.array([values, perm])) - exact) <= bound)
 
-    def test_running_sums_do_not_drift(self):
-        # a plain cumsum of a million 0.1s drifts by about 1e-6
-        got = running_sums(np.full(10**6, 0.1), NeumaierSum())
+    def test_exact_running_sums_do_not_drift(self):
+        # a plain cumsum of a million 0.1s drifts by about 1e-6; each
+        # prefix here is within a rounding of k * 0.1, block after block
+        x, carry = np.full(10**6, 0.1), NeumaierSum()
+        blocks = np.split(x, range(4096, x.size, 4096))
+        got = np.concatenate([exact_running_sums(b, carry, 0.1) for b in blocks])
         want = np.arange(1, 10**6 + 1) * 0.1
-        assert np.max(np.abs(got - want)) <= 1e-9
+        assert np.max(np.abs(got - want) / want) <= 1.12e-16
+        assert carry.value == want[-1]
 
 
 class TestSeries:
