@@ -65,7 +65,9 @@ def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.nd
     least the largest ``|x|``.
 
     The high parts of :func:`row_sums`' split have an exact cumsum, and
-    the low parts' cumsum errs by far less than a rounding of the total.
+    the low parts' cumsum errs by about n^2 * eps^2 * top, as in
+    :func:`row_sums`: far less than a rounding of a prefix near ``top``,
+    but not relative to a prefix far below it.
     The carry and each high prefix add as an exact pair (Knuth's
     TwoSum), whose error joins the low prefix: each total is rounded once.
     """

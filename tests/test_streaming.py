@@ -197,19 +197,24 @@ class TestBlocks:
     )
     @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700], False)
     @example([-1e16, 1e16] * 300 + [0.5] * 300, [300], True)
+    @example([3.937046169483043e-14, 1.0, 1.0, 2.0**49], [2], False)
+    @example([0.1] * 1000 + [1e16], [1200], False)
     @settings(max_examples=100, deadline=None)
     def test_exact_running_sums_are_accurate_in_any_split(self, values, sizes, above):
         # each prefix within one rounding of its exact value, plus the
-        # low-part allowance of row_sums; top is each block's largest |x|
-        # or a power of two above it, and the large terms cancel
-        carry, got = NeumaierSum(), []
+        # low-part allowance of row_sums, which scales with the terms of
+        # the whole block split, not of the prefix; top is each block's
+        # largest |x| or a power of two above it, and the large terms cancel
+        carry, got, reach = NeumaierSum(), [], []
         for block in in_blocks(values, sizes):
             top = float(np.abs(block).max())
             top = 2.0 ** math.frexp(top)[1] if above else top
             got.append(exact_running_sums(np.array(block), carry, top))
+            reach += [len(reach) + len(block) - 1] * len(block)
         exact = list(itertools.accumulate(map(Fraction, values)))
         # a rounding is at most 2**-53 relative
-        bound = 1.12e-16 * np.abs(np.array(exact, dtype=float)) + 1e-20 * np.cumsum(np.abs(values))
+        bound = (1.12e-16 * np.abs(np.array(exact, dtype=float))
+                 + 1e-20 * np.cumsum(np.abs(values))[reach])
         err = [abs(Fraction(g) - e) for g, e in zip(np.concatenate(got).tolist(), exact)]
         assert np.all(np.array(err, dtype=float) <= bound)
         assert abs(Fraction(carry.value) - exact[-1]) <= bound[-1]
