@@ -26,12 +26,12 @@ whole-array arithmetic on them.  ``loo`` takes the value of the
 :func:`_certified_series` certifies the exact value's grid bin, and the
 exact statistic elsewhere, through one
 :func:`~prodsums.statistics.loo_log_chunked` call per block, which reads
-the first block's steps from the block in hand and a later block's from
-the start of the same re-readable path; so its CSV is the exact
-statistic's.  The cost is O(N) numpy work plus O(n) per exact step on
-every law, and exact steps are few (none of the 2e5 steps of
-exponential:1 at seed 0, nor of the 2e4 steps of lognormal:0:20 or
-gamma:0.001:1).
+the first block's steps from the block in hand, up to the last of them,
+and a later block's from the start of the same re-readable path; so
+its CSV is the exact statistic's.  The cost is O(N) numpy work plus
+O(n) per exact step on every law, and exact steps are few (none of the
+2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
+lognormal:0:20 or gamma:0.001:1).
 
 :func:`run_asclt_path` accumulates the walk's blocks; ``exact_cutoff``
 only sets where its count of fallbacks (steps sent to the exact kernel)
@@ -123,8 +123,8 @@ def _loo(path, mu, sigma, gam, grid):
         t, first, exact = _certified_series(series, x, n, grid)
         exact[0] &= n[0] > 1  # n = 1 is never accumulated
         todo = np.flatnonzero(exact)
-        if todo.size:  # prefixes in the first block lie in x, later ones in the path
-            t[todo] = loo_log_chunked([x] if n[0] == 1 else path, n[todo], mu, gam)
+        if todo.size:  # first-block prefixes lie in x up to the last, later ones in the path
+            t[todo] = loo_log_chunked([x[: todo[-1] + 1]] if n[0] == 1 else path, n[todo], mu, gam)
             first[todo] = np.searchsorted(grid, t[todo])
         return t, first, exact
     return block
@@ -135,10 +135,9 @@ def _rw(path, mu, sigma, gam, grid):
     log_sum = NeumaierSum()  # the sum of log(S_k/(k mu)) over the blocks so far
 
     def block(x, n):
-        logs = log_ratio(exact_running_sums(x, total, float(x.max())), n * mu)[0]
+        logs = log_ratio(exact_running_sums(x, total), n * mu)[0]
         # summed within a rounding: the logs may be large and of one sign
-        top = max(-float(logs.min()), float(logs.max()))
-        return exact_running_sums(logs, log_sum, top) / (gam * np.sqrt(n)), None, None
+        return exact_running_sums(logs, log_sum) / (gam * np.sqrt(n)), None, None
     return block
 
 
@@ -146,7 +145,7 @@ def _lin(path, mu, sigma, gam, grid):
     total = NeumaierSum()  # S_n
 
     def block(x, n):  # reduced form of the leave-one-out linearization
-        s = exact_running_sums(x, total, float(x.max()))
+        s = exact_running_sums(x, total)
         return (s - n * mu) / (sigma * np.sqrt(n)), None, None
     return block
 
@@ -155,9 +154,7 @@ def _std(path, mu, sigma, gam, grid):
     total = NeumaierSum()  # the sum of X_k - mu
 
     def block(x, n):
-        d = x - mu
-        s = exact_running_sums(d, total, float(np.abs(d).max()))
-        return s / (sigma * np.sqrt(n)), None, None
+        return exact_running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None
     return block
 
 

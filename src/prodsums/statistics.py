@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SamplePath
-from .summation import NeumaierSum, exact_running_sums, row_sums
+from .summation import NeumaierSum, exact_running_sums, row_sums, two_sum
 
 __all__ = [
     "StatisticKind",
@@ -264,8 +264,8 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
             # joins the others
             before = np.maximum.accumulate(np.append(largest, x[:-1]))
             k = ns[done:hi] - lo - 1
-            s[done:hi] = exact_running_sums(x, total, peak)[k]
-            rest[done:hi] = exact_running_sums(np.minimum(x, before), others, peak)[k]
+            s[done:hi] = exact_running_sums(x, total)[k]
+            rest[done:hi] = exact_running_sums(np.minimum(x, before), others)[k]
             top[done:hi] = np.maximum(before, x)[k]
         largest = max(largest, peak)
         done, lo = hi, lo + x.size
@@ -289,10 +289,9 @@ def loo_log_chunked(chunks, ns, mu: float, gamma: float) -> np.ndarray:
                 # past its step a row holds (n-1)*mu, whose log ratio is exactly 0
                 np.copyto(loo, m[j, np.newaxis], where=at >= ns[j, np.newaxis])
             part = row_sums(log_ratio(loo, m[j, np.newaxis])[0])
-            # value + part as an exact pair (Knuth's TwoSum)
+            # value + part as an exact pair
             total_j = value[j] + part
-            back = total_j - value[j]
-            carry[j] += (value[j] - (total_j - back)) + (part - back)
+            carry[j] += two_sum(value[j], part, total_j)
             value[j] = total_j
         lo += x.size
         if lo >= ns[-1]:

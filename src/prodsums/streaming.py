@@ -85,7 +85,7 @@ class LooSeries:
         one = starts.size == 1
         runs = np.zeros(x.size, dtype=np.intp) if one else np.repeat(
             np.arange(starts.size), np.diff(starts, append=x.size))
-        bulk = exact_running_sums(enter, self._bulk, tops[-1, 0])
+        bulk = exact_running_sums(enter, self._bulk)
         s = bulk + (tops[0].sum() if one else tops.sum(axis=1)[runs])
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             k, order, bound = self._plan(n, s, tops, runs)

@@ -12,17 +12,17 @@ Running sums that must be updated one value at a time use
 after any number of updates stays O(eps) relative to the exact sum
 instead of growing linearly with the number of terms.
 :func:`exact_running_sums`, the one running-sum form, gives every
-prefix total of a block of values at numpy speed, each within about one
-rounding, continuing a :class:`NeumaierSum` from one block to the next.
+prefix total of a block of values at numpy speed, continuing a
+:class:`NeumaierSum` from one block to the next; a prefix of k terms is
+within one rounding plus about k^2 * eps^2 times the sum of its own |x|.
+:func:`two_sum` is the one error-free addition that both build on.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["NeumaierSum", "row_sums", "exact_running_sums"]
+__all__ = ["NeumaierSum", "row_sums", "two_sum", "exact_running_sums"]
 
 
 def row_sums(t: np.ndarray, top: np.ndarray | None = None,
@@ -44,47 +44,37 @@ def row_sums(t: np.ndarray, top: np.ndarray | None = None,
     """
     if top is None:
         top = np.abs(t, out=out).max(axis=1)
-    high = _high_parts(t, np.frexp(top)[1][:, np.newaxis], out)
+    e = np.frexp(top)[1][:, np.newaxis] + (t.shape[-1].bit_length() + 1)
+    grid = np.ldexp(1.0, np.minimum(e, 1023))
+    high = np.add(t, grid, out=out)
+    high -= grid
     total = high.sum(axis=1)
     return total + np.subtract(t, high, out=high).sum(axis=1)
 
 
-def _high_parts(t: np.ndarray, e, out: np.ndarray | None = None) -> np.ndarray:
-    """The high parts of :func:`row_sums`' split of t, whose sums of
-    ``t.shape[-1]`` terms below 2**e are exact: t rounded to the grid of
-    2**(e + 1 + bit length of the count); ``t - high`` is exact too."""
-    grid = np.ldexp(1.0, np.minimum(e + t.shape[-1].bit_length() + 1, 1023))
-    high = np.add(t, grid, out=out)
-    high -= grid
-    return high
+def two_sum(a, b, s):
+    """The exact error ``a + b - s`` of ``s = a + b`` (Knuth's TwoSum), for
+    floats or arrays, whatever the order of size of a and b, if s is finite."""
+    back = s - a
+    return (a - (s - back)) + (b - back)
 
 
-def exact_running_sums(x: np.ndarray, carry: "NeumaierSum", top: float) -> np.ndarray:
-    """Every prefix total ``carry + x[0] + ... + x[k]``, each within one
-    rounding and a far smaller error, continuing ``carry``; ``top`` is at
-    least the largest ``|x|``.
+def exact_running_sums(x: np.ndarray, carry: "NeumaierSum") -> np.ndarray:
+    """Every prefix total ``carry + x[0] + ... + x[k]``, continuing ``carry``.
 
-    The high parts of :func:`row_sums`' split have an exact cumsum, and
-    the low parts' cumsum errs by about n^2 * eps^2 * top, as in
-    :func:`row_sums`: far less than a rounding of a prefix near ``top``,
-    but not relative to a prefix far below it.
-    The carry and each high prefix add as an exact pair (Knuth's
-    TwoSum), whose error joins the low prefix: each total is rounded once.
+    Ogita, Rump & Oishi's Sum2 (SIAM J. Sci. Comput. 2005) on numpy's
+    sequential cumsum: the :func:`two_sum` error of each step, with the
+    carry's, has a cumsum of its own, which each plain prefix adds once.
+    A prefix depends on its own terms only: a prefix of x gives the bits
+    of x, and so does x split into blocks through one carry.
     """
-    s = carry._s
-    parts = np.empty((2, x.size))  # the high and the low parts
-    _high_parts(x, math.frexp(top)[1], parts[0])
-    np.subtract(x, parts[0], out=parts[1])
-    parts[1, 0] += carry._c
-    np.cumsum(parts, axis=1, out=parts)
-    total = parts[0] + s
-    back = total - parts[0]
-    parts[0] -= total - back
-    parts[0] += s - back
-    parts[1] += parts[0]
-    carry._s, carry._c = float(total[-1]), float(parts[1, -1])
-    total += parts[1]
-    return total
+    plain = np.append(carry._s, x)
+    np.cumsum(plain, out=plain)
+    err = two_sum(plain[:-1], x, plain[1:])
+    err[0] += carry._c
+    np.cumsum(err, out=err)
+    carry._s, carry._c = float(plain[-1]), float(err[-1])
+    return plain[1:] + err
 
 
 class NeumaierSum:
@@ -98,10 +88,7 @@ class NeumaierSum:
 
     def add(self, x: float) -> "NeumaierSum":
         t = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - t) + x
-        else:
-            self._c += (x - t) + self._s
+        self._c += two_sum(self._s, x, t)
         self._s = t
         return self
 

@@ -509,15 +509,21 @@ def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
 
 def test_first_block_exact_steps_read_the_block_in_hand(monkeypatch):
     # twopoint:1:1e300:0.5 sends a few of its first steps to the exact
-    # kernel, which takes them from the block the walk holds, so the path is
-    # read once, by the walk itself
+    # kernel, which takes them from the block the walk holds, up to the last
+    # of them, so the path is read once, by the walk itself
     spec = parse_dist("twopoint:1:1e300:0.5")
-    passes = []
+    passes, held = [], []
     draws = distributions_module._ChunkedPath.draws
     monkeypatch.setattr(distributions_module._ChunkedPath, "__iter__",
                         lambda self: passes.append(self) or draws(self))
+    chunked = asclt_module.loo_log_chunked
+    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+                        lambda path, ns, mu, gamma: held.append((sum(map(len, path)), ns[-1]))
+                        or chunked(path, ns, mu, gamma))
     report = run_asclt_path(spec, "loo", 20_000, 0)
     assert len(passes) == 1 and report.exact_steps >= 1
+    # each exact call is handed the draws up to its last step and no more
+    assert held and all(size == last for size, last in held)
     assert csv_text(report) == csv_text(exact_run(monkeypatch, spec, 20_000, 0))
 
 

@@ -19,7 +19,7 @@ from prodsums import (
     sample_chunks,
 )
 from prodsums import streaming
-from prodsums.summation import NeumaierSum, exact_running_sums, row_sums
+from prodsums.summation import NeumaierSum, exact_running_sums, row_sums, two_sum
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
 # value of the third-order series, exact statistic, and their gap bound
@@ -193,31 +193,69 @@ class TestBlocks:
         st.lists(st.one_of(st.floats(-1e16, 1e16), st.sampled_from([1e16, -1e16, 1.0, -1.0])),
                  min_size=1, max_size=2000),
         block_sizes,
-        st.booleans(),
     )
-    @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700], False)
-    @example([-1e16, 1e16] * 300 + [0.5] * 300, [300], True)
-    @example([3.937046169483043e-14, 1.0, 1.0, 2.0**49], [2], False)
-    @example([0.1] * 1000 + [1e16], [1200], False)
+    @example([1e16] + [1.0] * 300 + [-1e16] * 2 + [3.0] * 600, [256, 700])
+    @example([-1e16, 1e16] * 300 + [0.5] * 300, [300])
+    @example([3.937046169483043e-14, 1.0, 1.0, 2.0**49], [2])
+    @example([0.1] * 1000 + [1e16], [1200])
     @settings(max_examples=100, deadline=None)
-    def test_exact_running_sums_are_accurate_in_any_split(self, values, sizes, above):
-        # each prefix within one rounding of its exact value, plus the
-        # low-part allowance of row_sums, which scales with the terms of
-        # the whole block split, not of the prefix; top is each block's
-        # largest |x| or a power of two above it, and the large terms cancel
-        carry, got, reach = NeumaierSum(), [], []
-        for block in in_blocks(values, sizes):
-            top = float(np.abs(block).max())
-            top = 2.0 ** math.frexp(top)[1] if above else top
-            got.append(exact_running_sums(np.array(block), carry, top))
-            reach += [len(reach) + len(block) - 1] * len(block)
+    def test_exact_running_sums_are_accurate_in_any_split(self, values, sizes):
+        # each prefix within one rounding of its exact value, plus an
+        # allowance for the rounding errors' own cumsum that scales with the
+        # prefix's own terms, whatever follows them; the large terms cancel
+        carry = NeumaierSum()
+        got = [exact_running_sums(np.array(block), carry) for block in in_blocks(values, sizes)]
         exact = list(itertools.accumulate(map(Fraction, values)))
         # a rounding is at most 2**-53 relative
         bound = (1.12e-16 * np.abs(np.array(exact, dtype=float))
-                 + 1e-20 * np.cumsum(np.abs(values))[reach])
+                 + 1e-20 * np.cumsum(np.abs(values)))
         err = [abs(Fraction(g) - e) for g, e in zip(np.concatenate(got).tolist(), exact)]
         assert np.all(np.array(err, dtype=float) <= bound)
         assert abs(Fraction(carry.value) - exact[-1]) <= bound[-1]
+
+    @given(
+        st.lists(st.floats(-1e16, 1e16), min_size=1, max_size=2000),
+        st.integers(1, 2000),
+        st.lists(st.floats(-1e16, 1e16), max_size=3),
+    )
+    @example([0.1] * 1000 + [1e16], 1000, [])
+    @settings(max_examples=100, deadline=None)
+    def test_exact_running_sums_are_prefix_stable(self, values, k, lead):
+        # the prefixes of x[:k] are those of x, bit for bit, from any carry
+        # (the sum of some lead values); the carry x[:k] leaves continues
+        # with x[k:] to the bits of x in one call
+        k = min(k, len(values))
+        x, part, whole = np.array(values), NeumaierSum(), NeumaierSum()
+        for v in lead:
+            part.add(v)
+            whole.add(v)
+        want = exact_running_sums(x, whole)
+        assert np.array_equal(exact_running_sums(x[:k], part), want[:k])
+        if k < x.size:
+            assert np.array_equal(exact_running_sums(x[k:], part), want[k:])
+        assert (part._s, part._c) == (whole._s, whole._c)
+
+    @given(st.lists(st.floats(-2.0**1022, 2.0**1022), min_size=2, max_size=50))
+    @example([1e16, 1.0, -1e16, 0.5])
+    @example([5e-324, 1e-300, -1e-300, 2.0**-1074])
+    @settings(max_examples=300, deadline=None)
+    def test_two_sum_is_the_exact_error(self, values):
+        # s + err is a + b exactly, for floats and arrays alike, and
+        # NeumaierSum.add keeps the bits of the branching Neumaier update
+        # (Fast2Sum from the larger term) that it replaced, on sums that stay
+        # finite
+        a, b = np.array(values[:-1]), np.array(values[1:])
+        errs = two_sum(a, b, a + b)
+        for x, y, err in zip(a.tolist(), b.tolist(), errs.tolist()):
+            assert two_sum(x, y, x + y) == err
+            assert Fraction(x) + Fraction(y) == Fraction(x + y) + Fraction(err)
+        carry, s, c = NeumaierSum(), 0.0, 0.0
+        for v in np.ldexp(values, -6).tolist():
+            carry.add(v)
+            t = s + v
+            c += (s - t) + v if abs(s) >= abs(v) else (v - t) + s
+            s = t
+            assert (carry._s.hex(), carry._c.hex()) == (s.hex(), c.hex())
 
     @given(
         st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=3000),
@@ -237,7 +275,7 @@ class TestBlocks:
         # prefix here is within a rounding of k * 0.1, block after block
         x, carry = np.full(10**6, 0.1), NeumaierSum()
         blocks = np.split(x, range(4096, x.size, 4096))
-        got = np.concatenate([exact_running_sums(b, carry, 0.1) for b in blocks])
+        got = np.concatenate([exact_running_sums(b, carry) for b in blocks])
         want = np.arange(1, 10**6 + 1) * 0.1
         assert np.max(np.abs(got - want) / want) <= 1.12e-16
         assert carry.value == want[-1]
