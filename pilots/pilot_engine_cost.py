@@ -15,12 +15,13 @@ stages the engine calls:
 * prefix      -- the exact leave-one-out kernel (``loo_log_chunked``,
                  which reads the path again) on the steps the expansion
                  does not certify,
-* sums        -- the running sums (``exact_running_sums``) of the
-                 other kinds,
+* sums        -- the running sums (``exact_running_sums``) of every
+                 kind, those the series and the exact kernel form
+                 included,
 * accumulate  -- ``LogAvgAccumulator.accumulate``,
 
 and ``other`` for the rest of the run.  A stage called inside another
-counts towards the outer one.
+counts towards the inner one only, so the columns add up to the total.
 
 Then, for each kind and N = 2e5, 2e6 and 2e7, a fresh interpreter makes
 one run and prints its peak resident set (``ru_maxrss``), which should
@@ -63,22 +64,26 @@ def _faults() -> int:
 
 def child(kind: str) -> None:
     import prodsums.asclt as asclt
+    import prodsums.statistics as statistics
+    import prodsums.streaming as streaming
     from prodsums import make_distribution
 
-    cost, active = {}, []
+    cost, inner = {}, []  # inner: per open stage, the time and faults of stages inside it
 
     def timed(stage, fn):
         def wrapper(*args, **kwargs):
-            if active:
-                return fn(*args, **kwargs)
-            active.append(stage)
+            inner.append([0.0, 0])
             t0, f0 = time.perf_counter(), _faults()
             try:
                 return fn(*args, **kwargs)
             finally:
+                wall, faults = time.perf_counter() - t0, _faults() - f0
+                nested_wall, nested_faults = inner.pop()
                 s, f = cost.get(stage, (0.0, 0))
-                cost[stage] = (s + time.perf_counter() - t0, f + _faults() - f0)
-                active.pop()
+                cost[stage] = (s + wall - nested_wall, f + faults - nested_faults)
+                if inner:
+                    inner[-1][0] += wall
+                    inner[-1][1] += faults
         return wrapper
 
     sample_chunks = asclt.sample_chunks
@@ -96,7 +101,8 @@ def child(kind: str) -> None:
     asclt.sample_chunks = TimedPath
     asclt._certified_series = timed("expansion", asclt._certified_series)
     asclt.loo_log_chunked = timed("prefix", asclt.loo_log_chunked)
-    asclt.exact_running_sums = timed("sums", asclt.exact_running_sums)
+    for module in (asclt, streaming, statistics):  # each holds its own reference
+        module.exact_running_sums = timed("sums", module.exact_running_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 
     spec = make_distribution("exponential", [1.0])

@@ -217,6 +217,8 @@ def _cmd_clt(args, parser) -> int:
 
 def _cmd_asclt(args, parser) -> int:
     v = _resolve(args, parser, _ASCLT_FIELDS)
+    if v["workers"] < 1:  # the check clt makes, so one config fails alike in both
+        raise ValueError("workers must be >= 1")
     report = run_asclt_path(
         v["spec"],
         v["kind"],
@@ -322,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None,
                    help="comma-separated grid points (default: 19 normal quantiles)")
     p.add_argument("--workers", type=int, default=None,
-                   help="accepted for config symmetry; a single path runs sequentially")
+                   help="accepted for config symmetry, >= 1; a single path runs sequentially")
     p.add_argument("--plot", default=None, help="write a gnuplot script here")
     add_common(p)
     p.set_defaults(func=_cmd_asclt)

@@ -12,6 +12,12 @@ product-form statistics are compared on the log scale.  Passing the
 kind's ``product_law`` exponentiates the values first; because exp is
 strictly increasing this leaves the KS distance unchanged up to
 rounding.
+
+A run starts a process pool only when its worker count, its number of
+tasks and the machine's cores are all at least 2.  Every other run
+stays in this process and loads no pool code.  A pool forks after
+``numpy.random`` is loaded, so its workers inherit the sampler instead
+of each importing it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +201,9 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     # one pool serves every row, with no more processes than tasks or cores
     workers = min(config.workers, -(-m // chunk), os.cpu_count() or 1)
     serial = workers == 1  # a single worker runs in this process
+    if not serial:
+        import numpy.random  # noqa: F401  (loaded before the fork, so workers inherit it)
+        from concurrent.futures import ProcessPoolExecutor
     with contextlib.nullcontext() if serial else ProcessPoolExecutor(workers) as pool:
         for i, n in enumerate(config.n_list):
             t0 = time.perf_counter()

@@ -288,6 +288,24 @@ class TestAscltCommand:
         assert len(lines) == 20  # 19-point default grid
         assert "sup-gap=" in capsys.readouterr().err
 
+    def test_workers_flag_below_one_is_exit_1(self, capsys):
+        assert run_cli(["asclt", "--dist", "exponential:1", "--stat", "std", "--N", "100",
+                        "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "error: workers must be >= 1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["clt", "asclt"])
+    def test_workers_config_below_one_fails_alike(self, tmp_path, capsys, command):
+        # one config file serves both commands and fails the same way under each
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"spec": "exponential:1", "kind": "std", "nList": [10],
+                                   "N": 100, "workers": -3}))
+        assert run_cli([command, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "error: workers must be >= 1" in captured.err
+        assert captured.out == ""
+
     def test_custom_grid(self, tmp_path):
         out = tmp_path / "a.csv"
         assert run_cli(

@@ -1,10 +1,17 @@
+import concurrent.futures
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodsums
 import prodsums.montecarlo as montecarlo_module
 from prodsums import (
     STATISTIC_KINDS,
@@ -211,12 +218,12 @@ class TestRunCltExperiment:
     def test_one_pool_per_experiment(self, monkeypatch):
         built = []
 
-        class Counting(montecarlo_module.ProcessPoolExecutor):
+        class Counting(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", Counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
         monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: 2)
         csv = {}
         for workers in (1, 2):
@@ -246,7 +253,7 @@ class TestRunCltExperiment:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(montecarlo_module, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: cores)
         # (reps, workers): 40 reps make at most 40 tasks and 2 reps at most 2
         for reps, workers in [(40, 1), (40, 2), (40, 100_000_000), (2, 8), (40, 8)]:
@@ -255,6 +262,55 @@ class TestRunCltExperiment:
             csv.add((reps, buf.getvalue()))
         assert sizes == ([2, 3, 2, 3] if cores else [])
         assert len(csv) == 2  # one CSV per reps, whatever the worker count
+
+    def test_serial_runs_load_no_pool_code(self, tmp_path):
+        # a fresh interpreter, since this one may have imported the pool
+        out = tmp_path / "o.csv"
+        codes, loaded = _fresh_python(f"""
+from prodsums.cli import main
+runs = [
+    ["clt", "--dist", "exponential:1", "--stat", "loo", "--n", "10,50", "--reps", "20"],
+    ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "500"],
+    ["slln", "--dist", "exponential:1", "--n", "10,500"],
+    ["dist-table"],
+]
+codes = [main([*run, "--out", {str(out)!r}]) for run in runs]
+codes.append(main(["identity", "--dist", "exponential:1", "--n", "10", "--reps", "5"]))
+result = codes, [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+""")
+        assert codes == [0] * 5
+        assert loaded == []
+
+    def test_pool_forks_after_the_sampler_is_loaded(self):
+        # the stand-in records, when the pool is built, whether the workers
+        # it would fork inherit numpy.random; it maps in this process
+        before, at_build = _fresh_python("""
+import concurrent.futures, os
+from prodsums import ExperimentConfig, make_distribution, run_clt_experiment
+at_build = []
+
+class Recording:
+    def __init__(self, max_workers):
+        at_build.append("numpy.random" in sys.modules)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+concurrent.futures.ProcessPoolExecutor = Recording
+os.cpu_count = lambda: 2
+before = "numpy.random" in sys.modules
+run_clt_experiment(ExperimentConfig(make_distribution("exponential", [1.0]), "loo", (10,), 8, 0,
+                                    workers=2))
+result = before, at_build
+""")
+        assert not before  # importing the package leaves the sampler unloaded
+        assert at_build == [True]
 
     def test_peak_memory_of_long_replicates(self):
         # the replicates are evaluated in batches of about 256 KiB of
@@ -350,3 +406,16 @@ class TestRunSllnExperiment:
             run_slln_experiment(EXP1, (100, 100), 0)
         with pytest.raises(ValueError, match="n >= 2"):
             run_slln_experiment(EXP1, (1, 10), 0)
+
+
+def _fresh_python(code: str):
+    """Run ``code`` in a new interpreter that imports this package; return
+    the JSON of the ``result`` it leaves."""
+    src = str(Path(prodsums.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", f"import json, sys\n{code}\nprint(json.dumps(result))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
