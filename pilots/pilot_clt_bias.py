@@ -12,7 +12,9 @@ With the law exact, sqrt(M) * KS follows the Kolmogorov distribution,
 whose 95% quantile is 1.358: at M = 1e5 a KS distance below about 0.0043
 is indistinguishable from sampling noise.  A row above that floor shows
 the finite-n distance from the limit; the mean and sd columns show how
-much of it is a shift of the centre and how much a wrong spread.
+much of it is a shift of the centre and how much a wrong spread.  The
+task_s column is the row's replicate wall time summed over its tasks,
+whichever process ran them.
 
 Not run by pytest, and no acceptance bound rests on it.
 
@@ -38,7 +40,7 @@ def main() -> None:
     floor = KOLMOGOROV_95 / math.sqrt(args.reps)
     print(f"Exp(1), M = {args.reps}, base seed {args.seed}; "
           f"KS noise floor (95%) {floor:.4f}")
-    print(" kind  law      n      KS   KS/floor     mean       sd   run_s")
+    print(" kind  law      n      KS   KS/floor     mean       sd  task_s")
     for kind in ("loo", "rw"):
         cfg = ExperimentConfig(EXP1, kind, N_LIST, args.reps, args.seed,
                                workers=args.workers)
@@ -46,7 +48,7 @@ def main() -> None:
         for row in report.rows:
             print(f"{kind:>5}  {report.law.tag:<4} {row.n:>6}  {row.ks:.4f}  "
                   f"{row.ks / floor:8.2f}  {row.mean:+.4f}  {row.sd:.4f}  "
-                  f"{row.wall_seconds:6.2f}")
+                  f"{row.seconds:6.2f}")
 
 
 if __name__ == "__main__":

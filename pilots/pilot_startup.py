@@ -15,8 +15,10 @@ one in the ``asclt`` call, so both calls are first calls that pay the
 lazy imports, as in a CLI run; the steps before them are timed in both.
 Per step it prints the median time with its quartiles, the median peak
 resident set (``ru_maxrss``) once the step is done, and the standard
-library modules the step loads after ``import numpy`` (top-level names,
-and the full names of the process pool's modules).
+library modules the step loads after ``import numpy`` (top-level names).
+Last it checks that no step loaded process-pool code
+(``concurrent.futures.process`` or ``multiprocessing``): a child that
+finds one loaded fails, and so does the pilot.
 
 It times the ``prodsums`` its interpreters import, so to compare two
 checkouts, run it against each in turn, for example with
@@ -62,8 +64,7 @@ def child(call: str, t_spawn: float, out: str) -> None:
     def added():
         new = set(sys.modules) - loaded
         loaded.update(new)
-        names = {m.partition(".")[0] for m in new} & sys.stdlib_module_names
-        return sorted(names | (new & set(POOL)))
+        return sorted({m.partition(".")[0] for m in new} & sys.stdlib_module_names)
 
     t0 = time.perf_counter()
     from prodsums.cli import main
@@ -75,6 +76,9 @@ def child(call: str, t_spawn: float, out: str) -> None:
         steps[call] = (time.perf_counter() - t0, _rss_mb(), added())
     if code != 0:
         raise SystemExit(f"{call} call failed")
+    pool = [m for m in POOL if m in sys.modules]
+    if pool:
+        raise SystemExit(f"the {call} run loaded process-pool code: {', '.join(pool)}")
     import json
 
     print(json.dumps(steps))
@@ -107,6 +111,7 @@ def main(rounds: int) -> None:
         q1, med, q3 = (1e3 * t for t in statistics.quantiles(secs, n=4, method="inclusive"))
         print(f"{step:13s} {med:8.1f} [{q1:6.1f}, {q3:6.1f}] {statistics.median(rss):12.2f}  "
               f"{' '.join(mods[-1]) or '-'}")
+    print(f"no step loaded {' or '.join(POOL)}")
 
 
 if __name__ == "__main__":

@@ -209,7 +209,7 @@ def _cmd_clt(args, parser) -> int:
     _write_report(args, report, timing=args.timing)
     for row in report.rows:
         print(
-            f"n={row.n} ks={row.ks:.6f} ({row.wall_seconds:.2f}s)",
+            f"n={row.n} ks={row.ks:.6f} ({row.seconds:.2f}s)",
             file=sys.stderr,
         )
     return 0
@@ -306,10 +306,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=None, help="replications per n (default 1000)")
     p.add_argument("--law", default=None, choices=LAW_TAGS,
                    help="comparison law override")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help=">= 1; processes, this one included")
     p.add_argument("--timing", action="store_true",
-                   help="write measured wall-clock into the seconds column "
-                        "(default writes 0 so reports are byte-reproducible)")
+                   help="write each row's replicate wall time, summed over its tasks, into the "
+                        "seconds column (default writes 0 so reports are byte-reproducible)")
     p.add_argument("--plot", default=None, help="write a gnuplot script here")
     add_common(p)
     p.set_defaults(func=_cmd_clt)

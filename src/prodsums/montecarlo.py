@@ -13,16 +13,15 @@ kind's ``product_law`` exponentiates the values first; because exp is
 strictly increasing this leaves the KS distance unchanged up to
 rounding.
 
-A run starts a process pool only when its worker count, its number of
-tasks and the machine's cores are all at least 2.  Every other run
-stays in this process and loads no pool code.  A pool forks after
-``numpy.random`` is loaded, so its workers inherit the sampler instead
-of each importing it.
+``workers = k`` means k processes, this one included: every row's
+tasks are built up front, task j runs in process ``j % k``, and the
+``k - 1`` others are forked once per experiment, after ``numpy.random``
+is loaded.  k is capped by a row's tasks and by the CPUs this process
+may run on, 1 where ``os.fork`` does not exist.  No run loads pool code.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass
@@ -135,9 +134,10 @@ def _sample_batches(spec: DistributionSpec, n: int, base_seed: int, streams):
         yield sample_rows(spec, n, base_seed, batch, out=buffer[0, :k]), buffer[1:, :k]
 
 
-def _replicate_block(args) -> np.ndarray:
+def _replicate_block(args) -> tuple[np.ndarray, float]:
     """(values, remainder, maxdev) of replicates r0..r1-1 of one row, each
-    drawn from its own stream; top level for pickling."""
+    drawn from its own stream, and the seconds that took."""
+    t0 = time.perf_counter()
     spec, kind, n, base_seed, row_index, r0, r1 = args
     mu, sigma, gam = moments(spec)
     evaluate = STATISTIC_KINDS[kind].evaluate
@@ -146,6 +146,61 @@ def _replicate_block(args) -> np.ndarray:
     for paths, work in _sample_batches(spec, n, base_seed, range(first + r0, first + r1)):
         out[:, done : done + len(paths)] = evaluate(paths, mu, sigma, gam, work)
         done += len(paths)
+    return out, time.perf_counter() - t0
+
+
+def _cores() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fork_join(tasks: list, workers: int) -> list:
+    """``_replicate_block`` of each task, in order.  Task j runs in process
+    ``j % workers``: 0 is this one, and each other is a child forked here that
+    sends back its results, or its exception to raise here.  No child outlives the call."""
+    if workers > 1:
+        import pickle
+        import signal
+        import numpy.random  # noqa: F401  (loaded before the fork, so the children inherit it)
+    out, children = [None] * len(tasks), []  # (share, pid, read end of its pipe) per unreaped child
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: run share w, send it and leave
+                try:
+                    try:
+                        result = [_replicate_block(task) for task in tasks[w::workers]]
+                    except BaseException as exc:  # raised again by the parent
+                        result = exc
+                    with open(write, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children.append((w, pid, open(read, "rb")))
+            os.close(write)
+        out[::workers] = [_replicate_block(task) for task in tasks[::workers]]
+        while children:
+            w, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code < 0:
+                raise RuntimeError(f"clt worker process {pid} was killed by {signal.Signals(-code).name}")
+            if code:
+                raise RuntimeError(f"clt worker process {pid} exited with status {code}")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            out[w::workers] = result
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return out
 
 
@@ -158,7 +213,7 @@ class ConvergenceRow:
     sd: float
     mean_remainder: float
     mean_maxdev: float
-    wall_seconds: float
+    seconds: float  # the row's task wall times, summed
 
 
 @dataclass(frozen=True)
@@ -170,13 +225,13 @@ class ConvergenceReport:
     def to_csv(self, fileobj, timing: bool = False) -> None:
         """Write the report; timing=False zeroes the seconds column.
 
-        Wall-clock differs from run to run, so the deterministic form is
-        the default: with it, reports for the same config and seed are
-        byte-identical regardless of worker count.
+        A row's seconds sum the wall times of its replicate tasks, whichever
+        process ran them, and vary from run to run; zeroed, reports for the
+        same config and seed are byte-identical regardless of worker count.
         """
         fileobj.write(CLT_CSV_HEADER + "\n")
         for r in self.rows:
-            secs = r.wall_seconds if timing else 0.0
+            secs = r.seconds if timing else 0.0
             fileobj.write(
                 f"{r.n},{r.reps},{r.ks!r},{r.mean!r},{r.sd!r},"
                 f"{r.mean_remainder!r},{r.mean_maxdev!r},{secs:.6f}\n"
@@ -198,23 +253,18 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     product_scale = law.tag == kind.product_law
     m, rows = config.reps, []
     chunk = -(-m // (config.workers * 4))
-    # one pool serves every row, with no more processes than tasks or cores
-    workers = min(config.workers, -(-m // chunk), os.cpu_count() or 1)
-    serial = workers == 1  # a single worker runs in this process
-    if not serial:
-        import numpy.random  # noqa: F401  (loaded before the fork, so workers inherit it)
-        from concurrent.futures import ProcessPoolExecutor
-    with contextlib.nullcontext() if serial else ProcessPoolExecutor(workers) as pool:
-        for i, n in enumerate(config.n_list):
-            t0 = time.perf_counter()
-            tasks = [(config.spec, config.kind, n, config.base_seed, i, r0, min(r0 + chunk, m))
-                     for r0 in range(0, m, chunk)]
-            blocks = (map if serial else pool.map)(_replicate_block, tasks)
-            vals, rems, devs = np.concatenate(list(blocks), axis=1)
-            data = np.exp(vals) if product_scale else vals
-            sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
-            rows.append(ConvergenceRow(
-                n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,
-                float(np.mean(rems)), float(np.mean(devs)), time.perf_counter() - t0,
-            ))
+    per_row = -(-m // chunk)
+    tasks = [(config.spec, config.kind, n, config.base_seed, i, r0, min(r0 + chunk, m))
+             for i, n in enumerate(config.n_list) for r0 in range(0, m, chunk)]
+    # no more processes than a row has tasks or this process has cores
+    done = _fork_join(tasks, min(config.workers, per_row, _cores()))
+    for i, n in enumerate(config.n_list):
+        blocks, secs = zip(*done[i * per_row : (i + 1) * per_row])
+        vals, rems, devs = np.concatenate(blocks, axis=1)
+        data = np.exp(vals) if product_scale else vals
+        sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
+        rows.append(ConvergenceRow(
+            n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,
+            float(np.mean(rems)), float(np.mean(devs)), sum(secs),
+        ))
     return ConvergenceReport(config=config, law=law, rows=tuple(rows))

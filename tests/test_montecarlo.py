@@ -1,11 +1,14 @@
-import concurrent.futures
 import io
+import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 import prodsums
 import prodsums.montecarlo as montecarlo_module
+from prodsums.cli import main as cli_main
 from prodsums import (
     STATISTIC_KINDS,
     ExperimentConfig,
@@ -191,7 +195,7 @@ class TestRunCltExperiment:
             assert row.reps == 40
             assert math.isfinite(row.mean_remainder)
             assert math.isfinite(row.mean_maxdev)
-            assert row.wall_seconds >= 0.0
+            assert row.seconds >= 0.0
 
     def test_diagnostics_only_for_loo(self):
         cfg = ExperimentConfig(EXP1, "std", (10,), 10, 0)
@@ -207,110 +211,114 @@ class TestRunCltExperiment:
         ks_prod = run_clt_experiment(prod_cfg).rows[0].ks
         assert abs(ks_log - ks_prod) <= 1e-12
 
-    def test_workers_bit_identical(self):
-        cfg1 = ExperimentConfig(EXP1, "loo", (20, 60), 64, 11, workers=1)
-        cfg2 = ExperimentConfig(EXP1, "loo", (20, 60), 64, 11, workers=2)
-        a, b = io.StringIO(), io.StringIO()
-        run_clt_experiment(cfg1).to_csv(a)
-        run_clt_experiment(cfg2).to_csv(b)
-        assert a.getvalue() == b.getvalue()
+    def test_workers_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        for kind in ("loo", "rw"):
+            csv = set()
+            for workers in (1, 2, 3):
+                buf = io.StringIO()
+                cfg = ExperimentConfig(EXP1, kind, (20, 60), 64, 11, workers=workers)
+                run_clt_experiment(cfg).to_csv(buf)
+                csv.add(buf.getvalue())
+            assert len(csv) == 1, kind
+        _assert_no_child_left()
 
-    def test_one_pool_per_experiment(self, monkeypatch):
-        built = []
-
-        class Counting(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                built.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
-        monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: 2)
-        csv = {}
+    def test_one_fork_join_per_experiment(self, monkeypatch):
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        csv, counts = {}, []
         for workers in (1, 2):
             buf = io.StringIO()
             cfg = ExperimentConfig(EXP1, "loo", (10, 30, 90), 40, 5, workers=workers)
             run_clt_experiment(cfg).to_csv(buf)
             csv[workers] = buf.getvalue()
-        assert built == [(2,)]
+            counts.append(len(forks))
+            forks.clear()
+        assert counts == [0, 1]  # one child for all three rows at 2 workers, none at 1
         assert csv[1] == csv[2]
+        _assert_no_child_left()
 
-    @pytest.mark.parametrize("cores", [3, None])
-    def test_pool_size_is_capped(self, monkeypatch, cores):
-        # a recording stand-in for the pool maps in this process, so the
-        # test starts no process whatever worker count it asks for
-        sizes, csv = [], set()
-
-        class Recording:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        monkeypatch.setattr(montecarlo_module.os, "cpu_count", lambda: cores)
-        # (reps, workers): 40 reps make at most 40 tasks and 2 reps at most 2
+    @pytest.mark.parametrize("affinity, cpu_count, can_fork, processes", [
+        ({0, 1, 2}, 8, True, [1, 2, 3, 2, 3]),   # the CPUs it may run on, not the machine's
+        ({5}, 8, True, [1, 1, 1, 1, 1]),         # a cpuset of one CPU forks nothing
+        (None, 3, True, [1, 2, 3, 2, 3]),        # no affinity call: the machine's CPUs
+        (None, None, True, [1, 1, 1, 1, 1]),     # not even those: one
+        ({0, 1, 2}, 8, False, [1, 1, 1, 1, 1]),  # no os.fork: one
+    ], ids=["affinity", "cpuset-of-one", "no-affinity", "no-cpu-count", "no-fork"])
+    def test_processes_are_capped(self, monkeypatch, affinity, cpu_count, can_fork, processes):
+        forks = _count_forks(monkeypatch, limit=2)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if not can_fork:
+            monkeypatch.delattr(os, "fork")
+        got, csv = [], set()
+        # (reps, workers): 40 reps make at most 40 tasks a row and 2 reps at most 2
         for reps, workers in [(40, 1), (40, 2), (40, 100_000_000), (2, 8), (40, 8)]:
             buf = io.StringIO()
             run_clt_experiment(ExperimentConfig(EXP1, "loo", (10, 30), reps, 5, workers=workers)).to_csv(buf)
+            got.append(1 + len(forks))
+            forks.clear()
             csv.add((reps, buf.getvalue()))
-        assert sizes == ([2, 3, 2, 3] if cores else [])
+        assert got == processes
         assert len(csv) == 2  # one CSV per reps, whatever the worker count
+        _assert_no_child_left()
 
-    def test_serial_runs_load_no_pool_code(self, tmp_path):
+    def test_row_seconds_sum_task_times(self, monkeypatch):
+        # a clock that advances one second a reading times every task at
+        # exactly 1 s, in this process and in the forked ones alike
+        clock = itertools.count()
+        monkeypatch.setattr(montecarlo_module, "time",
+                            types.SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for workers, tasks in [(1, 4), (2, 8)]:  # 40 reps in chunks of 10 and of 5
+            rows = run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=workers)).rows
+            assert [r.seconds for r in rows] == [tasks, tasks]
+        _assert_no_child_left()
+
+    def test_no_command_loads_pool_code(self, tmp_path):
         # a fresh interpreter, since this one may have imported the pool
+        # modules; 2 cores patched in, so the clt run at 2 workers forks
         out = tmp_path / "o.csv"
-        codes, loaded = _fresh_python(f"""
+        codes, forks, loaded = _fresh_python(f"""
+import os
 from prodsums.cli import main
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {{0, 1}}
 runs = [
     ["clt", "--dist", "exponential:1", "--stat", "loo", "--n", "10,50", "--reps", "20"],
+    ["clt", "--dist", "exponential:1", "--stat", "rw", "--n", "10,50", "--reps", "20",
+     "--workers", "2"],
     ["asclt", "--dist", "exponential:1", "--stat", "loo", "--N", "500"],
     ["slln", "--dist", "exponential:1", "--n", "10,500"],
     ["dist-table"],
 ]
 codes = [main([*run, "--out", {str(out)!r}]) for run in runs]
 codes.append(main(["identity", "--dist", "exponential:1", "--n", "10", "--reps", "5"]))
-result = codes, [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
+result = codes, len(forks), [m for m in ("concurrent.futures.process", "multiprocessing") if m in sys.modules]
 """)
-        assert codes == [0] * 5
+        assert codes == [0] * 6
+        assert forks == 1
         assert loaded == []
 
-    def test_pool_forks_after_the_sampler_is_loaded(self):
-        # the stand-in records, when the pool is built, whether the workers
-        # it would fork inherit numpy.random; it maps in this process
-        before, at_build = _fresh_python("""
-import concurrent.futures, os
+    def test_forks_after_the_sampler_is_loaded(self):
+        # the children inherit numpy.random instead of each importing it
+        before, at_fork = _fresh_python("""
+import os
 from prodsums import ExperimentConfig, make_distribution, run_clt_experiment
-at_build = []
-
-class Recording:
-    def __init__(self, max_workers):
-        at_build.append("numpy.random" in sys.modules)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks):
-        return map(fn, tasks)
-
-concurrent.futures.ProcessPoolExecutor = Recording
-os.cpu_count = lambda: 2
+fork, at_fork = os.fork, []
+os.fork = lambda: at_fork.append("numpy.random" in sys.modules) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
 before = "numpy.random" in sys.modules
 run_clt_experiment(ExperimentConfig(make_distribution("exponential", [1.0]), "loo", (10,), 8, 0,
                                     workers=2))
-result = before, at_build
+result = before, at_fork
 """)
         assert not before  # importing the package leaves the sampler unloaded
-        assert at_build == [True]
+        assert at_fork == [True]
 
     def test_peak_memory_of_long_replicates(self):
         # the replicates are evaluated in batches of about 256 KiB of
@@ -338,7 +346,8 @@ result = before, at_build
             return sample_rows(spec, n, base_seed, indices, out)
 
         monkeypatch.setattr(montecarlo_module, "sample_rows", recording)
-        got = montecarlo_module._replicate_block((spec, tag, 1000, 3, 1, 5, 75))
+        got, secs = montecarlo_module._replicate_block((spec, tag, 1000, 3, 1, 5, 75))
+        assert secs > 0.0
         assert [len(o) for o in outs] == [32, 32, 6]
         assert all(np.shares_memory(o, outs[0]) for o in outs)
         paths = sample_rows(spec, 1000, 3, range((1 << 32) + 5, (1 << 32) + 75))
@@ -360,7 +369,7 @@ result = before, at_build
         buf = io.StringIO()
         report.to_csv(buf, timing=True)
         secs = float(buf.getvalue().strip().split("\n")[1].split(",")[-1])
-        assert secs == pytest.approx(report.rows[0].wall_seconds, abs=1e-6)
+        assert secs == pytest.approx(report.rows[0].seconds, abs=1e-6)
         assert secs > 0.0
 
     def test_remainder_scales_like_inverse_sqrt_n(self):
@@ -406,6 +415,96 @@ class TestRunSllnExperiment:
             run_slln_experiment(EXP1, (100, 100), 0)
         with pytest.raises(ValueError, match="n >= 2"):
             run_slln_experiment(EXP1, (1, 10), 0)
+
+
+class TestForkJoinFailures:
+    """Each run has 2 cores patched in, so it forks one child that runs the
+    odd tasks while this process runs the even ones."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        yield
+        _assert_no_child_left()
+
+    @staticmethod
+    def _in_child(monkeypatch, action, in_parent=None):
+        """Make ``_replicate_block`` run ``action`` in a forked child and
+        ``in_parent`` (or the real block) in this process."""
+        parent, block = os.getpid(), montecarlo_module._replicate_block
+
+        def patched(task):
+            if os.getpid() != parent:
+                action()
+            elif in_parent is not None:
+                in_parent()
+            return block(task)
+
+        monkeypatch.setattr(montecarlo_module, "_replicate_block", patched)
+
+    def test_child_exception_is_raised_again(self, monkeypatch):
+        def fail():
+            raise ValueError("bad task in a child")
+
+        self._in_child(monkeypatch, fail)
+        with pytest.raises(ValueError, match=r"^bad task in a child$"):
+            run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
+
+    def test_child_exception_is_a_cli_error(self, monkeypatch, capsys):
+        def fail():
+            raise ValueError("bad task in a child")
+
+        self._in_child(monkeypatch, fail)
+        code = cli_main(["clt", "--dist", "exponential:1", "--stat", "rw", "--n", "10,30",
+                         "--reps", "40", "--workers", "2"])
+        assert code == 1
+        assert "error: bad task in a child" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+    def test_child_killed_by_a_signal(self, monkeypatch, sig):
+        self._in_child(monkeypatch, lambda: os.kill(os.getpid(), sig))
+        with pytest.raises(RuntimeError, match=f"killed by {sig.name}$"):
+            run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_parent_failure_kills_the_children(self, monkeypatch, exc):
+        # the child's first task takes 20 s; the run must end well before
+        slept = []
+
+        def slow():
+            if not slept:
+                slept.append(time.sleep(20))
+
+        def fail():
+            raise exc("stop in the parent")
+
+        self._in_child(monkeypatch, slow, in_parent=fail)
+        t0 = time.monotonic()
+        with pytest.raises(exc, match="stop in the parent"):
+            run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
+        assert time.monotonic() - t0 < 10
+
+
+def _count_forks(monkeypatch, limit: int = 4) -> list:
+    """Wrap ``os.fork`` to list the pids of the children this process
+    forks; a fork past ``limit`` of them raises instead of forking."""
+    forks, fork = [], os.fork
+
+    def counting():
+        if len(forks) >= limit:
+            raise RuntimeError(f"more than {limit} forks")
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _fresh_python(code: str):
