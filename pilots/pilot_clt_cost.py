@@ -20,15 +20,24 @@ worker there, so every stage runs in this process.
 The benchmark runs ``clt-rw-small-n`` with two workers, so a third
 interpreter runs it so, cold and warm, split into the phases of its
 fork-join as this process sees them (wall time and this process's minor
-faults):
+faults): the ``os.fork`` call, then for each row
 
-* fork    -- the ``os.fork`` calls,
-* own     -- this process's share of the tasks (``_replicate_block``),
-* wait    -- from the end of its share until the last child is reaped,
-* reduce  -- from then to the end: concatenating and the KS of each row,
+* own     -- this process's share of the row (``_replicate_block``),
+* wait    -- from the end of its share until the child's share of the
+             row has been read from the pipe,
+* reduce  -- from then until this process starts its share of the next
+             row (or the run ends): concatenating and the row's KS,
 
-and ``other`` for the rest (building the tasks, the pipes).  On a
-machine with one CPU the run forks nothing and ``wait`` reads 0.
+and ``other`` for the rest (building the tasks, the pipe, reaping the
+child).  On a machine with one CPU the run forks nothing and ``wait``
+reads 0.
+
+Last, fresh interpreters run ``clt --dist exponential:1 --stat std --n
+10,11,12,13,14,15 --reps 300000`` through ``cli.main`` at ``--workers
+1`` and ``2``, and the same command with ``--n 10`` alone at one worker,
+and print the peak RSS (``ru_maxrss``) of the interpreter and of its
+reaped children: a run holds about one row, so six rows peak where one
+does, and the child holds its own half-row.
 
 Timings depend on the machine and its load; compare two checkouts by
 alternating runs.
@@ -48,7 +57,6 @@ WORKLOADS = {
     "clt-rw-small-n": ("gamma:4:0.5", "rw", (10, 100), 8000),
 }
 STAGES = ("sample", "kernel", "ks")
-PHASES = ("fork", "own", "wait", "reduce")
 
 
 def _faults() -> int:
@@ -92,50 +100,65 @@ def child(name: str) -> None:
 
 def forked(name: str) -> None:
     """The workload at two workers, split into the phases of its fork-join."""
+    import pickle
+
     import prodsums.montecarlo as mc
     from prodsums.cli import parse_dist
 
-    parent, marks, cost = os.getpid(), {}, {}
+    parent, events = os.getpid(), []
 
-    def mark(label):
-        marks[label] = (time.perf_counter(), _faults())
-
-    def add(phase, t0, f0):
-        s, f = cost.get(phase, (0.0, 0))
-        cost[phase] = (s + time.perf_counter() - t0, f + _faults() - f0)
-
-    def timed(phase, fn, end=None):
+    def mark(fn, before=None, after=None):
         def wrapper(*args):
-            t0, f0 = time.perf_counter(), _faults()
+            if before and os.getpid() == parent:  # a child's readings die with it
+                events.append((before, time.perf_counter(), _faults()))
             result = fn(*args)
-            if os.getpid() == parent:  # a child's readings die with it
-                add(phase, t0, f0)
-                if end:
-                    mark(end)
+            if after and os.getpid() == parent:
+                events.append((after, time.perf_counter(), _faults()))
             return result
         return wrapper
 
-    mc._replicate_block = timed("own", mc._replicate_block, end="own")
-    os.fork = timed("fork", os.fork)
-    os.waitpid = timed("waitpid", os.waitpid, end="joined")
+    def cell(start, end):
+        return f"{(end[0] - start[0]) * 1e3:7.1f}ms/{end[1] - start[1]:<5d}"
+
+    mc._replicate_block = mark(mc._replicate_block, "own", "owned")
+    os.fork = mark(os.fork, "fork", "forked")
+    pickle.load = mark(pickle.load, after="read")
     dist, kind, ns, reps = WORKLOADS[name]
     config = mc.ExperimentConfig(parse_dist(dist), kind, ns, reps, base_seed=0, workers=2)
     for label in ("cold", "warm"):
-        cost.clear()
-        marks.clear()
-        t0, f0 = time.perf_counter(), _faults()
+        events.clear()
+        start = (time.perf_counter(), _faults())
         mc.run_clt_experiment(config)
-        wall, faults = time.perf_counter() - t0, _faults() - f0
-        own_end = marks["own"]
-        joined = marks.get("joined", own_end)  # one CPU: no child to wait for
-        phases = [
-            cost.get("fork", (0.0, 0)), cost["own"],
-            (joined[0] - own_end[0], joined[1] - own_end[1]),
-            (t0 + wall - joined[0], f0 + faults - joined[1]),
-        ]
-        other = (wall - sum(s for s, _ in phases), faults - sum(f for _, f in phases))
-        cells = " ".join(f"{s * 1e3:7.1f}ms/{f:<5d}" for s, f in [*phases, other])
-        print(f"{name:15s} {label} {wall * 1e3:7.1f}ms/{faults:<5d} {cells}", flush=True)
+        end = (time.perf_counter(), _faults())
+        at, row = {}, -1  # (time, faults) of each event, by (event, row); the fork is row -1
+        for event, t, f in events:
+            row += event == "own"
+            at[event, row] = (t, f)  # a row's last read is when its last share is in
+        fork = (at.get(("fork", -1), start), at.get(("forked", -1), start))  # one CPU: no fork
+        rows = []  # per row: started, own share done, child's share read, next row started
+        for i in range(len(ns)):
+            owned = at["owned", i]
+            rows.append((at["own", i], owned, at.get(("read", i), owned), at.get(("own", i + 1), end)))
+        accounted = fork[1][0] - fork[0][0] + sum(r[3][0] - r[0][0] for r in rows)
+        other = f"{(end[0] - start[0] - accounted) * 1e3:7.1f}ms"
+        print(f"{name:15s} {label} {cell(start, end)} fork {cell(*fork)} other {other}")
+        for n, (own, owned, read, upto) in zip(ns, rows):
+            print(f"  n={n:<6d} own {cell(own, owned)} wait {cell(owned, read)} "
+                  f"reduce {cell(read, upto)}", flush=True)
+
+
+FOUND_RUN = ["clt", "--dist", "exponential:1", "--stat", "std", "--reps", "300000"]
+
+
+def peak_rss(ns: str, workers: str) -> None:
+    """Peak RSS of one clt run through ``cli.main`` in this fresh interpreter."""
+    from prodsums.cli import main as cli_main
+
+    cli_main([*FOUND_RUN, "--n", ns, "--workers", workers, "--out", os.devnull])
+    rss = [resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+           for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+    print(f"--n {ns:17s} --workers {workers}  self {rss[0]:6.1f} MB  children {rss[1]:6.1f} MB",
+          flush=True)
 
 
 def main() -> None:
@@ -143,13 +166,18 @@ def main() -> None:
     print("workload        run      total       " + " ".join(f"{s:14s}" for s in (*STAGES, "other")))
     for name in WORKLOADS:
         subprocess.run([sys.executable, __file__, name], check=True)
-    print("\nseed 0, two workers; each cell is ms/minor faults of this process")
-    print("workload        run      total       " + " ".join(f"{s:14s}" for s in (*PHASES, "other")))
+    print("\nseed 0, two workers; each cell is ms/minor faults of this process, each row's phases below")
     subprocess.run([sys.executable, __file__, "clt-rw-small-n", "2"], check=True)
+    print(f"\npeak RSS of {' '.join(FOUND_RUN)}, each in a fresh interpreter (stderr dropped)")
+    for ns, workers in [("10", "1"), ("10,11,12,13,14,15", "1"), ("10,11,12,13,14,15", "2")]:
+        subprocess.run([sys.executable, __file__, "rss", ns, workers], check=True,
+                       stderr=subprocess.DEVNULL)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 2:
+    if sys.argv[1:2] == ["rss"]:
+        peak_rss(*sys.argv[2:])
+    elif len(sys.argv) > 2:
         forked(sys.argv[1])
     elif len(sys.argv) > 1:
         child(sys.argv[1])

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample_chunks
+from .distributions import DistributionSpec, _integer, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
 from .statistics import STATISTIC_KINDS, log_ratio, loo_log_chunked
 from .streaming import TOL, LooSeries
@@ -323,9 +323,8 @@ def run_asclt_path(
         raise ValueError(
             f"unknown ASCLT statistic {kind!r}; expected one of {', '.join(ASCLT_KINDS)}"
         )
-    n_max = int(n_max)
+    n_max, base_seed, exact_cutoff = _integer(n_max), _integer(base_seed), _integer(exact_cutoff)
     path = _path(spec, n_max, base_seed, stream_index)
-    exact_cutoff = int(exact_cutoff)
     if exact_cutoff < 2:
         raise ValueError("exact_cutoff must be >= 2")
 
@@ -357,7 +356,7 @@ def run_asclt_path(
         spec=spec,
         kind=kind,
         n_max=n_max,
-        base_seed=int(base_seed),
+        base_seed=base_seed,
         exact_cutoff=exact_cutoff,
         law=law,
         grid=acc.grid,
@@ -406,7 +405,7 @@ def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnR
     at most :data:`MAX_N`.  Each mean is mu * exp(gamma * t_n / sqrt(n)),
     with t_n the walk's ``rw`` statistic or the exact ``loo`` one.
     """
-    ns = tuple(int(n) for n in n_list)
+    ns, base_seed = tuple(_integer(n) for n in n_list), _integer(base_seed)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n list must be nonempty and strictly increasing")
     if ns[0] < 2:
@@ -428,4 +427,4 @@ def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnR
     rows = []
     for n, gp, gl in zip(ns, *gms.tolist()):
         rows.append(SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)))
-    return SllnReport(spec=spec, base_seed=int(base_seed), mu=mu, rows=tuple(rows))
+    return SllnReport(spec=spec, base_seed=base_seed, mu=mu, rows=tuple(rows))

@@ -25,7 +25,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .asclt import ASCLT_KINDS, MAX_N, AscltReport, run_asclt_path, run_slln_experiment
-from .distributions import DistributionSpec, make_distribution, moments
+from .distributions import DistributionSpec, _integer, make_distribution, moments
 from .limits import LAW_TAGS, LimitLaw
 from .montecarlo import (
     ConvergenceReport,
@@ -52,13 +52,6 @@ def parse_dist(text: str) -> DistributionSpec:
     except ValueError:
         raise ValueError(f"malformed distribution {text!r}: parameters must be numbers")
     return make_distribution(family, params)
-
-
-def _integer(value) -> int:
-    """Strict integer coercer: an int, an integral float or a digit string."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
 
 
 def _split(cast):

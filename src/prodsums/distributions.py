@@ -164,9 +164,16 @@ def moments(spec: DistributionSpec) -> tuple[float, float, float]:
     return mu, sigma, sigma / mu
 
 
+def _integer(value) -> int:
+    """Strict integer coercer: an int, an integral float or a digit string."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _stream_keys(base_seed: int, stream_indices) -> np.ndarray:
     """The :func:`derive_stream_seed` keys of many streams, in one numpy pass."""
-    base_seed = int(base_seed)
+    base_seed = _integer(base_seed)
     streams = [int(i) for i in stream_indices]
     if not 0 <= base_seed <= _MASK64:
         raise ValueError("base_seed must fit in 64 unsigned bits")
@@ -333,7 +340,7 @@ def sample_chunks(spec: DistributionSpec, n: int, base_seed: int, stream_index: 
     outlast 100 rounds raises the ``ValueError`` of :func:`sample` at its
     first zero.
     """
-    n, chunk = int(n), int(chunk)
+    n, chunk, stream_index = _integer(n), _integer(chunk), _integer(stream_index)
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if chunk < 1:
@@ -352,9 +359,9 @@ def sample(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0
     100 redraw rounds (say ``gamma:1e-9:1``, whose draws almost all
     underflow) raises ``ValueError``.
     """
-    values = sample_rows(spec, n, base_seed, [stream_index])[0]
+    values = sample_rows(spec, n, base_seed, [_integer(stream_index)])[0]
     values.setflags(write=False)
-    return SamplePath(values, spec, int(base_seed), int(stream_index))
+    return SamplePath(values, spec, _integer(base_seed), _integer(stream_index))
 
 
 def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices,
@@ -370,7 +377,7 @@ def sample_rows(spec: DistributionSpec, n: int, base_seed: int, stream_indices,
     float array of that shape as ``out`` to fill and return it instead
     of a new array.
     """
-    n = int(n)
+    n = _integer(n)
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     keys = _stream_keys(base_seed, stream_indices).tolist()

@@ -3,8 +3,7 @@
 Replicate r of row i (the i-th entry of the n list) draws its path from
 stream index ``i * 2**32 + r``, so every replicate has its own
 pre-assigned substream and the experiment is reproducible for any
-worker count: workers only split the replicate range into chunks,
-and chunks are reduced back in replicate order.
+worker count.
 
 Each kind is compared against its ``log_law`` in
 :data:`~prodsums.statistics.STATISTIC_KINDS` by default, so the
@@ -13,22 +12,24 @@ kind's ``product_law`` exponentiates the values first; because exp is
 strictly increasing this leaves the KS distance unchanged up to
 rounding.
 
-``workers = k`` means k processes, this one included: every row's
-tasks are built up front, task j runs in process ``j % k``, and the
-``k - 1`` others are forked once per experiment, after ``numpy.random``
-is loaded.  k is capped by a row's tasks and by the CPUs this process
-may run on, 1 where ``os.fork`` does not exist.  No run loads pool code.
+``workers = k`` means k processes, this one included, each with one
+contiguous share of every row's replicates; the ``k - 1`` others are
+forked once per experiment, after ``numpy.random`` is loaded (no pool
+code), and pipe each share back as they finish it.  Row i is reduced here
+before row i + 1 runs, so a run holds about one row.  k is capped by the
+replicates and by the CPUs this process may run on, 1 without ``os.fork``.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DistributionSpec, moments, sample_rows
+from .distributions import DistributionSpec, _integer, moments, sample_rows
 from .limits import LimitLaw, limit_cdf
 from .statistics import _BATCH_BYTES, _SCRATCH, STATISTIC_KINDS
 
@@ -61,12 +62,14 @@ class ExperimentConfig:
         if kind is None:
             kinds = ", ".join(STATISTIC_KINDS)
             raise ValueError(f"unknown statistic {self.kind!r}; expected one of {kinds}")
-        ns = tuple(int(n) for n in self.n_list)
+        ns = tuple(_integer(n) for n in self.n_list)
         if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
             raise ValueError("n list must be nonempty and strictly increasing")
         if ns[0] < kind.min_n:
             raise ValueError(f"kind {self.kind!r} needs n >= {kind.min_n}")
         object.__setattr__(self, "n_list", ns)
+        for name in ("reps", "base_seed", "workers"):
+            object.__setattr__(self, name, _integer(getattr(self, name)))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if self.workers < 1:
@@ -156,52 +159,52 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fork_join(tasks: list, workers: int) -> list:
-    """``_replicate_block`` of each task, in order.  Task j runs in process
-    ``j % workers``: 0 is this one, and each other is a child forked here that
-    sends back its results, or its exception to raise here.  No child outlives the call."""
+def _fork_join(rows: list, workers: int):
+    """Yield the ``_replicate_block`` results of each row's tasks, row by row: task w
+    runs in process w, 0 this one and each other a child forked once that pipes each
+    result, or its exception to raise here, as it has it.  No child outlives ``close()``."""
     if workers > 1:
         import pickle
         import signal
         import numpy.random  # noqa: F401  (loaded before the fork, so the children inherit it)
-    out, children = [None] * len(tasks), []  # (share, pid, read end of its pipe) per unreaped child
+    children = {}  # the read end of its pipe, per unreaped child pid
     try:
         for w in range(1, workers):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:  # the child: run share w, send it and leave
+            if (pid := os.fork()) == 0:  # the child: send share w of each row and leave
                 try:
-                    try:
-                        result = [_replicate_block(task) for task in tasks[w::workers]]
-                    except BaseException as exc:  # raised again by the parent
-                        result = exc
                     with open(write, "wb") as pipe:
-                        pickle.dump(result, pipe)
+                        try:
+                            for row in rows:
+                                pickle.dump(_replicate_block(row[w]), pipe)
+                                pipe.flush()
+                        except BaseException as exc:
+                            pickle.dump(exc, pipe)
                     os._exit(0)
                 finally:
                     os._exit(1)
-            children.append((w, pid, open(read, "rb")))
+            children[pid] = open(read, "rb")
             os.close(write)
-        out[::workers] = [_replicate_block(task) for task in tasks[::workers]]
-        while children:
-            w, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code < 0:
-                raise RuntimeError(f"clt worker process {pid} was killed by {signal.Signals(-code).name}")
-            if code:
-                raise RuntimeError(f"clt worker process {pid} exited with status {code}")
-            result = pickle.loads(data)
-            if isinstance(result, BaseException):
-                raise result
-            out[w::workers] = result
-    finally:
-        for _, pid, pipe in children:
+        for row in rows:
+            results = [_replicate_block(row[0])]
+            for pid, pipe in children.items():
+                try:
+                    result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # the child died
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    children.pop(pid).close()  # reaped, so not to be killed
+                    how = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                           else f"exited with status {code}")
+                    raise RuntimeError(f"clt worker process {pid} {how}") from None
+                if isinstance(result, BaseException):
+                    raise result
+                results.append(result)
+            yield results
+    finally:  # SIGKILL is harmless to a child that has sent its last row
+        for pid, pipe in children.items():
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return out
 
 
 @dataclass(frozen=True)
@@ -252,19 +255,17 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
     law = config.compare_law or LimitLaw(kind.log_law, moments(config.spec)[0])
     product_scale = law.tag == kind.product_law
     m, rows = config.reps, []
-    chunk = -(-m // (config.workers * 4))
-    per_row = -(-m // chunk)
-    tasks = [(config.spec, config.kind, n, config.base_seed, i, r0, min(r0 + chunk, m))
-             for i, n in enumerate(config.n_list) for r0 in range(0, m, chunk)]
-    # no more processes than a row has tasks or this process has cores
-    done = _fork_join(tasks, min(config.workers, per_row, _cores()))
-    for i, n in enumerate(config.n_list):
-        blocks, secs = zip(*done[i * per_row : (i + 1) * per_row])
-        vals, rems, devs = np.concatenate(blocks, axis=1)
-        data = np.exp(vals) if product_scale else vals
-        sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
-        rows.append(ConvergenceRow(
-            n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,
-            float(np.mean(rems)), float(np.mean(devs)), sum(secs),
-        ))
+    k = min(config.workers, m, _cores())  # no more processes than replicates or cores
+    tasks = [[(config.spec, config.kind, n, config.base_seed, i, m * w // k, m * (w + 1) // k)
+              for w in range(k)] for i, n in enumerate(config.n_list)]
+    with closing(_fork_join(tasks, k)) as shares:
+        for n, results in zip(config.n_list, shares):
+            blocks, secs = zip(*results)
+            vals, rems, devs = np.concatenate(blocks, axis=1)
+            data = np.exp(vals) if product_scale else vals
+            sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
+            rows.append(ConvergenceRow(
+                n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,
+                float(np.mean(rems)), float(np.mean(devs)), sum(secs),
+            ))
     return ConvergenceReport(config=config, law=law, rows=tuple(rows))

@@ -8,9 +8,12 @@ import pytest
 import prodsums.distributions as distributions_module
 from prodsums import (
     FAMILIES,
+    ExperimentConfig,
     derive_stream_seed,
     make_distribution,
     moments,
+    run_asclt_path,
+    run_slln_experiment,
     sample,
     sample_chunks,
     sample_rows,
@@ -419,3 +422,48 @@ class TestStreamSeedMixing:
     def test_matches_plain_splitmix64(self, base_seed):
         for stream in [*EDGE_STREAMS, 1, 2**63]:
             assert derive_stream_seed(base_seed, stream) == splitmix64(base_seed, stream)
+
+
+EXP1 = make_distribution("exponential", [1.0])
+
+
+def _asclt(**kwargs):
+    r = run_asclt_path(EXP1, **{"kind": "rw", "n_max": 100, "base_seed": 0, **kwargs})
+    return repr((r.n_max, r.base_seed, r.exact_cutoff, r.a_values.tobytes()))
+
+
+def _sample(n=10, base_seed=0, stream_index=0):
+    p = sample(EXP1, n, base_seed, stream_index)
+    return repr((p.base_seed, p.stream_index, p.values.tobytes()))
+
+
+# each call passes the value under test as one integer argument of the API
+# and returns what it made, types included, as a string
+INTEGER_ARGUMENTS = {
+    "config-n_list": lambda v: repr(ExperimentConfig(EXP1, "std", (v,), 5, 0)),
+    "config-reps": lambda v: repr(ExperimentConfig(EXP1, "std", (10,), v, 0)),
+    "config-base_seed": lambda v: repr(ExperimentConfig(EXP1, "std", (10,), 5, v)),
+    "config-workers": lambda v: repr(ExperimentConfig(EXP1, "std", (10,), 5, 0, workers=v)),
+    "asclt-n_max": lambda v: _asclt(n_max=v),
+    "asclt-base_seed": lambda v: _asclt(base_seed=v),
+    "asclt-exact_cutoff": lambda v: _asclt(exact_cutoff=v),
+    "asclt-stream_index": lambda v: _asclt(stream_index=v),
+    "slln-n_list": lambda v: repr(run_slln_experiment(EXP1, [v], 0)),
+    "slln-base_seed": lambda v: repr(run_slln_experiment(EXP1, [10], v)),
+    "sample-n": lambda v: _sample(n=v),
+    "sample-base_seed": lambda v: _sample(base_seed=v),
+    "sample-stream_index": lambda v: _sample(stream_index=v),
+    "sample_rows-n": lambda v: repr(sample_rows(EXP1, v, 0, [0, 1]).tobytes()),
+    "sample_rows-base_seed": lambda v: repr(sample_rows(EXP1, 10, v, [0, 1]).tobytes()),
+    "sample_chunks-n": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, v, 0)]),
+    "sample_chunks-base_seed": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, 10, v)]),
+    "sample_chunks-stream_index": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, 10, 0, v)]),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=list(INTEGER_ARGUMENTS))
+def test_integer_arguments_are_strict(call):
+    for bad in (10.5, True):  # neither truncated nor read as 1
+        with pytest.raises(ValueError, match="expected an integer"):
+            call(bad)
+    assert call(1e4) == call(10_000)

@@ -212,18 +212,24 @@ class TestRunCltExperiment:
         assert abs(ks_log - ks_prod) <= 1e-12
 
     def test_workers_bit_identical(self, monkeypatch):
+        fds = _open_fds()
+        forks = _count_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        for kind in ("loo", "rw"):
+        # 5 reps make shares of 1, 2 and 2 at 3 workers; 1 rep runs in one process
+        for kind, reps in itertools.product(("loo", "rw"), (64, 5, 1)):
             csv = set()
             for workers in (1, 2, 3):
                 buf = io.StringIO()
-                cfg = ExperimentConfig(EXP1, kind, (20, 60), 64, 11, workers=workers)
+                cfg = ExperimentConfig(EXP1, kind, (20, 60), reps, 11, workers=workers)
                 run_clt_experiment(cfg).to_csv(buf)
                 csv.add(buf.getvalue())
-            assert len(csv) == 1, kind
-        _assert_no_child_left()
+                assert len(forks) == min(workers, reps) - 1
+                forks.clear()
+            assert len(csv) == 1, (kind, reps)
+        _assert_no_child_left(fds)
 
     def test_one_fork_join_per_experiment(self, monkeypatch):
+        fds = _open_fds()
         forks = _count_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         csv, counts = {}, []
@@ -236,7 +242,7 @@ class TestRunCltExperiment:
             forks.clear()
         assert counts == [0, 1]  # one child for all three rows at 2 workers, none at 1
         assert csv[1] == csv[2]
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("affinity, cpu_count, can_fork, processes", [
         ({0, 1, 2}, 8, True, [1, 2, 3, 2, 3]),   # the CPUs it may run on, not the machine's
@@ -246,6 +252,7 @@ class TestRunCltExperiment:
         ({0, 1, 2}, 8, False, [1, 1, 1, 1, 1]),  # no os.fork: one
     ], ids=["affinity", "cpuset-of-one", "no-affinity", "no-cpu-count", "no-fork"])
     def test_processes_are_capped(self, monkeypatch, affinity, cpu_count, can_fork, processes):
+        fds = _open_fds()
         forks = _count_forks(monkeypatch, limit=2)
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -255,7 +262,7 @@ class TestRunCltExperiment:
         if not can_fork:
             monkeypatch.delattr(os, "fork")
         got, csv = [], set()
-        # (reps, workers): 40 reps make at most 40 tasks a row and 2 reps at most 2
+        # (reps, workers): no more processes than reps
         for reps, workers in [(40, 1), (40, 2), (40, 100_000_000), (2, 8), (40, 8)]:
             buf = io.StringIO()
             run_clt_experiment(ExperimentConfig(EXP1, "loo", (10, 30), reps, 5, workers=workers)).to_csv(buf)
@@ -264,19 +271,20 @@ class TestRunCltExperiment:
             csv.add((reps, buf.getvalue()))
         assert got == processes
         assert len(csv) == 2  # one CSV per reps, whatever the worker count
-        _assert_no_child_left()
+        _assert_no_child_left(fds)
 
     def test_row_seconds_sum_task_times(self, monkeypatch):
-        # a clock that advances one second a reading times every task at
+        # a clock that advances one second a reading times every share at
         # exactly 1 s, in this process and in the forked ones alike
+        fds = _open_fds()
         clock = itertools.count()
         monkeypatch.setattr(montecarlo_module, "time",
                             types.SimpleNamespace(perf_counter=lambda: float(next(clock))))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        for workers, tasks in [(1, 4), (2, 8)]:  # 40 reps in chunks of 10 and of 5
+        for workers in (1, 2):  # one share of each row per process
             rows = run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=workers)).rows
-            assert [r.seconds for r in rows] == [tasks, tasks]
-        _assert_no_child_left()
+            assert [r.seconds for r in rows] == [workers, workers]
+        _assert_no_child_left(fds)
 
     def test_no_command_loads_pool_code(self, tmp_path):
         # a fresh interpreter, since this one may have imported the pool
@@ -332,6 +340,25 @@ result = before, at_fork
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_peak_memory_of_many_rows(self, monkeypatch):
+        # each row is reduced before the next is drawn, so six rows peak
+        # where one does; the blocks of one row alone are 3 * 8 * 20000 B
+        fds = _open_fds()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        run_clt_experiment(ExperimentConfig(EXP1, "rw", (10,), 2, 0))  # first-call caches
+
+        def peak(ns, workers):
+            tracemalloc.start()
+            try:
+                run_clt_experiment(ExperimentConfig(EXP1, "rw", ns, 20_000, 0, workers=workers))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for workers in (1, 2):
+            assert peak((10, 11, 12, 13, 14, 15), workers) <= peak((10,), workers) + 2**17, workers
+        _assert_no_child_left(fds)
 
     @pytest.mark.parametrize("tag", list(STATISTIC_KINDS))
     def test_batches_reuse_one_workspace(self, tag, monkeypatch):
@@ -419,23 +446,25 @@ class TestRunSllnExperiment:
 
 class TestForkJoinFailures:
     """Each run has 2 cores patched in, so it forks one child that runs the
-    odd tasks while this process runs the even ones."""
+    second half of each row's replicates while this process runs the first."""
 
     @pytest.fixture(autouse=True)
     def two_cores(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        yield
-        _assert_no_child_left()
+        fds = _open_fds()
+        yield fds
+        _assert_no_child_left(fds)
 
     @staticmethod
-    def _in_child(monkeypatch, action, in_parent=None):
-        """Make ``_replicate_block`` run ``action`` in a forked child and
-        ``in_parent`` (or the real block) in this process."""
+    def _in_child(monkeypatch, action, in_parent=None, row=0):
+        """Make ``_replicate_block`` run ``action`` in a forked child from its
+        share of row index ``row`` on, and ``in_parent`` (or the real block) in this process."""
         parent, block = os.getpid(), montecarlo_module._replicate_block
 
         def patched(task):
             if os.getpid() != parent:
-                action()
+                if task[4] >= row:  # the task's row index
+                    action()
             elif in_parent is not None:
                 in_parent()
             return block(task)
@@ -466,6 +495,24 @@ class TestForkJoinFailures:
         with pytest.raises(RuntimeError, match=f"killed by {sig.name}$"):
             run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
 
+    @pytest.mark.parametrize("sig, error, match", [
+        (None, ValueError, "^bad task in a child$"),
+        (signal.SIGKILL, RuntimeError, "killed by SIGKILL$"),
+    ], ids=["exception", "SIGKILL"])
+    def test_child_fails_on_its_second_row(self, monkeypatch, sig, error, match):
+        def fail():
+            if sig is None:
+                raise ValueError("bad task in a child")
+            os.kill(os.getpid(), sig)
+
+        ks, reduced = montecarlo_module.ks_distance, []
+        monkeypatch.setattr(montecarlo_module, "ks_distance",
+                            lambda emp, law: reduced.append(law) or ks(emp, law))
+        self._in_child(monkeypatch, fail, row=1)
+        with pytest.raises(error, match=match):
+            run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
+        assert len(reduced) == 1  # the child's share of row 1 came through first
+
     @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
     def test_parent_failure_kills_the_children(self, monkeypatch, exc):
         # the child's first task takes 20 s; the run must end well before
@@ -483,6 +530,27 @@ class TestForkJoinFailures:
         with pytest.raises(exc, match="stop in the parent"):
             run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30), 40, 5, workers=2))
         assert time.monotonic() - t0 < 10
+
+    def test_reduce_failure_reaps_the_children_at_once(self, monkeypatch, two_cores):
+        # the child sends rows 1 and 2 as it has them, then takes 20 s over
+        # row 3; the reduce of row 2 fails, and the run must end well before
+        ks, calls = montecarlo_module.ks_distance, []
+
+        def fail_on_row_2(emp, law):
+            calls.append(law)
+            if len(calls) == 2:
+                raise ValueError("bad reduce")
+            return ks(emp, law)
+
+        monkeypatch.setattr(montecarlo_module, "ks_distance", fail_on_row_2)
+        self._in_child(monkeypatch, lambda: time.sleep(20), row=2)
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="bad reduce") as info:
+            run_clt_experiment(ExperimentConfig(EXP1, "rw", (10, 30, 90), 40, 5, workers=2))
+        assert time.monotonic() - t0 < 10
+        # ``info`` keeps the traceback, and with it the run's frames, alive:
+        # the child must have been reaped before the error left the run
+        _assert_no_child_left(two_cores)
 
 
 def _count_forks(monkeypatch, limit: int = 4) -> list:
@@ -502,9 +570,17 @@ def _count_forks(monkeypatch, limit: int = 4) -> list:
     return forks
 
 
-def _assert_no_child_left():
+def _open_fds():
+    """The fds open in this process, or None where ``/proc`` is missing."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def _assert_no_child_left(fds):
+    """No child of this process is left, and the fds are ``fds`` again."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    if fds is not None:
+        assert _open_fds() == fds
 
 
 def _fresh_python(code: str):
