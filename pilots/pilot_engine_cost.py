@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Where the time of one asclt run goes, stage by stage, and its peak memory.
 
-For each ASCLT kind, a fresh interpreter runs ``run_asclt_path`` on
+For each ASCLT walk (``loo``, ``rw`` and ``std``; ``lin`` is ``std``'s
+walk), a fresh interpreter runs ``run_asclt_path`` on
 exponential:1 with N = 2e5 and exact cutoff 2000 twice: cold (the
 first run in the process, which also pays numpy's lazy imports and the
 first page faults of its temporaries) and warm.  Each run prints its
@@ -52,7 +53,7 @@ import time
 
 N, CUTOFF, SEED = 200_000, 2000, 0
 STAGES = ("sample", "expansion", "prefix", "sums", "accumulate")
-KINDS = ("loo", "rw", "lin", "std")
+KINDS = ("loo", "rw", "std")  # lin is std's walk under a second name
 RSS_N = (200_000, 2_000_000, 20_000_000)
 LONG_N = 100_000_000
 ZEROS, ZEROS_N, ZEROS_STEPS = "gamma:0.002:1", (200_000, 2_000_000), (50, 5000)

@@ -45,12 +45,7 @@ from .statistics import (
     rw_log_statistic,
     standardized_sum,
 )
-from .streaming import (
-    LooSeries,
-    PowerSumState,
-    init_state,
-    loo_log_series,
-)
+from .streaming import LooSeries
 from .limits import (
     LAW_TAGS,
     LimitLaw,
@@ -99,9 +94,6 @@ __all__ = [
     "max_relative_deviation",
     "remainder_magnitude",
     "LooSeries",
-    "PowerSumState",
-    "init_state",
-    "loo_log_series",
     "LAW_TAGS",
     "LimitLaw",
     "normal_cdf",

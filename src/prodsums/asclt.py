@@ -19,9 +19,9 @@ blocks of 4096 steps, drawn as they come by
 :func:`~prodsums.distributions.sample` call), and yields each block's
 steps n and t_n from the kind's block function, in one table whose keys
 are :data:`ASCLT_KINDS`.  A kind keeps the running sums it reads, S_n
-(``rw``, ``lin``) or the sum of the X_k - mu (``std``), each from
-:func:`~prodsums.summation.exact_running_sums`, and its t_n is
-whole-array arithmetic on them.  ``loo`` takes the value of the
+(``rw``) or the sum of the X_k - mu (``std``, and ``lin``, its exact
+equal), each from :func:`~prodsums.summation.exact_running_sums`, and its
+t_n is whole-array arithmetic on them.  ``loo`` takes the value of the
 :class:`~prodsums.streaming.LooSeries` series where
 :func:`_certified_series` certifies the exact value's grid bin, and the
 exact statistic elsewhere, through one
@@ -141,15 +141,6 @@ def _rw(path, mu, sigma, gam, grid):
     return block
 
 
-def _lin(path, mu, sigma, gam, grid):
-    total = NeumaierSum()  # S_n
-
-    def block(x, n):  # reduced form of the leave-one-out linearization
-        s = exact_running_sums(x, total)
-        return (s - n * mu) / (sigma * np.sqrt(n)), None, None
-    return block
-
-
 def _std(path, mu, sigma, gam, grid):
     total = NeumaierSum()  # the sum of X_k - mu
 
@@ -158,7 +149,8 @@ def _std(path, mu, sigma, gam, grid):
     return block
 
 
-_KINDS = {"loo": _loo, "rw": _rw, "lin": _lin, "std": _std}
+# lin = sum_k (S_{n,k}/((n-1) mu) - 1)/(gamma sqrt(n)) = (S_n - n mu)/(sigma sqrt(n)) = std, exactly
+_KINDS = {"loo": _loo, "rw": _rw, "lin": _std, "std": _std}
 ASCLT_KINDS = tuple(_KINDS)  # the kinds a trajectory walk evaluates
 
 

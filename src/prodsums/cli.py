@@ -283,11 +283,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
+    def add_common(p, with_files=True):
         p.add_argument("--seed", type=int, default=None,
                        help=f"base seed (default {DEFAULT_SEED})")
-        p.add_argument("--out", default=None, help="output CSV path (default stdout)")
-        if with_config:
+        if with_files:  # identity prints one line and reads no config
+            p.add_argument("--out", default=None, help="output CSV path (default stdout)")
             p.add_argument("--config", default=None, help="JSON config file")
             p.add_argument("--emit-config", default=None,
                            help="write the resolved config as JSON to this path")
@@ -335,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--mu-override", type=float, default=None,
                    help="deliberately wrong mu, to demonstrate failure")
-    add_common(p, with_config=False)
+    add_common(p, with_files=False)
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("dist-table", help="analytic moments table")

@@ -166,22 +166,26 @@ def moments(spec: DistributionSpec) -> tuple[float, float, float]:
 
 def _integer(value) -> int:
     """Strict integer coercer: an int, an integral float or a digit string."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if isinstance(value, (bool, np.bool_)) or (hasattr(value, "is_integer") and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _stream_keys(base_seed: int, stream_indices) -> np.ndarray:
-    """The :func:`derive_stream_seed` keys of many streams, in one numpy pass."""
-    base_seed = _integer(base_seed)
-    streams = [int(i) for i in stream_indices]
+def _stream_keys(base_seed: int, indices) -> np.ndarray:
+    """The :func:`derive_stream_seed` keys of many streams, in one numpy pass,
+    and the one check of seeds and stream indices: integers in [0, 2**64)."""
+    base_seed, indices = _integer(base_seed), list(indices)
     if not 0 <= base_seed <= _MASK64:
         raise ValueError("base_seed must fit in 64 unsigned bits")
-    if streams and not (0 <= min(streams) and max(streams) <= _MASK64):
+    streams = np.asarray(indices)
+    # numpy reads a bool among ints as 0 or 1, and an int past 63 bits among them as a float
+    if streams.dtype.kind not in "iu" or not {bool, np.bool_}.isdisjoint(map(type, indices)):
+        streams = np.array([_integer(i) for i in indices], dtype=object)
+    if streams.size and not (0 <= streams.min() and streams.max() <= _MASK64):
         raise ValueError("stream_index must fit in 64 unsigned bits")
     # uint64 array arithmetic wraps modulo 2**64, as SplitMix64 needs;
     # (i + 1) * golden + base is folded into i * golden + (golden + base)
-    z = np.array(streams, dtype=np.uint64) * _GOLDEN + ((_GOLDEN + base_seed) & _MASK64)
+    z = streams.astype(np.uint64) * _GOLDEN + ((_GOLDEN + base_seed) & _MASK64)
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
@@ -340,7 +344,7 @@ def sample_chunks(spec: DistributionSpec, n: int, base_seed: int, stream_index: 
     outlast 100 rounds raises the ``ValueError`` of :func:`sample` at its
     first zero.
     """
-    n, chunk, stream_index = _integer(n), _integer(chunk), _integer(stream_index)
+    n, chunk = _integer(n), _integer(chunk)
     if n < 1:
         raise ValueError(f"path length must be >= 1, got {n}")
     if chunk < 1:
@@ -359,7 +363,7 @@ def sample(spec: DistributionSpec, n: int, base_seed: int, stream_index: int = 0
     100 redraw rounds (say ``gamma:1e-9:1``, whose draws almost all
     underflow) raises ``ValueError``.
     """
-    values = sample_rows(spec, n, base_seed, [_integer(stream_index)])[0]
+    values = sample_rows(spec, n, base_seed, [stream_index])[0]
     values.setflags(write=False)
     return SamplePath(values, spec, _integer(base_seed), _integer(stream_index))
 

@@ -26,7 +26,7 @@ block takes one k and one J from the ratios at its start and end (see
 :class:`PowerSumState`, :func:`init_state` and :func:`loo_log_series`
 are the older third-order series in the centred draws (X - mu)/mu, gated
 by (|S_n - n*mu| + max|X - mu|)/((n-1)*mu) <= 1/2, which fails on heavy
-laws.  The program does not use them; the benchmark's replay does.
+laws.  Only the benchmark's replay runs them; the package does not export them.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .summation import NeumaierSum, exact_running_sums
 
-__all__ = ["TOL", "LooSeries", "PowerSumState", "init_state", "loo_log_series"]
+__all__ = ["TOL", "LooSeries"]
 
 TOL = 1e-14  # the truncation bound a block's order aims at, per step
 _TOP = 8  # the largest draws kept apart from the bulk
@@ -63,7 +63,7 @@ class LooSeries:
             raise ValueError("mu and gamma must be positive")
         self.mu, self.gamma = float(mu), float(gamma)
         self.n = 0
-        self._top = []  # (value, index) of the largest draws, largest first
+        self._top = []  # the largest draws, largest first
         self._bulk = NeumaierSum()  # the sum of the other draws
         self._ref, self._sums = 0.0, np.zeros(_J.size)  # the bulk's sums of (X/_ref)^j
 
@@ -118,8 +118,8 @@ class LooSeries:
         fills), and the runs of steps with one top set: their first
         positions and their top draws, largest first and padded with 0."""
         top, enter = self._top, x
-        starts, values = [0], [[v for v, _ in top]]
-        theta = top[-1][0] if len(top) == _TOP else 0.0
+        starts, values = [0], [top[:]]
+        theta = top[-1] if len(top) == _TOP else 0.0
         pos = 0
         while pos < x.size:
             # theta is fixed per chunk; a chunk as long as the path so far
@@ -130,12 +130,12 @@ class LooSeries:
                 if x[i] > theta:
                     enter = x.copy() if enter is x else enter
                     enter[i] = theta
-                    bisect.insort(top, (float(x[i]), start + i), key=lambda t: -t[0])
+                    bisect.insort(top, float(x[i]), key=lambda v: -v)
                     del top[_TOP:]
-                    theta = top[-1][0] if len(top) == _TOP else 0.0
+                    theta = top[-1] if len(top) == _TOP else 0.0
                     if starts[-1] != i:
                         starts.append(i)
-                    values[len(starts) - 1 :] = [[v for v, _ in top]]
+                    values[len(starts) - 1 :] = [top[:]]
             pos = end
         tops = np.array([v + [0.0] * (_TOP - len(v)) for v in values])
         return enter, np.array(starts), tops
@@ -216,8 +216,7 @@ class PowerSumState:
     """Streaming state: count, running sum, centered power sums, max |d|.
 
     All four accumulators are compensated, so p1 = S - n*mu holds to
-    O(eps) after millions of updates.  Only the benchmark's replay keeps
-    this scalar third-order state; the program walks a :class:`LooSeries`.
+    O(eps) after millions of updates.
     """
 
     mu: float
@@ -263,9 +262,7 @@ class PowerSumState:
         return self
 
 
-def init_state(mu: float) -> PowerSumState:
-    """Fresh zero state for a distribution with mean mu > 0."""
-    return PowerSumState(mu)
+init_state = PowerSumState  # init_state(mu): a fresh zero state for the mean mu > 0
 
 def loo_log_series(state: PowerSumState, gamma: float) -> tuple[float, bool]:
     """Third-order surrogate for the leave-one-out log statistic.

@@ -23,7 +23,6 @@ from prodsums import (
     geometric_mean_loo,
     geometric_mean_prefix,
     LooSeries,
-    init_state,
     loo_log_chunked,
     loo_log_statistic,
     make_distribution,
@@ -59,20 +58,21 @@ def reference_path(spec, n_max, base_seed, loo=True):
     """
     mu, sigma, gam = moments(spec)
     v = sample(spec, n_max, base_seed, 0).values
-    state, log_sum = init_state(mu), NeumaierSum()
+    total, centred, log_sum = NeumaierSum(), NeumaierSum(), NeumaierSum()
     ts = {kind: [] for kind in ("rw", "lin", "std")}
     for n in range(1, n_max + 1):
-        state.update(float(v[n - 1]))
+        total.add(float(v[n - 1]))  # S_n
+        centred.add(float(v[n - 1]) - mu)  # the sum of X_k - mu
         # log(S_n/(n mu)) by the documented rule of statistics.log_ratio:
         # log1p of the increment keeps no digits of a ratio far below 1
-        d = (state.total - n * mu) / (n * mu)
-        log_sum.add(math.log1p(d) if d > -0.5 else math.log(state.total) - math.log(n * mu))
+        d = (total.value - n * mu) / (n * mu)
+        log_sum.add(math.log1p(d) if d > -0.5 else math.log(total.value) - math.log(n * mu))
         if n < 2:
             continue
         root_n = math.sqrt(n)
         ts["rw"].append(log_sum.value / (gam * root_n))
-        ts["lin"].append((state.total - n * mu) / (sigma * root_n))
-        ts["std"].append(state.p1 / (sigma * root_n))
+        ts["lin"].append((total.value - n * mu) / (sigma * root_n))
+        ts["std"].append(centred.value / (sigma * root_n))
     if loo:
         ts["loo"] = exact_loo(spec, n_max, base_seed)
     return {
@@ -312,9 +312,16 @@ class TestRunAscltPath:
         assert abs(loo.sup_gap - lin.sup_gap) <= 0.05
 
     def test_lin_matches_std_lane(self):
-        a = run_asclt_path(EXP1, "lin", 1000, base_seed=5)
-        b = run_asclt_path(EXP1, "std", 1000, base_seed=5)
-        assert np.allclose(a.a_values, b.a_values, atol=1e-12)
+        # the linearization is the standardized sum exactly, and one walk
+        # serves both; on twopoint:1:1e300:0.5 two forms of that sum bin
+        # differently the steps whose exact value ties a point of the
+        # 61-point grid, such as -1
+        assert asclt_module._KINDS["lin"] is asclt_module._KINDS["std"]
+        grid61 = [(i - 30) / 10 for i in range(61)]  # -3.0, -2.9, ..., 3.0
+        for spec, seed in [(EXP1, 5), (parse_dist("twopoint:1:1e300:0.5"), 0)]:
+            for grid in (None, grid61):
+                a, b = (run_asclt_path(spec, kind, 50_000, seed, grid=grid) for kind in ("lin", "std"))
+                assert csv_text(a) == csv_text(b), (spec, grid is None)
 
     def test_custom_grid(self):
         report = run_asclt_path(EXP1, "std", 200, 0, grid=[-1.0, 0.0, 1.0])
@@ -603,10 +610,11 @@ def above(num, r, n):
 @pytest.mark.parametrize("seed", [0, 6])
 @pytest.mark.parametrize("kind", ["lin", "std"])
 def test_heavy_law_bins_match_the_rational_oracle(kind, seed):
-    # the path takes two values, so sigma * sqrt(n) * t_n, that is S_n - n*mu
-    # (lin) or the sum of the rounded x - mu (std), is an exact rational
-    # combination of them; each step's grid bin must be that of the exact
-    # value, with grid[bin - 1] < t_n <= grid[bin]
+    # the path takes two values, so sigma * sqrt(n) times the exact
+    # statistic, S_n - n*mu (lin) or the sum of the rounded x - mu (std), is
+    # an exact rational combination of them; each step's grid bin in the one
+    # walk lin and std share must be that of the exact value, with
+    # grid[bin - 1] < t_n <= grid[bin]
     spec = parse_dist("twopoint:1:1e300:0.5")
     mu, sigma, gam = moments(spec)
     grid = default_grid()

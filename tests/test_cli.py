@@ -442,6 +442,15 @@ class TestIdentityCommand:
         assert "--reps must be >= 1" in captured.err
         assert captured.out == ""
 
+    def test_out_is_refused(self, tmp_path, capsys):
+        # the command prints one line; an --out it would ignore is a usage error
+        out = tmp_path / "x.csv"
+        code = run_cli(["identity", "--dist", "exponential:1", "--n", "10", "--reps", "3",
+                        "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and "unrecognized arguments: --out" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_exponential_passes(self, capsys):
         code = run_cli(
             ["identity", "--dist", "exponential:1", "--n", "1000", "--reps", "100"]

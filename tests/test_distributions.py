@@ -455,15 +455,18 @@ INTEGER_ARGUMENTS = {
     "sample-stream_index": lambda v: _sample(stream_index=v),
     "sample_rows-n": lambda v: repr(sample_rows(EXP1, v, 0, [0, 1]).tobytes()),
     "sample_rows-base_seed": lambda v: repr(sample_rows(EXP1, 10, v, [0, 1]).tobytes()),
+    "sample_rows-stream_indices": lambda v: repr(sample_rows(EXP1, 10, 0, [0, v]).tobytes()),
     "sample_chunks-n": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, v, 0)]),
     "sample_chunks-base_seed": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, 10, v)]),
     "sample_chunks-stream_index": lambda v: repr([c.tobytes() for c in sample_chunks(EXP1, 10, 0, v)]),
+    "derive_stream_seed-base_seed": lambda v: repr(derive_stream_seed(v, 0)),
+    "derive_stream_seed-stream_index": lambda v: repr(derive_stream_seed(0, v)),
 }
 
 
 @pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=list(INTEGER_ARGUMENTS))
 def test_integer_arguments_are_strict(call):
-    for bad in (10.5, True):  # neither truncated nor read as 1
+    for bad in (10.5, np.float32(10.5), True, np.True_):  # neither truncated nor read as 1
         with pytest.raises(ValueError, match="expected an integer"):
             call(bad)
     assert call(1e4) == call(10_000)

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from prodsums import (
     LooSeries,
-    init_state,
-    loo_log_series,
     loo_log_statistic,
     make_distribution,
     sample,
     sample_chunks,
 )
 from prodsums import streaming
+from prodsums.streaming import init_state, loo_log_series
 from prodsums.summation import NeumaierSum, exact_running_sums, row_sums, two_sum
 
 # frozen against the 60-digit closed forms for the path (1, 2, 3), mu=2:
