@@ -12,10 +12,10 @@ stages the engine calls:
 * sample      -- drawing the path, chunk by chunk, on each pass over the
                  re-readable ``sample_chunks`` path,
 * expansion   -- the leave-one-out series of every step and its
-                 certificate (``_certified_series``),
-* prefix      -- the exact leave-one-out kernel (``loo_log_chunked``,
-                 which reads the path again) on the steps the expansion
-                 does not certify,
+                 certificate (``statistics._certified_series``),
+* prefix      -- the exact leave-one-out kernel
+                 (``statistics.loo_log_chunked``, which reads the path
+                 again) on the steps the expansion does not certify,
 * sums        -- the running sums (``exact_running_sums``) of every
                  kind, those the series and the exact kernel form
                  included,
@@ -100,9 +100,10 @@ def child(kind: str) -> None:
                 yield x
 
     asclt.sample_chunks = TimedPath
-    asclt._certified_series = timed("expansion", asclt._certified_series)
-    asclt.loo_log_chunked = timed("prefix", asclt.loo_log_chunked)
-    for module in (asclt, streaming, statistics):  # each holds its own reference
+    # the walks live in statistics, next to the kernels, and look these up there
+    statistics._certified_series = timed("expansion", statistics._certified_series)
+    statistics.loo_log_chunked = timed("prefix", statistics.loo_log_chunked)
+    for module in (streaming, statistics):  # each holds its own reference
         module.exact_running_sums = timed("sums", module.exact_running_sums)
     asclt.LogAvgAccumulator.accumulate = timed("accumulate", asclt.LogAvgAccumulator.accumulate)
 

@@ -17,20 +17,21 @@ S_{n,k}/(n-1) converge to mu along the path.
 blocks of 4096 steps, drawn as they come by
 :func:`~prodsums.distributions.sample_chunks` (bit for bit one
 :func:`~prodsums.distributions.sample` call), and yields each block's
-steps n and t_n from the kind's block function, in one table whose keys
-are :data:`ASCLT_KINDS`.  A kind keeps the running sums it reads, S_n
-(``rw``) or the sum of the X_k - mu (``std``, and ``lin``, its exact
-equal), each from :func:`~prodsums.summation.exact_running_sums`, and its
-t_n is whole-array arithmetic on them.  ``loo`` takes the value of the
-:class:`~prodsums.streaming.LooSeries` series where
-:func:`_certified_series` certifies the exact value's grid bin, and the
-exact statistic elsewhere, through one
-:func:`~prodsums.statistics.loo_log_chunked` call per block, which reads
-the first block's steps from the block in hand, up to the last of them,
-and a later block's from the start of the same re-readable path; so
-its CSV is the exact statistic's.  The cost is O(N) numpy work plus
-O(n) per exact step on every law, and exact steps are few (none of the
-2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
+steps n and t_n from the kind's walk, which the one table of kinds,
+:data:`~prodsums.statistics.STATISTIC_KINDS`, holds next to its batch
+kernel (:data:`ASCLT_KINDS` are the kinds with a walk).  A walk keeps
+the running sums it reads, S_n (``rw``) or the sum of the X_k - mu
+(``std``, and ``lin``, its exact equal), each from
+:func:`~prodsums.summation.exact_running_sums`, and its t_n is
+whole-array arithmetic on them.  ``loo`` takes the value of the
+:class:`~prodsums.streaming.LooSeries` series where its certificate
+holds for the exact value's grid bin, and the exact statistic elsewhere,
+through one :func:`~prodsums.statistics.loo_log_chunked` call per block,
+which reads the first block's steps from the block in hand, up to the
+last of them, and a later block's from the start of the same re-readable
+path; so its CSV is the exact statistic's.  The cost is O(N) numpy work
+plus O(n) per exact step on every law, and exact steps are few (none of
+the 2e5 steps of exponential:1 at seed 0, nor of the 2e4 steps of
 lognormal:0:20 or gamma:0.001:1).
 
 :func:`run_asclt_path` accumulates the walk's blocks; ``exact_cutoff``
@@ -52,9 +53,8 @@ import numpy as np
 
 from .distributions import DistributionSpec, _integer, moments, sample_chunks
 from .limits import LimitLaw, limit_cdf
-from .statistics import STATISTIC_KINDS, log_ratio, loo_log_chunked
-from .streaming import TOL, LooSeries
-from .summation import NeumaierSum, exact_running_sums
+from .statistics import STATISTIC_KINDS, loo_log_chunked
+from .summation import NeumaierSum
 
 __all__ = [
     "ASCLT_KINDS",
@@ -80,85 +80,14 @@ _BLOCK = 4096
 # ~100 ns per step; a longer one would run for hours or more
 MAX_N = 10**10
 
-_SLACK = 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
-_LARGEST = 1e-13 / 2.0**-51  # about 225, the largest size certified: two roundings of it are 1e-13
-
-
-def _certified_series(series, x, n, grid):
-    """The series of t_n at the block's steps n, whose draws are x, the
-    index of the first grid point at or above each value, and where the
-    series does not certify the grid bin of the exact kernel's value.
-
-    The exact kernel errs by a few roundings in each of its n log terms,
-    so by O(eps*sqrt(n)/gamma), and the series by a few roundings of the
-    terms it evaluates exactly, its anchor and top draws (its ``size``);
-    each slack is 64 such units.  Certified means a truncation bound of
-    at most :data:`~prodsums.streaming.TOL` (1e-14), no grid point within
-    the bound plus both slacks (the exact kernel's taken at the block's
-    last step), and exact terms whose last two roundings stay within
-    1e-13.  The last rule sends the rare steps with |t_n| beyond about
-    225 to the exact kernel too (the first steps of twopoint:1:1e300:0.5,
-    near -490), so a certified value is the exact kernel's within about
-    1e-13.
-    """
-    value, bound, size = series.block(x)
-    reach = _SLACK * size
-    reach += bound
-    reach += _SLACK * math.sqrt(n[-1]) / series.gamma
-    first = np.searchsorted(grid, value)
-    # clear of the grid points on either side of each value, with -inf and
-    # inf past the grid's ends
-    clear = value - reach > np.append(-np.inf, grid)[first]
-    clear &= value + reach < np.append(grid, np.inf)[first]
-    return value, first, ~(clear & (bound <= TOL) & (size <= _LARGEST))
-
-
-# A kind's block function, made per walk from the path, the moments and the
-# grid, maps a block's draws x at steps n to (t_n, first, exact), the last
-# two None but for loo.
-def _loo(path, mu, sigma, gam, grid):
-    series = LooSeries(mu, gam)
-
-    def block(x, n):  # the certified series, else the exact kernel
-        t, first, exact = _certified_series(series, x, n, grid)
-        exact[0] &= n[0] > 1  # n = 1 is never accumulated
-        todo = np.flatnonzero(exact)
-        if todo.size:  # first-block prefixes lie in x up to the last, later ones in the path
-            t[todo] = loo_log_chunked([x[: todo[-1] + 1]] if n[0] == 1 else path, n[todo], mu, gam)
-            first[todo] = np.searchsorted(grid, t[todo])
-        return t, first, exact
-    return block
-
-
-def _rw(path, mu, sigma, gam, grid):
-    total = NeumaierSum()  # S_n
-    log_sum = NeumaierSum()  # the sum of log(S_k/(k mu)) over the blocks so far
-
-    def block(x, n):
-        logs = log_ratio(exact_running_sums(x, total), n * mu)[0]
-        # summed within a rounding: the logs may be large and of one sign
-        return exact_running_sums(logs, log_sum) / (gam * np.sqrt(n)), None, None
-    return block
-
-
-def _std(path, mu, sigma, gam, grid):
-    total = NeumaierSum()  # the sum of X_k - mu
-
-    def block(x, n):
-        return exact_running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None
-    return block
-
-
-# lin = sum_k (S_{n,k}/((n-1) mu) - 1)/(gamma sqrt(n)) = (S_n - n mu)/(sigma sqrt(n)) = std, exactly
-_KINDS = {"loo": _loo, "rw": _rw, "lin": _std, "std": _std}
-ASCLT_KINDS = tuple(_KINDS)  # the kinds a trajectory walk evaluates
+ASCLT_KINDS = tuple(tag for tag, kind in STATISTIC_KINDS.items() if kind.walk)  # the kinds walked
 
 
 def _walk(path, kind, mu, sigma, gam, grid=None):
     """Yield ``(n, t, first, exact)`` for each block of the re-readable
     path: its steps n, the kind's t_n there and, for loo, each value's
     grid index and the steps the exact kernel took (None otherwise)."""
-    block, start = _KINDS[kind](path, mu, sigma, gam, grid), 0
+    block, start = STATISTIC_KINDS[kind].walk(path, mu, sigma, gam, grid), 0
     for x in path:
         n = np.arange(start + 1, start + x.size + 1)
         start += x.size

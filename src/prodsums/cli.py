@@ -266,11 +266,10 @@ def _cmd_dist_table(args, parser) -> int:
         "uniform:0.5:1.5", "twopoint:0.5:2:0.5",
     ]
     _echo_config("dist-table", {"dists": dists})
+    rows = [(spec, *moments(spec)) for spec in map(parse_dist, dists)]  # before --out is opened
     with _open_out(args.out) as out:
         out.write("family,params,mu,sigma,gamma\n")
-        for text in dists:
-            spec = parse_dist(text)
-            mu, sigma, gam = moments(spec)
+        for spec, mu, sigma, gam in rows:
             params = ":".join(repr(p) for p in spec.params)
             out.write(f"{spec.family},{params},{mu!r},{sigma!r},{gam!r}\n")
     return 0
@@ -316,7 +315,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="the n past which loo counts its steps sent to the exact kernel "
                         "(fallbacks); no output depends on it (default 2000)")
     p.add_argument("--grid", default=None,
-                   help="comma-separated grid points (default: 19 normal quantiles)")
+                   help="comma-separated grid points (default: 19 normal quantiles); "
+                        "write --grid=-1,0,1 when the first point is negative")
     p.add_argument("--workers", type=int, default=None,
                    help="accepted for config symmetry, >= 1; a single path runs sequentially")
     p.add_argument("--plot", default=None, help="write a gnuplot script here")

@@ -13,12 +13,12 @@ products of n partial sums overflow double precision near n = 150, while
 their normalized logarithms stay O(1).  Each log ratio goes through
 :func:`log_ratio`, and every sum through :func:`~prodsums.summation.row_sums`.
 
-Each kind has one kernel, listed in :data:`STATISTIC_KINDS`.  A kernel
-evaluates a ``(rows, n)`` batch of paths by reductions along each row,
-so a row's value has the same bits in any batch; the public scalar
-functions are one-row calls of the kernels.  A kernel writes its
-temporaries into new arrays, or with the same bits into the ``work``
-arrays of a caller that reuses them from batch to batch.
+Each kind's kernel, and its walk along one path if it has one, is in
+:data:`STATISTIC_KINDS`.  A kernel evaluates a ``(rows, n)`` batch of paths
+by reductions along each row, so a row's value has the same bits in any
+batch; the public scalar functions are one-row calls of the kernels.  A
+kernel writes its temporaries into new arrays, or with the same bits into
+the ``work`` arrays of a caller that reuses them from batch to batch.
 :func:`loo_log_chunked` evaluates the leave-one-out statistic of many
 prefixes of one path, read in chunks, with the same arithmetic.
 """
@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import SamplePath
+from .streaming import TOL, LooSeries
 from .summation import NeumaierSum, exact_running_sums, row_sums, two_sum
 
 __all__ = [
@@ -201,6 +202,75 @@ def _gm_prefix(paths, mu, sigma, gam, work=None):
 def _gm_loo(paths, mu, sigma, gam, work=None):
     values, _, _ = _loo(paths, 1.0, None, 1.0, work)
     return _no_diagnostics(np.exp(values / math.sqrt(np.shape(paths)[1])))
+
+
+_SLACK = 64 * 2.0**-52  # 2**-52 is eps; see _certified_series
+_LARGEST = 1e-13 / 2.0**-51  # about 225, the largest size certified: two roundings of it are 1e-13
+
+
+def _certified_series(series, x, n, grid):
+    """The series of t_n at the block's steps n, whose draws are x, the
+    index of the first grid point at or above each value, and where the
+    series does not certify the grid bin of the exact kernel's value.
+
+    The exact kernel errs by a few roundings in each of its n log terms,
+    so by O(eps*sqrt(n)/gamma), and the series by a few roundings of the
+    terms it evaluates exactly, its anchor and top draws (its ``size``);
+    each slack is 64 such units.  Certified means a truncation bound of
+    at most :data:`~prodsums.streaming.TOL` (1e-14), no grid point within
+    the bound plus both slacks (the exact kernel's taken at the block's
+    last step), and exact terms whose last two roundings stay within
+    1e-13.  The last rule sends the rare steps with |t_n| beyond about
+    225 to the exact kernel too (the first steps of twopoint:1:1e300:0.5,
+    near -490), so a certified value is the exact kernel's within about
+    1e-13.
+    """
+    value, bound, size = series.block(x)
+    reach = _SLACK * size
+    reach += bound
+    reach += _SLACK * math.sqrt(n[-1]) / series.gamma
+    first = np.searchsorted(grid, value)
+    # clear of the grid points on either side of each value, with -inf and
+    # inf past the grid's ends
+    clear = value - reach > np.append(-np.inf, grid)[first]
+    clear &= value + reach < np.append(grid, np.inf)[first]
+    return value, first, ~(clear & (bound <= TOL) & (size <= _LARGEST))
+
+
+# A kind's walk(path, mu, sigma, gamma, grid), made per path, maps a block's
+# draws x at steps n to (t_n, first, exact), the last two None but for loo:
+# each value's grid index and the steps the exact kernel took.
+def _loo_walk(path, mu, sigma, gam, grid):
+    series = LooSeries(mu, gam)
+
+    def block(x, n):  # the certified series, else the exact kernel
+        t, first, exact = _certified_series(series, x, n, grid)
+        exact[0] &= n[0] > 1  # n = 1 is never accumulated
+        todo = np.flatnonzero(exact)
+        if todo.size:  # first-block prefixes lie in x up to the last, later ones in the path
+            t[todo] = loo_log_chunked([x[: todo[-1] + 1]] if n[0] == 1 else path, n[todo], mu, gam)
+            first[todo] = np.searchsorted(grid, t[todo])
+        return t, first, exact
+    return block
+
+
+def _rw_walk(path, mu, sigma, gam, grid):
+    total = NeumaierSum()  # S_n
+    log_sum = NeumaierSum()  # the sum of log(S_k/(k mu)) over the blocks so far
+
+    def block(x, n):
+        logs = log_ratio(exact_running_sums(x, total), n * mu)[0]
+        # summed within a rounding: the logs may be large and of one sign
+        return exact_running_sums(logs, log_sum) / (gam * np.sqrt(n)), None, None
+    return block
+
+
+def _std_walk(path, mu, sigma, gam, grid):
+    total = NeumaierSum()  # the sum of X_k - mu
+
+    def block(x, n):
+        return exact_running_sums(x - mu, total) / (sigma * np.sqrt(n)), None, None
+    return block
 
 
 def _one(kernel, path, mu=None, sigma=None, gamma=None, output=0) -> float:
@@ -377,19 +447,22 @@ class StatisticKind:
     the results are the same bits either way and never alias it.
     ``log_law`` (the default comparison law) and ``product_law`` (the law
     of the exponentiated statistic, if any) are ``limits.LAW_TAGS`` tags.
+    ``walk`` is the kind's walk along one path (described above ``_loo_walk``) or None.
     """
 
     evaluate: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray]]
     log_law: str
     product_law: str | None
     min_n: int
+    walk: Callable[..., Callable] | None = None
 
 
 STATISTIC_KINDS = {
-    "loo": StatisticKind(_loo, "n01", "expnorm", 2),
-    "rw": StatisticKind(_rw, "n02", "expsqrt2", 1),
-    "lin": StatisticKind(_lin, "n01", None, 2),
-    "std": StatisticKind(_std, "n01", None, 1),
+    "loo": StatisticKind(_loo, "n01", "expnorm", 2, _loo_walk),
+    "rw": StatisticKind(_rw, "n02", "expsqrt2", 1, _rw_walk),
+    # lin = sum_k (S_{n,k}/((n-1) mu) - 1)/(gamma sqrt(n)) = (S_n - n mu)/(sigma sqrt(n)) = std, exactly
+    "lin": StatisticKind(_lin, "n01", None, 2, _std_walk),
+    "std": StatisticKind(_std, "n01", None, 1, _std_walk),
     "gm-prefix": StatisticKind(_gm_prefix, "point", None, 1),
     "gm-loo": StatisticKind(_gm_loo, "point", None, 2),
 }

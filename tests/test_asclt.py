@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import prodsums.asclt as asclt_module
 import prodsums.distributions as distributions_module
+import prodsums.statistics as statistics_module
 from prodsums.cli import parse_dist
 from prodsums import (
     ASCLT_KINDS,
@@ -95,18 +96,25 @@ def engine_run(monkeypatch, spec, kind, n_max, seed, exact_cutoff):
     return report, np.concatenate(seen)
 
 
-def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
-    """run_asclt_path's loo report, the steps n its series certified and
-    their values."""
+def certify_spy(monkeypatch):
+    """A list that gathers, for each block of a loo walk, the steps n its
+    series certified and their values."""
     seen = []
-    certify = asclt_module._certified_series
+    certify = statistics_module._certified_series
 
     def spy(series, x, n, grid):
         value, first, exact = certify(series, x, n, grid)
         seen.append((n[~exact], value[~exact]))
         return value, first, exact
 
-    monkeypatch.setattr(asclt_module, "_certified_series", spy)
+    monkeypatch.setattr(statistics_module, "_certified_series", spy)
+    return seen
+
+
+def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
+    """run_asclt_path's loo report, the steps n its series certified and
+    their values."""
+    seen = certify_spy(monkeypatch)
     report = run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
     ns, values = (np.concatenate(parts) for parts in zip(*seen))
     return report, ns, values
@@ -115,10 +123,12 @@ def certified_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
 def exact_run(monkeypatch, spec, n_max, seed, exact_cutoff=2000, grid=None):
     """run_asclt_path's loo report with every step through the exact kernel."""
     with monkeypatch.context() as patch:
-        patch.setattr(asclt_module, "_certified_series",
+        patch.setattr(statistics_module, "_certified_series",
                       lambda series, x, n, grid: (np.empty(n.size), np.empty(n.size, dtype=np.intp),
                                                   np.ones(n.size, dtype=bool)))
-        return run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
+        report = run_asclt_path(spec, "loo", n_max, seed, grid=grid, exact_cutoff=exact_cutoff)
+    assert report.exact_steps == n_max - 1  # the patch reached the walk
+    return report
 
 
 def csv_text(report):
@@ -316,7 +326,6 @@ class TestRunAscltPath:
         # serves both; on twopoint:1:1e300:0.5 two forms of that sum bin
         # differently the steps whose exact value ties a point of the
         # 61-point grid, such as -1
-        assert asclt_module._KINDS["lin"] is asclt_module._KINDS["std"]
         grid61 = [(i - 30) / 10 for i in range(61)]  # -3.0, -2.9, ..., 3.0
         for spec, seed in [(EXP1, 5), (parse_dist("twopoint:1:1e300:0.5"), 0)]:
             for grid in (None, grid61):
@@ -405,13 +414,15 @@ class TestEngineMatchesStepLoop:
         # the third-order gate failed on these steps past the cutoff; the
         # certified series takes every one of them, and a fallback is a step
         # past the cutoff sent to the exact kernel
-        sent = []
-        chunked = asclt_module.loo_log_chunked
-        monkeypatch.setattr(asclt_module, "loo_log_chunked",
+        sent, seen = [], certify_spy(monkeypatch)
+        chunked = statistics_module.loo_log_chunked
+        monkeypatch.setattr(statistics_module, "loo_log_chunked",
                             lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
         report = self.check(monkeypatch, self.FAMILIES[family], 20_000, 0, exact_cutoff)
         late = sum(n > exact_cutoff for n in sent)
         assert report.fallback_count == late == 0
+        # both spies reach the loo walk: every step is certified or sent
+        assert sum(n.size for n, _ in seen) == 19_999 - len(sent) == 19_999 - report.exact_steps
         assert report.mode_switch_n == exact_cutoff + 1
 
     @pytest.mark.parametrize("family", ["exponential:1", "lognormal:0:2"])
@@ -430,15 +441,14 @@ def test_exact_steps_are_batched(monkeypatch, family, exact_cutoff):
     spec = TestEngineMatchesStepLoop.FAMILIES[family]
     grid = np.sort(np.append(default_grid(), exact_values(spec, 20_000, 0, [3000])))
     scalar, batched = [], []
-    chunked = asclt_module.loo_log_chunked
+    chunked = statistics_module.loo_log_chunked
 
     def counting(path, ns, mu, gamma):
         batched.append(len(ns))
         return chunked(path, ns, mu, gamma)
 
-    monkeypatch.setattr(asclt_module, "loo_log_statistic",
-                        lambda *args: scalar.append(args), raising=False)
-    monkeypatch.setattr(asclt_module, "loo_log_chunked", counting)
+    monkeypatch.setattr(statistics_module, "loo_log_statistic", lambda *args: scalar.append(args))
+    monkeypatch.setattr(statistics_module, "loo_log_chunked", counting)
     report, certified, _ = certified_run(monkeypatch, spec, 20_000, 0, exact_cutoff, grid)
     assert scalar == [] and len(batched) <= -(-20_000 // asclt_module._BLOCK)
     assert sum(batched) == 20_000 - 1 - certified.size == report.exact_steps >= 1
@@ -468,8 +478,8 @@ class TestCertifiedPrefix:
         k = int(ns[ns.size // 2])
         on_grid = exact_values(EXP1, 3000, 0, [k])[0]
         exact_ns = []
-        chunked = asclt_module.loo_log_chunked
-        monkeypatch.setattr(asclt_module, "loo_log_chunked",
+        chunked = statistics_module.loo_log_chunked
+        monkeypatch.setattr(statistics_module, "loo_log_chunked",
                             lambda path, ns, mu, gamma: exact_ns.extend(ns) or chunked(path, ns, mu, gamma))
         report = run_asclt_path(EXP1, "loo", 3000, 0, grid=np.sort(np.append(default_grid(), on_grid)))
         assert k in exact_ns and report.exact_steps == len(exact_ns)
@@ -493,7 +503,7 @@ class TestCertifiedPrefix:
         series = LooSeries(0.5 + 5e299, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value, _, exact = asclt_module._certified_series(series, path, np.arange(1, 5), default_grid())
+            value, _, exact = statistics_module._certified_series(series, path, np.arange(1, 5), default_grid())
         assert exact.tolist() == [True, True, False, False] and np.isnan(value[0])
         assert np.max(np.abs(value[2:] - loo_log_chunked([path], [3, 4], 0.5 + 5e299, 1.0))) <= 1e-13
 
@@ -504,8 +514,8 @@ def test_late_exact_step_gives_the_all_exact_csv(monkeypatch):
     on_grid = exact_values(EXP1, 20_000, 0, [10_000])[0]
     grid = np.sort(np.append(default_grid(), on_grid))
     late = []
-    chunked = asclt_module.loo_log_chunked
-    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+    chunked = statistics_module.loo_log_chunked
+    monkeypatch.setattr(statistics_module, "loo_log_chunked",
                         lambda path, ns, mu, gamma: late.extend(ns) or chunked(path, ns, mu, gamma))
     report = run_asclt_path(EXP1, "loo", 20_000, 0, grid=grid)
     assert 10_000 in late and report.exact_steps == len(late)
@@ -523,8 +533,8 @@ def test_first_block_exact_steps_read_the_block_in_hand(monkeypatch):
     draws = distributions_module._ChunkedPath.draws
     monkeypatch.setattr(distributions_module._ChunkedPath, "__iter__",
                         lambda self: passes.append(self) or draws(self))
-    chunked = asclt_module.loo_log_chunked
-    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+    chunked = statistics_module.loo_log_chunked
+    monkeypatch.setattr(statistics_module, "loo_log_chunked",
                         lambda path, ns, mu, gamma: held.append((sum(map(len, path)), ns[-1]))
                         or chunked(path, ns, mu, gamma))
     report = run_asclt_path(spec, "loo", 20_000, 0)
@@ -544,8 +554,8 @@ def test_exact_steps_find_the_redraw_rounds_once(monkeypatch):
     rounds = distributions_module._redraw_rounds
     monkeypatch.setattr(distributions_module, "_redraw_rounds",
                         lambda *args: found.append(args) or rounds(*args))
-    chunked = asclt_module.loo_log_chunked
-    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+    chunked = statistics_module.loo_log_chunked
+    monkeypatch.setattr(statistics_module, "loo_log_chunked",
                         lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
     report = run_asclt_path(spec, "loo", 20_000, 0, grid=grid)
     assert len(found) == 1 and {50, 10_000} <= set(sent) and report.exact_steps == len(sent)
@@ -639,12 +649,13 @@ def test_heavy_law_bins_match_the_rational_oracle(kind, seed):
 def test_heavy_laws_take_few_exact_steps(monkeypatch, family):
     # the third-order gate sent every step of the first two laws to the
     # exact kernel, 19 999 of them; twopoint may need the first few dozen
-    sent = []
-    chunked = asclt_module.loo_log_chunked
-    monkeypatch.setattr(asclt_module, "loo_log_chunked",
+    sent, seen = [], certify_spy(monkeypatch)
+    chunked = statistics_module.loo_log_chunked
+    monkeypatch.setattr(statistics_module, "loo_log_chunked",
                         lambda path, ns, mu, gamma: sent.extend(ns) or chunked(path, ns, mu, gamma))
     report = run_asclt_path(parse_dist(family), "loo", 20_000, 0, exact_cutoff=4000)
     assert report.exact_steps == len(sent) <= 36 and max(sent, default=0) <= 48
+    assert sum(n.size for n, _ in seen) == 19_999 - len(sent)  # both spies reach the walk
     assert report.fallback_count == 0 and report.mode_switch_n == 4001
 
 

@@ -314,6 +314,16 @@ class TestAscltCommand:
         ) == 0
         assert len(out.read_text().strip().split("\n")) == 4
 
+    def test_negative_grid_needs_the_equals_form(self, tmp_path, capsys):
+        # argparse reads "-1,0,1" as an option, so the help names the = form
+        out = tmp_path / "a.csv"
+        assert run_cli(["asclt", "--dist", "exponential:1", "--stat", "std", "--N", "100",
+                        "--grid", "-1,0,1", "--out", str(out)]) == 2
+        assert "argument --grid: expected one argument" in capsys.readouterr().err
+        assert not out.exists()
+        assert run_cli(["asclt", "--help"]) == 0
+        assert "--grid=-1,0,1" in capsys.readouterr().out
+
     def test_round_trip(self, tmp_path):
         cfg, a, b = tmp_path / "c.json", tmp_path / "a.csv", tmp_path / "b.csv"
         assert run_cli(
@@ -534,3 +544,14 @@ class TestDistTable:
 
     def test_invalid_dist_exit_1(self):
         assert run_cli(["dist-table", "--dist", "uniform:3:1"]) == 1
+
+    def test_bad_later_dist_writes_no_file(self, tmp_path, capsys):
+        # every spec is parsed before --out is opened, so nothing is created
+        # or truncated
+        out, kept = tmp_path / "f.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for path in (out, kept):
+            assert run_cli(["dist-table", "--dist", "exponential:1", "--dist", "twopoint:1:2:1",
+                            "--out", str(path)]) == 1
+            assert "error: twopoint requires 0 < p_low < 1" in capsys.readouterr().err
+        assert not out.exists() and kept.read_text() == "old\n"

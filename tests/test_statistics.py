@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import re
 from unittest import mock
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prodsums.asclt as asclt_module
 import prodsums.statistics as statistics_module
 from prodsums import (
     ASCLT_KINDS,
@@ -425,7 +427,11 @@ class TestKindTable:
         kind = STATISTIC_KINDS[tag]
         assert _stat_choices("clt", capsys) == list(STATISTIC_KINDS)
         assert _stat_choices("asclt", capsys) == list(ASCLT_KINDS)
-        assert (tag in ASCLT_KINDS) == (tag in ("loo", "rw", "lin", "std"))
+        assert ASCLT_KINDS == asclt_module.ASCLT_KINDS == ("loo", "rw", "lin", "std")
+        assert (kind.walk is not None) == (tag in ASCLT_KINDS)
+        # lin equals std exactly, so one walk serves both
+        assert STATISTIC_KINDS["lin"].walk is STATISTIC_KINDS["std"].walk
+        assert not hasattr(asclt_module, "_KINDS")
 
         spec = make_distribution("gamma", [4.0, 0.5])
         mu, sigma, gam = moments(spec)
@@ -439,6 +445,37 @@ class TestKindTable:
             ExperimentConfig(spec, tag, n, 1, 0, compare_law=LimitLaw(law, mu))
         with pytest.raises(ValueError, match=f"needs n >= {kind.min_n}"):
             ExperimentConfig(spec, tag, (kind.min_n - 1,), 1, 0)
+
+
+# The largest gap between a walk's t_n and the kernel's value on the same
+# prefix, relative to max(1, |t|), over these laws, seeds 0-9 and n in
+# WALK_NS: loo 7.9e-14, rw 1.4e-12 (twopoint:1:1e300:0.5 at n = 1e4), lin
+# 2.9e-14 and std 2.2e-16.  Each bound is about twice that (std's four
+# times).  The rw gap is the batch kernel's: it takes S_k from a plain
+# cumsum, and the walk from exact_running_sums, so a kernel on the walk's
+# running sums can tighten that bound.
+WALK_LAWS = ["exponential:1", "gamma:4:0.5", "lognormal:0:0.5", "uniform:0.5:1.5",
+             "twopoint:0.5:2:0.5", "lognormal:0:20", "gamma:0.002:1", "twopoint:1:1e300:0.5"]
+WALK_NS = np.array([2, 3, 100, 4096, 4097, 10_000])
+WALK_TOLERANCE = {"loo": 2e-13, "rw": 3e-12, "lin": 6e-14, "std": 1e-15}
+
+
+@pytest.mark.parametrize("tag", ASCLT_KINDS)
+def test_walk_matches_the_kernel(tag):
+    # the two evaluators of a kind in the table agree on each prefix, across
+    # the walk's block boundary at 4096
+    gaps = []
+    for family, seed in itertools.product(WALK_LAWS, range(3)):
+        spec = parse_dist(family)
+        mu, sigma, gam = moments(spec)
+        path = asclt_module._path(spec, int(WALK_NS[-1]), seed)
+        walk = asclt_module._walk(path, tag, mu, sigma, gam, asclt_module.default_grid())
+        got = np.concatenate([t for _, t, _, _ in walk])[WALK_NS - 1]
+        v = sample(spec, int(WALK_NS[-1]), seed, 0).values
+        want = np.array([STATISTIC_KINDS[tag].evaluate(v[np.newaxis, :n], mu, sigma, gam)[0][0]
+                         for n in WALK_NS])
+        gaps.append(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+    assert max(gaps) <= WALK_TOLERANCE[tag], gaps
 
 
 SCALAR = {
