@@ -345,6 +345,11 @@ def run_slln_experiment(spec: DistributionSpec, n_list, base_seed: int) -> SllnR
     low = ratio < np.finfo(float).tiny
     gms = mu * ratio
     gms[low] = np.exp(logs[low] + math.log(mu))
+    bad = ~np.isfinite(gms)  # the path's sums have left the double range
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        raise ValueError(f"geometric mean is {gms[bad[:, j], j][0]} at n = {ns[j]}; "
+                         "it must be finite")
     rows = []
     for n, gp, gl in zip(ns, *gms.tolist()):
         rows.append(SllnRow(n, gp, abs(gp - mu), gl, abs(gl - mu)))

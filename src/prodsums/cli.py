@@ -65,31 +65,40 @@ def _split(cast):
 
 _REQUIRED = object()  # field default: the value must come from a flag or the config
 
-# per command: (flag attribute, config key, default, coercer); a coercer
-# takes a flag value or a config-file value and raises TypeError or
-# ValueError on anything it cannot turn into the typed value
+# per command: (flag, config key, default, coercer, argparse options);
+# _build_parser adds --flag with those options and default None, so the
+# config fills an unset flag.  A coercer takes a flag value or a config
+# value and raises TypeError or ValueError on anything it cannot turn
+# into the typed value
+_SEED = ("seed", "baseSeed", DEFAULT_SEED, _integer,
+         dict(type=int, help=f"base seed (default {DEFAULT_SEED})"))
 _CLT_FIELDS = (
-    ("dist", "spec", _REQUIRED, parse_dist),
-    ("stat", "kind", _REQUIRED, str),
-    ("n", "nList", _REQUIRED, _split(_integer)),
-    ("reps", "M", 1000, _integer),
-    ("seed", "baseSeed", DEFAULT_SEED, _integer),
-    ("law", "compareLaw", None, str),
-    ("workers", "workers", 1, _integer),
+    ("dist", "spec", _REQUIRED, parse_dist, dict(help="family:params, e.g. exponential:1")),
+    ("stat", "kind", _REQUIRED, str, dict(choices=STATISTIC_KINDS)),
+    ("n", "nList", _REQUIRED, _split(_integer), dict(help="comma-separated path lengths")),
+    ("reps", "M", 1000, _integer, dict(type=int, help="replications per n (default 1000)")),
+    _SEED,
+    ("law", "compareLaw", None, str, dict(choices=LAW_TAGS, help="comparison law override")),
+    ("workers", "workers", 1, _integer, dict(type=int, help=">= 1; processes, this one included")),
 )
 _ASCLT_FIELDS = (
-    ("dist", "spec", _REQUIRED, parse_dist),
-    ("stat", "kind", _REQUIRED, str),
-    ("N", "N", _REQUIRED, _integer),
-    ("seed", "baseSeed", DEFAULT_SEED, _integer),
-    ("exact_cutoff", "exactCutoff", 2000, _integer),
-    ("grid", "grid", None, _split(float)),
-    ("workers", "workers", 1, _integer),  # accepted for symmetry; a single path is sequential
+    ("dist", "spec", _REQUIRED, parse_dist, {}),
+    ("stat", "kind", _REQUIRED, str, dict(choices=ASCLT_KINDS)),
+    ("N", "N", _REQUIRED, _integer, dict(type=int, help=f"trajectory length, 2 to {MAX_N:,}")),
+    _SEED,
+    ("exact-cutoff", "exactCutoff", 2000, _integer, dict(
+        type=int, help="the n past which loo counts its steps sent to the exact kernel "
+                       "(fallbacks); no output depends on it (default 2000)")),
+    ("grid", "grid", None, _split(float), dict(
+        help="comma-separated grid points (default: 19 normal quantiles); "
+             "write --grid=-1,0,1 when the first point is negative")),
+    ("workers", "workers", 1, _integer, dict(
+        type=int, help="accepted for config symmetry, >= 1; a single path runs sequentially")),
 )
 _SLLN_FIELDS = (
-    ("dist", "spec", _REQUIRED, parse_dist),
-    ("n", "nList", _REQUIRED, _split(_integer)),
-    ("seed", "baseSeed", DEFAULT_SEED, _integer),
+    ("dist", "spec", _REQUIRED, parse_dist, {}),
+    ("n", "nList", _REQUIRED, _split(_integer), dict(help="comma-separated checkpoints")),
+    _SEED,
 )
 
 
@@ -153,8 +162,8 @@ def _resolve(args, parser: argparse.ArgumentParser, fields) -> dict:
         parser.error("--plot needs --out so the script can reference the CSV")
     cfg = _load_config(args.config) if args.config else {}
     resolved = {}
-    for attr, key, default, _ in fields:
-        value = getattr(args, attr)
+    for flag, key, default, _, _ in fields:
+        value = getattr(args, flag.replace("-", "_"))
         if value is None:
             value = cfg.get(key)
         if value is None and default is _REQUIRED:
@@ -166,7 +175,7 @@ def _resolve(args, parser: argparse.ArgumentParser, fields) -> dict:
             json.dump(resolved, fh, indent=2, sort_keys=True)
             fh.write("\n")
     values = {}
-    for _, key, _, coerce in fields:
+    for _, key, _, coerce, _ in fields:
         try:
             values[key] = None if resolved[key] is None else coerce(resolved[key])
         except (TypeError, ValueError, OverflowError) as exc:
@@ -201,10 +210,7 @@ def _cmd_clt(args, parser) -> int:
     report = run_clt_experiment(config)
     _write_report(args, report, timing=args.timing)
     for row in report.rows:
-        print(
-            f"n={row.n} ks={row.ks:.6f} ({row.seconds:.2f}s)",
-            file=sys.stderr,
-        )
+        print(f"n={row.n} ks={row.ks:.6f} ({row.seconds:.2f}s)", file=sys.stderr)
     return 0
 
 
@@ -212,14 +218,8 @@ def _cmd_asclt(args, parser) -> int:
     v = _resolve(args, parser, _ASCLT_FIELDS)
     if v["workers"] < 1:  # the check clt makes, so one config fails alike in both
         raise ValueError("workers must be >= 1")
-    report = run_asclt_path(
-        v["spec"],
-        v["kind"],
-        v["N"],
-        v["baseSeed"],
-        grid=v["grid"],
-        exact_cutoff=v["exactCutoff"],
-    )
+    report = run_asclt_path(v["spec"], v["kind"], v["N"], v["baseSeed"],
+                            grid=v["grid"], exact_cutoff=v["exactCutoff"])
     _write_report(args, report)
     print(
         f"sup-gap={report.sup_gap:.6f} (logN normalization: {report.sup_gap_logn:.6f}) "
@@ -282,9 +282,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_flag(p, row):
+        p.add_argument(f"--{row[0]}", default=None, **row[4])
+
+    def add_fields(p, fields):  # --seed comes last, from add_common
+        for row in fields:
+            if row is not _SEED:
+                add_flag(p, row)
+
     def add_common(p, with_files=True):
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"base seed (default {DEFAULT_SEED})")
+        add_flag(p, _SEED)
         if with_files:  # identity prints one line and reads no config
             p.add_argument("--out", default=None, help="output CSV path (default stdout)")
             p.add_argument("--config", default=None, help="JSON config file")
@@ -292,14 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="write the resolved config as JSON to this path")
 
     p = sub.add_parser("clt", help="many-replication convergence experiment")
-    p.add_argument("--dist", default=None, help="family:params, e.g. exponential:1")
-    p.add_argument("--stat", default=None, choices=STATISTIC_KINDS)
-    p.add_argument("--n", default=None, help="comma-separated path lengths")
-    p.add_argument("--reps", type=int, default=None, help="replications per n (default 1000)")
-    p.add_argument("--law", default=None, choices=LAW_TAGS,
-                   help="comparison law override")
-    p.add_argument("--workers", type=int, default=None,
-                   help=">= 1; processes, this one included")
+    add_fields(p, _CLT_FIELDS)
     p.add_argument("--timing", action="store_true",
                    help="write each row's replicate wall time, summed over its tasks, into the "
                         "seconds column (default writes 0 so reports are byte-reproducible)")
@@ -308,24 +308,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_clt)
 
     p = sub.add_parser("asclt", help="single-trajectory logarithmic average")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--stat", default=None, choices=ASCLT_KINDS)
-    p.add_argument("--N", type=int, default=None, help=f"trajectory length, 2 to {MAX_N:,}")
-    p.add_argument("--exact-cutoff", type=int, default=None,
-                   help="the n past which loo counts its steps sent to the exact kernel "
-                        "(fallbacks); no output depends on it (default 2000)")
-    p.add_argument("--grid", default=None,
-                   help="comma-separated grid points (default: 19 normal quantiles); "
-                        "write --grid=-1,0,1 when the first point is negative")
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted for config symmetry, >= 1; a single path runs sequentially")
+    add_fields(p, _ASCLT_FIELDS)
     p.add_argument("--plot", default=None, help="write a gnuplot script here")
     add_common(p)
     p.set_defaults(func=_cmd_asclt)
 
     p = sub.add_parser("slln", help="geometric means along one path")
-    p.add_argument("--dist", default=None)
-    p.add_argument("--n", default=None, help="comma-separated checkpoints")
+    add_fields(p, _SLLN_FIELDS)
     add_common(p)
     p.set_defaults(func=_cmd_slln)
 

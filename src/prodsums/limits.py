@@ -172,6 +172,7 @@ def normal_cdf(x: float | np.ndarray) -> float | np.ndarray:
     if isinstance(x, np.ndarray):
         z = -np.asarray(x, dtype=float).reshape(-1) / _SQRT2
         return (0.5 * _erfc_array(z)).reshape(x.shape)
+    x = float(x)  # a float32 or other scalar computes in float64
     if math.isnan(x):
         return math.nan
     return 0.5 * _erfc(-x / _SQRT2)
@@ -237,7 +238,8 @@ class LimitLaw:
 
 def limit_cdf(law: LimitLaw, x: float | np.ndarray) -> float | np.ndarray:
     """CDF of a limit law at a float x, or at each element of an array x.
-    NaN gives NaN under every law."""
+    NaN gives NaN under every law.  x is taken in float64."""
+    x = np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
     if law.tag in ("n01", "n02"):
         return normal_cdf(x if law.tag == "n01" else x / _SQRT2)
     scale = 1.0 if law.tag == "expnorm" else _SQRT2

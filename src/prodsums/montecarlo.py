@@ -263,6 +263,10 @@ def run_clt_experiment(config: ExperimentConfig) -> ConvergenceReport:
             blocks, secs = zip(*results)
             vals, rems, devs = np.concatenate(blocks, axis=1)
             data = np.exp(vals) if product_scale else vals
+            bad = ~np.isfinite(data)
+            if bad.any():
+                raise ValueError(f"statistic is {data[bad][0]} at n = {n} in "
+                                 f"{np.count_nonzero(bad)} of {m} replicates; it must be finite")
             sd = float(np.std(data, ddof=1)) if m > 1 else 0.0
             rows.append(ConvergenceRow(
                 n, m, ks_distance(empirical_cdf(data), law), float(np.mean(data)), sd,

@@ -92,19 +92,17 @@ def _check_positive(**params) -> None:
         raise ValueError(f"{' and '.join(params)} must be positive")
 
 
-def _loo_sums(x: np.ndarray, top=None, out=None, scratch=None) -> np.ndarray:
+def _loo_sums(x: np.ndarray, top: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """The leave-one-out sums S_n - X_k of every row, each positive.
 
     ``S_n - X_k`` cancels when X_k is most of S_n.  At most one draw of a
     row exceeds S_n/2, and its entry is summed afresh from the other
     draws; every other entry is at least S_n/2.  ``top`` is each row's
-    largest draw if the caller has it; ``out`` takes the sums and
-    ``scratch`` the temporaries of :func:`row_sums`.
+    largest draw; ``out`` takes the sums and ``scratch`` the temporaries
+    of :func:`row_sums`.
     """
     if x.shape[1] < 2:
         raise ValueError("leave-one-out statistics need n >= 2; (n-1)*mu vanishes at n = 1")
-    if top is None:
-        top = x.max(axis=1)
     s = row_sums(x, top, scratch)
     loo = np.subtract(s[:, np.newaxis], x, out=out)
     rows = np.flatnonzero(top > 0.5 * s)

@@ -76,8 +76,9 @@ class LooSeries:
         series' own rounding errors.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or not x.size or not np.all(x > 0.0):
-            raise ValueError("x must be a nonempty 1-D sequence of positive draws")
+        # a NaN fails both comparisons
+        if x.ndim != 1 or not x.size or not (x.min() > 0.0 and x.max() < math.inf):
+            raise ValueError("x must be a nonempty 1-D sequence of finite positive draws")
         start = self.n
         stop = start + x.size
         n = np.arange(start + 1, stop + 1, dtype=float)

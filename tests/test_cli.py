@@ -16,6 +16,7 @@ from prodsums import (
     sample_rows,
     standardized_sum,
 )
+import prodsums.cli as cli
 from prodsums.cli import IDENTITY_TOLERANCE, main, parse_dist
 
 
@@ -89,6 +90,36 @@ def rw_oracle(values, mu, gam):
             log_sum += mpmath.log(s / (k * mpmath.mpf(mu)))
             out.append(float(log_sum / (mpmath.mpf(gam) * mpmath.sqrt(k))))
     return np.array(out)
+
+
+class TestFieldTables:
+    @pytest.mark.parametrize("command,fields,others", [
+        ("clt", cli._CLT_FIELDS, {"timing", "plot"}),
+        ("asclt", cli._ASCLT_FIELDS, {"plot"}),
+        ("slln", cli._SLLN_FIELDS, set()),
+    ])
+    def test_rows_are_the_config_backed_options(self, command, fields, others):
+        # every option but the file ones and --timing/--plot is a row's,
+        # added with the row's options and default None, so that the
+        # config can fill it when the flag is unset
+        parser = cli._build_parser()._subparsers._group_actions[0].choices[command]
+        actions = {a.dest: a for a in parser._actions if a.dest != "help"}
+        dests = {flag.replace("-", "_") for flag, *_ in fields}
+        assert set(actions) == dests | others | {"out", "config", "emit_config"}
+        for flag, _, _, _, options in fields:
+            action = actions[flag.replace("-", "_")]
+            assert action.option_strings == [f"--{flag}"] and action.default is None
+            assert {k: getattr(action, k) for k in options} == options
+
+    def test_a_row_alone_adds_a_config_backed_option(self, monkeypatch, capsys):
+        row = ("max-n", "maxN", 7, int, dict(type=int, help="a test option"))
+        monkeypatch.setattr(cli, "_SLLN_FIELDS", cli._SLLN_FIELDS + (row,))
+        assert main(["slln", "--help"]) == 0
+        usage = capsys.readouterr().out
+        assert "[--max-n MAX_N] [--seed SEED]" in usage and "a test option" in usage
+        assert main(["slln", "--dist", "exponential:1", "--n", "5", "--max-n", "9"]) == 0
+        assert '"maxN": 9' in capsys.readouterr().err
+        assert main(["slln", "--dist", "exponential:1", "--n", "5", "--max-n", "x"]) == 2
 
 
 class TestHeavySpecRw:
@@ -274,6 +305,18 @@ class TestCltCommand:
         with pytest.raises(ValueError, match="empty report"):
             emit_plot_script(empty, "r.csv", str(tmp_path / "r.gp"))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, as a row sum overflows
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_nonfinite_statistic_names_its_row(self, tmp_path, capsys, workers):
+        # sums of 12 draws of mean 1e307 may overflow; the message used to
+        # name neither the row nor the statistic
+        out = tmp_path / "c.csv"
+        assert run_cli(["clt", "--dist", "exponential:1e-307", "--stat", "loo", "--n", "5,12",
+                        "--reps", "20", "--workers", workers, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: statistic is nan at n = 12 in 2 of 20 replicates; it must be finite" in err
+        assert not out.exists()
+
 
 class TestAscltCommand:
     def test_basic_run(self, tmp_path, capsys):
@@ -415,6 +458,17 @@ class TestSllnCommand:
         captured = capsys.readouterr()
         assert f"error: n_max must be from 2 to {asclt_module.MAX_N}, got 20000000000" in captured.err
         assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, as k*mu and S_k overflow
+    @pytest.mark.parametrize("checkpoints,n", [("2,10,1000", 1000), ("2,17,18,19", 18)])
+    def test_path_leaving_the_double_range_is_exit_1(self, tmp_path, capsys, checkpoints, n):
+        # both sums overflow from n = 18 on, and the n = 1000 row was
+        # written as nan; at n = 18 only the prefix mean is nan
+        out = tmp_path / "s.csv"
+        assert run_cli(["slln", "--dist", "exponential:1e-307", "--n", checkpoints,
+                        "--out", str(out)]) == 1
+        assert f"error: geometric mean is nan at n = {n}; it must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunnerSeam:

@@ -214,3 +214,18 @@ class TestArrayForm:
         got = normal_cdf(xs)
         assert got.shape == (3, 4)
         assert np.array_equal(got.ravel(), [normal_cdf(float(x)) for x in xs.ravel()])
+
+
+def test_float32_arguments_compute_in_float64():
+    # numpy 2 keeps a float32 through x / sqrt(2): a float32 scalar came
+    # back as a float32, and n02 on this float32 array was off by up to 1.6e-8
+    x32 = np.concatenate([np.linspace(-40.0, 40.0, 801), np.exp(np.linspace(-20.0, 20.0, 401)),
+                          [0.3, math.inf, -math.inf, math.nan]]).astype(np.float32)
+    x64 = x32.astype(float)
+    laws = LAWS + [LimitLaw("point", float(x32[-4]))]  # a mass at float32 0.3
+    for f, want in [(normal_cdf, normal_cdf(x64))] + [
+            (law.cdf, limit_cdf(law, x64)) for law in laws]:
+        assert f(x32).dtype == np.float64 and f(x32).tobytes() == want.tobytes()
+        for x, w in zip(x32, want):
+            got = f(x)
+            assert type(got) is float and np.float64(got).tobytes() == w.tobytes()

@@ -174,6 +174,9 @@ class TestBlocks:
             LooSeries(1.0, 0.0)
         with pytest.raises(ValueError, match="nonempty"):
             LooSeries(1.0, 1.0).block([])
+        for bad in (math.inf, math.nan):  # both came back as nan with a zero bound
+            with pytest.raises(ValueError, match="finite positive"):
+                LooSeries(1.0, 1.0).block([1.0, 2.0, bad, 3.0])
 
     def test_series_memory_does_not_grow_with_the_path(self):
         spec = make_distribution("exponential", [1.0])
